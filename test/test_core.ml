@@ -358,6 +358,46 @@ let test_rand_truncation_point_degenerate () =
   let g = Randomization.truncation_point ~d:1. ~lambda:10. ~order:2 ~eps:1e-9 in
   Alcotest.(check bool) "regular G sensible" true (g > 10 && g < 100)
 
+(* Golden values: [moments] on the Section-7 ON-OFF model must reproduce
+   the recorded hex floats bit for bit (values, G and the error bound),
+   so a restructuring of the solver cannot drift the numbers silently. *)
+let test_rand_golden_hex () =
+  let ic = open_in "fixtures/moments_golden.txt" in
+  let lines =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        let rec read acc =
+          match input_line ic with
+          | line -> read (if line = "" || line.[0] = '#' then acc else line :: acc)
+          | exception End_of_file -> List.rev acc
+        in
+        read [])
+  in
+  let bits name expected actual =
+    if Int64.bits_of_float expected <> Int64.bits_of_float actual then
+      Alcotest.failf "%s: expected %h, got %h" name expected actual
+  in
+  let rec cases = function
+    | [] -> ()
+    | header :: rest ->
+        Scanf.sscanf header "case %s sigma2=%h t=%h order=%d G=%d bound=%h"
+          (fun name sigma2 t order g bound ->
+            let model = Mrm_models.Onoff.model (Mrm_models.Onoff.table1 ~sigma2) in
+            let r = Randomization.moments model ~t ~order in
+            Alcotest.(check int) (name ^ ": G") g r.diagnostics.iterations;
+            bits (name ^ ": bound") bound r.diagnostics.log_error_bound;
+            List.iteri
+              (fun n row ->
+                List.iteri
+                  (fun i hex ->
+                    bits
+                      (Printf.sprintf "%s: V^(%d)_%d" name n i)
+                      (float_of_string hex) r.moments.(n).(i))
+                  (String.split_on_char ' ' row))
+              (List.filteri (fun n _ -> n <= order) rest);
+            cases (List.filteri (fun n _ -> n > order) rest))
+  in
+  cases lines
+
 let test_rand_higher_order_moments_positive () =
   (* Non-negative rates + nonneg support start: all raw moments of the
      shifted process are positive; with positive drift everywhere the raw
@@ -872,6 +912,7 @@ let () =
             test_rand_truncation_point_degenerate;
           Alcotest.test_case "high orders monotone in t" `Quick
             test_rand_higher_order_moments_positive;
+          Alcotest.test_case "golden hex floats" `Quick test_rand_golden_hex;
         ] );
       ( "first_order",
         [
