@@ -291,7 +291,6 @@ let runner_kind ctx name =
   match lc with
   | "for_ranges" when q = "Kernel" || q = "" -> Some ("Kernel.for_ranges", Range_runner)
   | "sweep" when q = "Kernel" || q = "" -> Some ("Kernel.sweep", Range_runner)
-  | "reduce" when in_module "Kernel" -> Some ("Kernel.reduce", Range_runner)
   | "run" when in_module "Pool" -> Some ("Pool.run", Party_runner)
   | "run_pinned" when in_module "Pool" -> Some ("Pool.run_pinned", Party_runner)
   | "parallel_for" when in_module "Pool" -> Some ("Pool.parallel_for", Party_runner)

@@ -9,7 +9,7 @@
     which is how one-level summary information (e.g. the write ranges
     of [Sparse.mv_multi_into_range]) flows into a kernel-body proof.
 
-    Range-kernel call sites ([Kernel.for_ranges]/[sweep]/[reduce] and
+    Range-kernel call sites ([Kernel.for_ranges]/[sweep] and
     [Pool.run]/[run_pinned]/[parallel_for] party closures) are
     re-analyzed under fresh symbolic [lo]/[hi] (or party index)
     bounds: every write to a shared array inside the body must be

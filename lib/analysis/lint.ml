@@ -175,8 +175,8 @@ let rule_docs =
        wait.",
       "if not !ready then Condition.wait c m" );
     ( "SRC020",
-      "Inside a partitioned-kernel body (Kernel.for_ranges/sweep/\
-       reduce, Pool.run/run_pinned/parallel_for) every write to an \
+      "Inside a partitioned-kernel body (Kernel.for_ranges/sweep, \
+       Pool.run/run_pinned/parallel_for) every write to an \
        array that outlives the job must land in the job's own [lo,hi) \
        slice — that disjointness is the engine's whole memory-safety \
        argument. The abstract interpreter re-analyzes each body under \

@@ -48,7 +48,7 @@
       loop ([while]/recursive), or [Condition.signal]/[broadcast]
       without the associated mutex held.
     - [SRC020] (error) — a write to a shared array inside a
-      partitioned-kernel body ([Kernel.for_ranges]/[sweep]/[reduce],
+      partitioned-kernel body ([Kernel.for_ranges]/[sweep],
       [Pool.run]/[run_pinned]/[parallel_for]) that is not provably
       within the job's [[lo, hi)] range; bodies proven safe are
       counted per site ({!Absint.stats}).

@@ -1,8 +1,9 @@
-(* The sharding front-end: listens like `mrm2 serve`, speaks the same
-   JSONL wire format, and forwards every request to the replica that
-   owns its Batch.digest on the consistent-hash ring — so repeat jobs
-   land on the replica whose LRU already holds the answer and the
-   per-replica caches compose into one sharded distributed cache.
+(* The sharding front-end: accepts through the same Listener as
+   `mrm2 serve`, speaks the same JSONL wire format, and forwards every
+   request to the replica that owns its Batch.digest on the
+   consistent-hash ring — so repeat jobs land on the replica whose LRU
+   already holds the answer and the per-replica caches compose into
+   one sharded distributed cache.
 
    Request path (per connection-handler thread):
      parse -> digest -> ring preference list -> skip down replicas ->
@@ -22,6 +23,7 @@ module Metrics = Mrm_obs.Metrics
 module Trace = Mrm_obs.Trace
 module Protocol = Mrm_server.Protocol
 module Server = Mrm_server.Server
+module Listener = Mrm_server.Listener
 module Batch = Mrm_batch.Batch
 
 type config = {
@@ -69,35 +71,21 @@ let g_replicas_up = Metrics.gauge "cluster.replicas_up"
 let g_inflight_peak = Metrics.gauge "cluster.inflight_peak"
 
 (* ------------------------------------------------------------------ *)
-(* Handle *)
+(* State *)
 
-type conn = { conn_id : int; fd : Unix.file_descr }
-
-type handle = {
+(* Everything request processing reads; the sockets live in the
+   handle's [Listener]. *)
+type state = {
   cfg : config;
-  listen_fd : Unix.file_descr;
-  listen_addr : Unix.sockaddr;
-  wake_r : Unix.file_descr;  (* self-pipe: drain wakes acceptor+prober *)
-  wake_w : Unix.file_descr;
-  stop : bool Atomic.t;
   ring : Ring.t;
   replicas : Replica.t array;
   by_name : (string, Replica.t) Hashtbl.t;  (* immutable after start *)
   shed : Shed.t;
-  registry : (int, conn) Hashtbl.t;  (* open connections, under reg_mutex *)
-  reg_mutex : Mutex.t;
-  handler_done : Condition.t;
-  mutable active_handlers : int;  (* under reg_mutex *)
-  mutable next_conn_id : int;  (* under reg_mutex *)
-  mutable acceptor : Thread.t option;
-  mutable prober : Thread.t option;
 }
 
-let listen_address h = h.listen_addr
+type handle = { state : state; listener : Listener.t; prober : Thread.t }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let listen_address h = Listener.address h.listener
 
 let up_count h =
   Array.fold_left
@@ -250,98 +238,26 @@ let forward h ~json ~request line =
 let process h ~lineno line =
   Metrics.incr m_requests;
   let default_id = Printf.sprintf "req-%d" lineno in
+  let malformed msg =
+    Metrics.incr m_parse_errors;
+    Protocol.error_response ~id:default_id ~code:"SRV001" msg
+  in
   match Json.parse line with
-  | Error msg ->
-      Metrics.incr m_parse_errors;
-      Protocol.error_response ~id:default_id ~code:"SRV001" msg
-  | Ok json ->
-      if is_stats_request json then begin
-        let id =
-          Option.value
-            (Option.bind (Json.member "id" json) Json.to_str)
-            ~default:default_id
-        in
-        stats_response h ~id
-      end
-      else begin
-        match
-          Protocol.parse_request ~default_eps:h.cfg.default_eps
-            ~now:(Unix.gettimeofday ()) ~default_id line
-        with
-        | Error msg ->
-            Metrics.incr m_parse_errors;
-            Protocol.error_response ~id:default_id ~code:"SRV001" msg
-        | Ok request -> forward h ~json ~request line
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Connections (same shape as Server: acceptor + handler threads) *)
-
-let unregister h conn =
-  (with_lock h.reg_mutex @@ fun () ->
-   Hashtbl.remove h.registry conn.conn_id;
-   h.active_handlers <- h.active_handlers - 1;
-   Condition.broadcast h.handler_done);
-  try Unix.close conn.fd with Unix.Unix_error _ -> ()
-
-let handle_connection h conn =
-  let ic = Unix.in_channel_of_descr conn.fd in
-  let oc = Unix.out_channel_of_descr conn.fd in
-  let lineno = ref 0 in
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | exception Sys_error _ -> ()
-    | line ->
-        incr lineno;
-        if String.trim line = "" then loop ()
-        else begin
-          let response = process h ~lineno:!lineno (String.trim line) in
-          match
-            output_string oc response;
-            output_char oc '\n';
-            flush oc
-          with
-          | () -> if Atomic.get h.stop then () else loop ()
-          | exception Sys_error _ -> ()
-        end
-  in
-  Fun.protect ~finally:(fun () -> unregister h conn) loop
-
-let spawn_connection h fd =
-  Metrics.incr m_connections;
-  let conn =
-    with_lock h.reg_mutex @@ fun () ->
-    let conn = { conn_id = h.next_conn_id; fd } in
-    h.next_conn_id <- h.next_conn_id + 1;
-    h.active_handlers <- h.active_handlers + 1;
-    Hashtbl.replace h.registry conn.conn_id conn;
-    conn
-  in
-  if Atomic.get h.stop then begin
-    try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-    with Unix.Unix_error _ -> ()
-  end;
-  ignore (Thread.create (fun () -> handle_connection h conn) ())
-
-let accept_loop h =
-  let rec loop () =
-    if Atomic.get h.stop then ()
-    else begin
-      match Unix.select [ h.listen_fd; h.wake_r ] [] [] (-1.) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | ready, _, _ ->
-          if Atomic.get h.stop then ()
-          else if List.memq h.listen_fd ready then begin
-            (match Unix.accept h.listen_fd with
-            | fd, _ -> spawn_connection h fd
-            | exception Unix.Unix_error _ -> ());
-            loop ()
-          end
-          else loop ()
-    end
-  in
-  loop ()
+  | Error msg -> malformed msg
+  | Ok json when is_stats_request json ->
+      let id =
+        Option.value
+          (Option.bind (Json.member "id" json) Json.to_str)
+          ~default:default_id
+      in
+      stats_response h ~id
+  | Ok json -> (
+      match
+        Protocol.request_of_json ~default_eps:h.cfg.default_eps
+          ~now:(Unix.gettimeofday ()) ~default_id json
+      with
+      | Error msg -> malformed msg
+      | Ok request -> forward h ~json ~request line)
 
 (* ------------------------------------------------------------------ *)
 (* Prober *)
@@ -363,24 +279,11 @@ let probe_round h =
     h.replicas;
   note_replicas_up h
 
-let prober_loop h =
-  let rec loop () =
-    if Atomic.get h.stop then ()
-    else begin
-      (* Sleep one interval, or until drain writes the wake byte (the
-         byte is never consumed, so every later select returns at
-         once — by then the stop flag is set). *)
-      (match Unix.select [ h.wake_r ] [] [] h.cfg.probe_interval with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | _ -> ());
-      if Atomic.get h.stop then ()
-      else begin
-        probe_round h;
-        loop ()
-      end
-    end
-  in
-  loop ()
+(* Sleep one interval (cut short by a drain), then probe. *)
+let prober_loop h listener =
+  while Listener.sleep listener h.cfg.probe_interval do
+    probe_round h
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
@@ -397,8 +300,6 @@ let validate_config cfg =
 
 let start cfg =
   validate_config cfg;
-  let listen_fd = Server.bind_endpoint cfg.listen in
-  let wake_r, wake_w = Unix.pipe () in
   let replicas =
     Array.of_list
       (List.map
@@ -408,80 +309,31 @@ let start cfg =
   in
   let by_name = Hashtbl.create (Array.length replicas) in
   Array.iter (fun r -> Hashtbl.replace by_name (Replica.name r) r) replicas;
-  let h =
+  let state =
     {
       cfg;
-      listen_fd;
-      listen_addr = Unix.getsockname listen_fd;
-      wake_r;
-      wake_w;
-      stop = Atomic.make false;
       ring = Ring.create ~vnodes:cfg.vnodes (List.map fst cfg.backends);
       replicas;
       by_name;
       shed = Shed.create ~limit:cfg.max_inflight;
-      registry = Hashtbl.create 16;
-      reg_mutex = Mutex.create ();
-      handler_done = Condition.create ();
-      active_handlers = 0;
-      next_conn_id = 0;
-      acceptor = None;
-      prober = None;
     }
   in
-  note_replicas_up h;
-  h.acceptor <- Some (Thread.create (fun () -> accept_loop h) ());
-  h.prober <- Some (Thread.create (fun () -> prober_loop h) ());
-  h
+  let listener =
+    Listener.start ~connections:m_connections cfg.listen (process state)
+  in
+  note_replicas_up state;
+  let prober = Thread.create (prober_loop state) listener in
+  { state; listener; prober }
 
-let drain h =
-  if not (Atomic.exchange h.stop true) then begin
-    (try ignore (Unix.write h.wake_w (Bytes.of_string "x") 0 1)
-     with Unix.Unix_error _ -> ());
-    let conns =
-      with_lock h.reg_mutex @@ fun () ->
-      Hashtbl.fold (fun _ conn acc -> conn :: acc) h.registry []
-    in
-    List.iter
-      (fun conn ->
-        try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      conns
-  end
+let drain h = ignore (Listener.drain h.listener)
 
 let wait h =
-  (match h.acceptor with Some t -> Thread.join t | None -> ());
-  (match h.prober with Some t -> Thread.join t | None -> ());
-  (with_lock h.reg_mutex @@ fun () ->
-   while h.active_handlers > 0 do
-     Condition.wait h.handler_done h.reg_mutex
-   done);
-  Array.iter Replica.shutdown h.replicas;
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    [ h.listen_fd; h.wake_r; h.wake_w ];
-  match h.cfg.listen with
-  | `Unix path ->
-      (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-  | `Tcp _ -> ()
+  Thread.join h.prober;
+  Listener.wait h.listener;
+  Array.iter Replica.shutdown h.state.replicas
 
 let run ?(on_ready = ignore) cfg =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let signals = [ Sys.sigterm; Sys.sigint ] in
-  ignore (Thread.sigmask Unix.SIG_BLOCK signals);
-  let h = start cfg in
-  on_ready h.listen_addr;
-  let (_ : Thread.t) =
-    Thread.create
-      (fun () ->
-        let rec watch () =
-          (match Thread.wait_signal signals with
-          | _ -> drain h
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          watch ()
-        in
-        watch ())
-      ()
-  in
+  let h = Listener.with_shutdown_signals ~drain (fun () -> start cfg) in
+  on_ready (listen_address h);
   wait h;
   0

@@ -70,8 +70,8 @@ val default_config :
 type handle
 
 val start : config -> handle
-(** Bind the listen endpoint ({!Mrm_server.Server.bind_endpoint} rules)
-    and spawn the acceptor and prober threads.
+(** Start a {!Mrm_server.Listener} on the listen endpoint (the
+    server's stale-socket rules) and spawn the prober thread.
     @raise Invalid_argument on an empty or duplicate-named backend
     list, [max_attempts < 1] or [readmit_after < 1].
     @raise Unix.Unix_error when the endpoint cannot be bound. *)
@@ -89,6 +89,7 @@ val wait : handle -> unit
     path unlinked). *)
 
 val run : ?on_ready:(Unix.sockaddr -> unit) -> config -> int
-(** [mrm2 route] main loop: install the SIGTERM/SIGINT watcher (mask
-    first, as {!Mrm_server.Server.run} does), {!start}, call [on_ready]
-    with the bound address, {!wait}. Returns 0 on graceful shutdown. *)
+(** [mrm2 route] main loop: {!start} under
+    {!Mrm_server.Listener.with_shutdown_signals} (SIGTERM/SIGINT trigger
+    {!drain}), call [on_ready] with the bound address, {!wait}. Returns
+    0 on graceful shutdown. *)

@@ -9,7 +9,7 @@ exception Timeout
 (** The send/receive deadline passed (SO_RCVTIMEO / SO_SNDTIMEO). *)
 
 exception Closed
-(** The peer closed the connection. *)
+(** The peer closed or reset the connection. *)
 
 val connect : ?timeout:float -> Mrm_server.Server.endpoint -> conn
 (** Open a connection; [timeout] (seconds, when positive) bounds every

@@ -221,176 +221,87 @@ let run_sweep ctx ~r' ~s' ~order ~n_states ~g ~terms =
   in
   Kernel.sweep ctx.sw_pool ctx.sw_partition ~rounds:g body
 
-let moments ?(validate = false) ?(eps = 1e-9) ?pool model ~t ~order =
-  if validate then
-    validate_model model ~t ~order ~eps ~jobs:(pool_jobs pool);
-  (* [t < 0.] alone lets NaN and infinity through (every comparison with
-     NaN is false), silently poisoning the whole solve — require a
-     finite, non-negative horizon outright. *)
-  if not (Float.is_finite t) || t < 0. then
-    invalid_arg "Randomization.moments: requires finite t >= 0";
-  if order < 0 then invalid_arg "Randomization.moments: requires order >= 0";
-  if not (eps > 0.) then invalid_arg "Randomization.moments: requires eps > 0";
-  Trace.with_span "randomization.moments"
-    ~attrs:
-      [ ("t", Trace.Float t); ("order", Trace.Int order);
-        ("eps", Trace.Float eps) ]
-  @@ fun () ->
+(* The one solve behind [moments] and [moments_at_times], run inside
+   the caller's span. Each time point either takes a closed form (t = 0,
+   no transitions, or all shifted rewards zero) or joins the shared
+   sweep: the U^(n)(k) recursion does not depend on t, only the Poisson
+   weights do, so one pass to the largest per-time G serves every
+   point, each folding its own weights into its own accumulators. *)
+let solve ?pool model ~times ~order ~eps =
   Metrics.incr m_solves;
   let n_states = Model.dim model in
   let q = Generator.uniformization_rate model.Model.generator in
-  let trivial_diag ~d ~shift =
-    { q; d; shift; iterations = 0; eps; log_error_bound = neg_infinity }
-  in
-  if t = 0. then begin
-    (* Exact short circuit: B(0) = 0, so moment 0 is 1 and every higher
-       moment vanishes; no truncation point is involved (computing one
-       would need log(lambda) with lambda = qt = 0). *)
-    Trace.add_attr "path" (Trace.Str "t=0");
-    let moments =
-      Array.init (order + 1) (fun n ->
-          if n = 0 then Vec.ones n_states else Vec.zeros n_states)
-    in
-    { moments; diagnostics = trivial_diag ~d:0. ~shift:0. }
-  end
-  else if q = 0. then begin
-    Trace.add_attr "path" (Trace.Str "no-transitions");
-    {
-      moments = moments_no_transitions model ~t ~order;
-      diagnostics = trivial_diag ~d:0. ~shift:0.;
-    }
-  end
-  else begin
-    (* Shift drifts to be non-negative (paper, Section 6). *)
-    let min_rate = Model.min_rate model in
-    let shift = if min_rate < 0. then min_rate else 0. in
-    let shifted_rates = Array.map (fun r -> r -. shift) model.Model.rates in
-    let max_shifted_rate = Array.fold_left Float.max 0. shifted_rates in
-    let max_std_dev = Model.max_std_dev model in
-    (* Minimal d making both R' and S' substochastic (see .mli note). *)
-    let d = Float.max (max_shifted_rate /. q) (max_std_dev /. sqrt q) in
-    if d = 0. then begin
-      Trace.add_attr "path" (Trace.Str "zero-rewards");
-      (* All shifted rates and variances vanish: B~ is identically 0. *)
-      let shifted =
-        Array.init (order + 1) (fun n ->
-            if n = 0 then Vec.ones n_states else Vec.zeros n_states)
-      in
-      {
-        moments = unshift_moments ~shift ~t shifted;
-        diagnostics = trivial_diag ~d:0. ~shift;
-      }
-    end
-    else begin
-      let lambda = q *. t in
-      let g, q', r', s' =
-        Trace.with_span "randomization.setup" (fun () ->
-            let g = truncation_point ~d ~lambda ~order ~eps in
-            let q' = Generator.uniformized model.Model.generator ~rate:q in
-            let r' = Array.map (fun r -> r /. (q *. d)) shifted_rates in
-            let s' =
-              Array.map (fun v -> v /. (q *. d *. d)) model.Model.variances
-            in
-            (g, q', r', s'))
-      in
-      record_truncation g;
-      Trace.add_attr "q" (Trace.Float q);
-      Trace.add_attr "d" (Trace.Float d);
-      (* Accumulators acc.(j) build sum_k Pois(lambda;k) U^(j)(k).
-         U^(0)(k) = h for every k because the generator is conservative
-         (Q' h = h), so order 0 is kept implicit and costs nothing. *)
-      let acc = Array.init (order + 1) (fun _ -> Vec.zeros n_states) in
-      let ctx = sweep_context pool q' ~n_states in
-      Trace.with_span "randomization.sweep" ~attrs:[ ("G", Trace.Int g) ]
-        (fun () ->
-          let terms =
-            Array.init (g + 1) (fun k ->
-                let w = Poisson.pmf ~lambda k in
-                if w > 0. then [ (w, acc) ]
-                else begin
-                  Metrics.incr m_terms_skipped;
-                  []
-                end)
-          in
-          if order >= 1 then run_sweep ctx ~r' ~s' ~order ~n_states ~g ~terms);
-      (* V^(n) = n! d^n * acc_n; V^(0) = h exactly. *)
-      let shifted_moments =
-        Trace.with_span "randomization.finalize" (fun () ->
-            Array.init (order + 1) (fun n ->
-                if n = 0 then Vec.ones n_states
-                else begin
-                  let factor = Special.factorial n *. (d ** float_of_int n) in
-                  Vec.scale factor acc.(n)
-                end))
-      in
-      let log_error_bound =
-        if order = 0 then neg_infinity
-        else
-          log 2.
-          +. (float_of_int order *. log d)
-          +. Special.log_factorial order
-          +. (float_of_int order *. log lambda)
-          +. Poisson.log_tail ~lambda (max 0 (g + 1 - order))
-      in
-      {
-        moments = unshift_moments ~shift ~t shifted_moments;
-        diagnostics = { q; d; shift; iterations = g; eps; log_error_bound };
-      }
-    end
-  end
-
-let moments_at_times ?(validate = false) ?(eps = 1e-9) ?pool model ~times
-    ~order =
-  if validate then begin
-    let horizon = Array.fold_left Float.max 0. times in
-    validate_model model ~t:horizon ~order ~eps ~jobs:(pool_jobs pool)
-  end;
-  if order < 0 then invalid_arg "Randomization.moments_at_times: order >= 0";
-  if not (eps > 0.) then
-    invalid_arg "Randomization.moments_at_times: requires eps > 0";
-  Array.iter
-    (fun t ->
-      if not (Float.is_finite t) || t < 0. then
-        invalid_arg "Randomization.moments_at_times: requires finite t >= 0")
-    times;
-  Trace.with_span "randomization.moments_at_times"
-    ~attrs:
-      [ ("times", Trace.Int (Array.length times));
-        ("order", Trace.Int order); ("eps", Trace.Float eps) ]
-  @@ fun () ->
-  let n_states = Model.dim model in
-  let q = Generator.uniformization_rate model.Model.generator in
-  let needs_sweep t = t > 0. && q > 0. in
+  (* Shift drifts to be non-negative (paper, Section 6). *)
   let min_rate = Model.min_rate model in
   let shift = if min_rate < 0. then min_rate else 0. in
   let shifted_rates = Array.map (fun r -> r -. shift) model.Model.rates in
   let max_shifted_rate = Array.fold_left Float.max 0. shifted_rates in
-  let max_std_dev = Model.max_std_dev model in
-  let d = Float.max (max_shifted_rate /. q) (max_std_dev /. sqrt q) in
-  if
-    Array.for_all (fun t -> not (needs_sweep t)) times
-    || d = 0. || order = 0
-  then
-    (* Degenerate cases: the pointwise solver handles each closed-form
-       path; no shared sweep is needed. *)
-    Array.map (fun t -> moments ~eps ?pool model ~t ~order) times
-  else begin
-    (* Truncation: one sweep to the largest per-time G. *)
-    let g_of_t = Array.map (fun t ->
-        if needs_sweep t then
-          truncation_point ~d ~lambda:(q *. t) ~order ~eps
-        else 0) times
+  (* Minimal d making both R' and S' substochastic (see .mli note). *)
+  let d =
+    Float.max (max_shifted_rate /. q) (Model.max_std_dev model /. sqrt q)
+  in
+  let unit_moments () =
+    Array.init (order + 1) (fun n ->
+        if n = 0 then Vec.ones n_states else Vec.zeros n_states)
+  in
+  let closed_form t =
+    let closed path ~shift moments =
+      let diagnostics =
+        { q; d = 0.; shift; iterations = 0; eps; log_error_bound = neg_infinity }
+      in
+      Some (path, { moments; diagnostics })
     in
-    let g = Array.fold_left max 1 g_of_t in
-    Metrics.incr m_solves;
+    (* t = 0 is exact: B(0) = 0, so moment 0 is 1 and every higher
+       moment vanishes; no truncation point is involved (computing one
+       would need log(lambda) with lambda = qt = 0). *)
+    if t = 0. then closed "t=0" ~shift:0. (unit_moments ())
+    else if q = 0. then
+      closed "no-transitions" ~shift:0. (moments_no_transitions model ~t ~order)
+    else if d = 0. then
+      (* All shifted rates and variances vanish: B~ is identically 0. *)
+      closed "zero-rewards" ~shift (unshift_moments ~shift ~t (unit_moments ()))
+    else None
+  in
+  let closed = Array.map closed_form times in
+  (match
+     List.sort_uniq String.compare
+       (List.filter_map (Option.map fst) (Array.to_list closed))
+   with
+  | [] -> ()
+  | paths -> Trace.add_attr "path" (Trace.Str (String.concat "," paths)));
+  let swept i = Option.is_none closed.(i) in
+  if not (Array.exists Option.is_none closed) then
+    Array.map (fun c -> snd (Option.get c)) closed
+  else begin
+    let g_of_t, q', r', s' =
+      Trace.with_span "randomization.setup" (fun () ->
+          let g_of_t =
+            Array.mapi
+              (fun i t ->
+                if swept i then truncation_point ~d ~lambda:(q *. t) ~order ~eps
+                else 0)
+              times
+          in
+          let q' = Generator.uniformized model.Model.generator ~rate:q in
+          let r' = Array.map (fun r -> r /. (q *. d)) shifted_rates in
+          let s' =
+            Array.map (fun v -> v /. (q *. d *. d)) model.Model.variances
+          in
+          (g_of_t, q', r', s'))
+    in
+    let g = Array.fold_left max 0 g_of_t in
     record_truncation g;
-    let q' = Generator.uniformized model.Model.generator ~rate:q in
-    let r' = Array.map (fun r -> r /. (q *. d)) shifted_rates in
-    let s' = Array.map (fun v -> v /. (q *. d *. d)) model.Model.variances in
-    (* One accumulator block per requested time point. *)
+    Trace.add_attr "q" (Trace.Float q);
+    Trace.add_attr "d" (Trace.Float d);
+    (* Accumulators acc.(j) build sum_k Pois(lambda;k) U^(j)(k), one
+       block per swept time point. U^(0)(k) = h for every k because the
+       generator is conservative (Q' h = h), so order 0 is kept implicit
+       and costs nothing. *)
     let accumulators =
-      Array.map
-        (fun _ -> Array.init (order + 1) (fun _ -> Vec.zeros n_states))
+      Array.mapi
+        (fun i _ ->
+          if swept i then Array.init (order + 1) (fun _ -> Vec.zeros n_states)
+          else [||])
         times
     in
     let ctx = sweep_context pool q' ~n_states in
@@ -400,46 +311,83 @@ let moments_at_times ?(validate = false) ?(eps = 1e-9) ?pool model ~times
           Array.init (g + 1) (fun k ->
               let step_terms = ref [] in
               Array.iteri
-                (fun time_index t ->
-                  if needs_sweep t && k <= g_of_t.(time_index) then begin
+                (fun i t ->
+                  if swept i && k <= g_of_t.(i) then begin
                     let w = Poisson.pmf ~lambda:(q *. t) k in
                     if w > 0. then
-                      step_terms := (w, accumulators.(time_index)) :: !step_terms
+                      step_terms := (w, accumulators.(i)) :: !step_terms
                     else Metrics.incr m_terms_skipped
                   end)
                 times;
               !step_terms)
         in
-        run_sweep ctx ~r' ~s' ~order ~n_states ~g ~terms);
-    Array.mapi
-      (fun time_index t ->
-        if not (needs_sweep t) then moments ~eps ?pool model ~t ~order
-        else begin
-          let lambda = q *. t in
-          let shifted_moments =
-            Array.init (order + 1) (fun n ->
-                if n = 0 then Vec.ones n_states
-                else
-                  Vec.scale
-                    (Special.factorial n *. (d ** float_of_int n))
-                    accumulators.(time_index).(n))
-          in
-          let g_t = g_of_t.(time_index) in
-          let log_error_bound =
-            log 2.
-            +. (float_of_int order *. log d)
-            +. Special.log_factorial order
-            +. (float_of_int order *. log lambda)
-            +. Poisson.log_tail ~lambda (max 0 (g_t + 1 - order))
-          in
-          {
-            moments = unshift_moments ~shift ~t shifted_moments;
-            diagnostics =
-              { q; d; shift; iterations = g_t; eps; log_error_bound };
-          }
-        end)
-      times
+        if order >= 1 then run_sweep ctx ~r' ~s' ~order ~n_states ~g ~terms);
+    Trace.with_span "randomization.finalize" (fun () ->
+        Array.mapi
+          (fun i t ->
+            match closed.(i) with
+            | Some (_, result) -> result
+            | None ->
+                let lambda = q *. t and g_t = g_of_t.(i) in
+                (* V^(n) = n! d^n * acc_n; V^(0) = h exactly. *)
+                let shifted_moments =
+                  Array.init (order + 1) (fun n ->
+                      if n = 0 then Vec.ones n_states
+                      else
+                        Vec.scale
+                          (Special.factorial n *. (d ** float_of_int n))
+                          accumulators.(i).(n))
+                in
+                let log_error_bound =
+                  if order = 0 then neg_infinity
+                  else
+                    log 2.
+                    +. (float_of_int order *. log d)
+                    +. Special.log_factorial order
+                    +. (float_of_int order *. log lambda)
+                    +. Poisson.log_tail ~lambda (max 0 (g_t + 1 - order))
+                in
+                {
+                  moments = unshift_moments ~shift ~t shifted_moments;
+                  diagnostics =
+                    { q; d; shift; iterations = g_t; eps; log_error_bound };
+                })
+          times)
   end
+
+(* [t < 0.] alone lets NaN and infinity through (every comparison with
+   NaN is false), silently poisoning the whole solve — require finite,
+   non-negative horizons outright. *)
+let check_args fn ~times ~order ~eps =
+  let fail what = invalid_arg (Printf.sprintf "Randomization.%s: requires %s" fn what) in
+  Array.iter
+    (fun t -> if not (Float.is_finite t) || t < 0. then fail "finite t >= 0")
+    times;
+  if order < 0 then fail "order >= 0";
+  if not (eps > 0.) then fail "eps > 0"
+
+let moments ?(validate = false) ?(eps = 1e-9) ?pool model ~t ~order =
+  if validate then
+    validate_model model ~t ~order ~eps ~jobs:(pool_jobs pool);
+  check_args "moments" ~times:[| t |] ~order ~eps;
+  Trace.with_span "randomization.moments"
+    ~attrs:
+      [ ("t", Trace.Float t); ("order", Trace.Int order);
+        ("eps", Trace.Float eps) ]
+  @@ fun () -> (solve ?pool model ~times:[| t |] ~order ~eps).(0)
+
+let moments_at_times ?(validate = false) ?(eps = 1e-9) ?pool model ~times
+    ~order =
+  if validate then begin
+    let horizon = Array.fold_left Float.max 0. times in
+    validate_model model ~t:horizon ~order ~eps ~jobs:(pool_jobs pool)
+  end;
+  check_args "moments_at_times" ~times ~order ~eps;
+  Trace.with_span "randomization.moments_at_times"
+    ~attrs:
+      [ ("times", Trace.Int (Array.length times));
+        ("order", Trace.Int order); ("eps", Trace.Float eps) ]
+  @@ fun () -> solve ?pool model ~times ~order ~eps
 
 let moment ?eps model ~t ~order =
   let { moments = m; _ } = moments ?eps model ~t ~order in

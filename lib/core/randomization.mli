@@ -93,7 +93,11 @@ val moments_at_times :
     [G = max_j G(t_j)] serves every time point. For a ramp of [m] times
     this costs [max G] iterations instead of [sum G] — e.g. the five
     Figure-8 time points for the price of the last one. Results match the
-    pointwise solver to within the [eps] bounds (asserted in the tests). *)
+    pointwise solver to within the [eps] bounds (asserted in the tests);
+    {!moments} is the one-point case of this same solve, bit for bit.
+    Emits the [randomization.setup]/[sweep]/[finalize] spans under a
+    [randomization.moments_at_times] span, as {!moments} does under
+    [randomization.moments]. *)
 
 val mean : ?eps:float -> Model.t -> t:float -> float
 val variance : ?eps:float -> Model.t -> t:float -> float

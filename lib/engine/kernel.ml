@@ -1,5 +1,4 @@
 module Sparse = Mrm_linalg.Sparse
-module Vec = Mrm_linalg.Vec
 
 (* ------------------------------------------------------------------ *)
 (* Structure-specialized mat-vec dispatch. Detection runs once per
@@ -64,53 +63,3 @@ let sweep pool partition ~rounds body =
         done
       done
   end
-
-let mv_into pool partition matrix x y =
-  if not (Int.equal (Partition.rows partition) (Sparse.rows matrix)) then
-    invalid_arg "Kernel.mv_into: partition does not match the matrix";
-  for_ranges pool partition (fun lo hi ->
-      Sparse.mv_into_range matrix x y ~lo ~hi)
-
-let copy_into pool partition src dst =
-  if Array.length src <> Array.length dst then
-    invalid_arg "Kernel.copy_into: dimension mismatch";
-  if Partition.rows partition <> Array.length src then
-    invalid_arg "Kernel.copy_into: partition does not match the vectors";
-  for_ranges pool partition (fun lo hi -> Array.blit src lo dst lo (hi - lo))
-
-let axpy pool partition ~alpha ~x ~y =
-  if Partition.rows partition <> Array.length x then
-    invalid_arg "Kernel.axpy: partition does not match the vectors";
-  for_ranges pool partition (fun lo hi ->
-      Vec.axpy_range ~alpha ~x ~y ~lo ~hi)
-
-(* Reduction: fixed per-chunk partials stored by chunk index, combined
-   sequentially — deterministic under any schedule. *)
-let reduce pool ?chunk n partial =
-  if n = 0 then 0.
-  else begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some c -> invalid_arg (Printf.sprintf "Kernel.reduce: chunk %d" c)
-      | None -> max 1 (n / (8 * Pool.jobs pool))
-    in
-    let n_chunks = (n + chunk - 1) / chunk in
-    let partials = Array.make n_chunks 0. in
-    if Racecheck.enabled () then
-      Racecheck.check_ranges ~what:"Kernel.reduce" ~rows:n
-        (Array.init n_chunks (fun c -> (c * chunk, min n ((c + 1) * chunk))));
-    Pool.run pool n_chunks (fun c ->
-        let lo = c * chunk in
-        let hi = min n (lo + chunk) in
-        partials.(c) <- partial lo hi);
-    Array.fold_left ( +. ) 0. partials
-  end
-
-let dot pool ?chunk x y =
-  if Array.length x <> Array.length y then
-    invalid_arg "Kernel.dot: dimension mismatch";
-  reduce pool ?chunk (Array.length x) (fun lo hi -> Vec.dot_range x y ~lo ~hi)
-
-let sum pool ?chunk x =
-  reduce pool ?chunk (Array.length x) (fun lo hi -> Vec.sum_range x ~lo ~hi)

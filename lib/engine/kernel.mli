@@ -1,12 +1,11 @@
-(** Partitioned (multi-domain) linear-algebra kernels.
+(** Partitioned (multi-domain) kernels of the randomization sweep.
 
-    Each kernel splits its index space along a {!Partition} and runs
-    the per-range slice primitives of {!Mrm_linalg} ([mv_into_range],
-    [axpy_range], [dot_range]) across a {!Pool}. Results are
-    deterministic: ranges write disjoint slices, and reductions
-    combine fixed per-chunk partials in chunk order regardless of the
-    execution schedule — so a parallel randomization sweep reproduces
-    the sequential one bit for bit.
+    The fused multi-vector mat-vec ({!mv_fused}) runs row slices of a
+    {!Partition} across a {!Pool}, through {!sweep} or {!for_ranges}.
+    Results are deterministic: ranges write disjoint row slices and
+    each row keeps its summation order regardless of the execution
+    schedule — so a parallel randomization sweep reproduces the
+    sequential one bit for bit.
 
     Under [MRM2_RACECHECK=1] every kernel call first validates its
     write ranges (disjointness and full coverage) with
@@ -57,26 +56,3 @@ val for_ranges : Pool.t -> Partition.t -> (int -> int -> unit) -> unit
     range; the escape hatch for fused per-range bodies (the solver's
     recursion step fuses mat-vec and the reward-vector terms into one
     region). Same exception guarantees as {!Pool.run}. *)
-
-val mv_into :
-  Pool.t -> Partition.t -> Mrm_linalg.Sparse.t -> Mrm_linalg.Vec.t ->
-  Mrm_linalg.Vec.t -> unit
-(** Partitioned {!Mrm_linalg.Sparse.mv_into}. The partition must have
-    the matrix's row count. @raise Invalid_argument on dimension or
-    partition mismatch. *)
-
-val copy_into : Pool.t -> Partition.t -> Mrm_linalg.Vec.t ->
-  Mrm_linalg.Vec.t -> unit
-(** Partitioned blit of equal-length vectors. *)
-
-val axpy : Pool.t -> Partition.t -> alpha:float -> x:Mrm_linalg.Vec.t ->
-  y:Mrm_linalg.Vec.t -> unit
-(** Partitioned in-place [y := alpha x + y]. *)
-
-val dot : Pool.t -> ?chunk:int -> Mrm_linalg.Vec.t -> Mrm_linalg.Vec.t ->
-  float
-(** Parallel reduction; [chunk] defaults to [dim / (8 jobs)]. The
-    chunked summation order differs from the sequential left-to-right
-    one, but is itself deterministic for a fixed [chunk]. *)
-
-val sum : Pool.t -> ?chunk:int -> Mrm_linalg.Vec.t -> float

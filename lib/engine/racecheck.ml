@@ -27,23 +27,23 @@ let m_statically_proven = Mrm_obs.Metrics.counter "racecheck.statically_proven"
 let note_statically_proven ?(count = 1) () =
   Mrm_obs.Metrics.incr ~by:count m_statically_proven
 
-(* Enabled by MRM2_RACECHECK (1/true/on/yes), cached after the first
-   query; [set_enabled] overrides for tests without touching the
-   environment. *)
+(* Enabled by MRM2_RACECHECK (1/true/on/yes), read once at startup —
+   eagerly, not as a lazy value: kernels query it from several domains
+   at once, and racing forces of one lazy raise
+   [CamlinternalLazy.Undefined]. [set_enabled] overrides for tests
+   without touching the environment. *)
 let override = ref None
 
 let env_enabled =
-  lazy
-    (match Sys.getenv_opt "MRM2_RACECHECK" with
-    | Some raw -> begin
-        match String.lowercase_ascii (String.trim raw) with
-        | "1" | "true" | "on" | "yes" -> true
-        | _ -> false
-      end
-    | None -> false)
+  match Sys.getenv_opt "MRM2_RACECHECK" with
+  | Some raw -> begin
+      match String.lowercase_ascii (String.trim raw) with
+      | "1" | "true" | "on" | "yes" -> true
+      | _ -> false
+    end
+  | None -> false
 
-let enabled () =
-  match !override with Some b -> b | None -> Lazy.force env_enabled
+let enabled () = match !override with Some b -> b | None -> env_enabled
 
 let set_enabled o = override := o
 

@@ -19,8 +19,8 @@ exception Race of Mrm_check.Diagnostics.t
     the kernel that tripped. A printer is registered. *)
 
 val enabled : unit -> bool
-(** True when [MRM2_RACECHECK] is [1]/[true]/[on]/[yes] (read once,
-    cached) or an override is in force. *)
+(** True when [MRM2_RACECHECK] is [1]/[true]/[on]/[yes] (read once at
+    startup) or an override is in force. *)
 
 val set_enabled : bool option -> unit
 (** Test hook: [Some b] forces the checker on/off, [None] returns to

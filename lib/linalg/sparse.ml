@@ -210,16 +210,6 @@ let mv3_into_range_unchecked m x0 x1 x2 y0 y1 y2 ~lo ~hi =
     y2.(i) <- !a2
   done
 
-let mv2_into_range m x0 x1 y0 y1 ~lo ~hi =
-  check_mv_multi_args ~name:"Sparse.mv2_into_range" m [| x0; x1 |]
-    [| y0; y1 |] ~lo ~hi;
-  mv2_into_range_unchecked m x0 x1 y0 y1 ~lo ~hi
-
-let mv3_into_range m x0 x1 x2 y0 y1 y2 ~lo ~hi =
-  check_mv_multi_args ~name:"Sparse.mv3_into_range" m [| x0; x1; x2 |]
-    [| y0; y1; y2 |] ~lo ~hi;
-  mv3_into_range_unchecked m x0 x1 x2 y0 y1 y2 ~lo ~hi
-
 let mv_multi_into_range m xs ys ~lo ~hi =
   check_mv_multi_args ~name:"Sparse.mv_multi_into_range" m xs ys ~lo ~hi;
   match Array.length xs with
@@ -361,11 +351,6 @@ let tridiag_mv3_into_range_unchecked td x0 x1 x2 y0 y1 y2 ~lo ~hi =
     y1.(i) <- !a1;
     y2.(i) <- !a2
   done
-
-let tridiag_mv_into_range td x y ~lo ~hi =
-  check_tridiag_args ~name:"Sparse.tridiag_mv_into_range" td [| x |] [| y |]
-    ~lo ~hi;
-  tridiag_mv_into_range_unchecked td x y ~lo ~hi
 
 let tridiag_mv_multi_into_range td xs ys ~lo ~hi =
   check_tridiag_args ~name:"Sparse.tridiag_mv_multi_into_range" td xs ys ~lo

@@ -44,30 +44,16 @@ val row_offsets : t -> int array
     so [offsets.(i+1) - offsets.(i)] is the nnz of row [i] and
     [offsets.(rows)] is {!nnz}. Used to balance row partitions by nnz. *)
 
-val mv2_into_range :
-  t -> Vec.t -> Vec.t -> Vec.t -> Vec.t -> lo:int -> hi:int -> unit
-(** [mv2_into_range a x0 x1 y0 y1 ~lo ~hi] computes rows [lo .. hi-1] of
-    both [A x0] and [A x1] in a single CSR row walk. Bit-for-bit equal
-    to two independent {!mv_into_range} calls — each output accumulates
-    the same operation sequence — but touches [values]/[col_index] only
-    once. All vectors must be pairwise-suitably distinct (no output may
-    alias any input or another output). *)
-
-val mv3_into_range :
-  t -> Vec.t -> Vec.t -> Vec.t -> Vec.t -> Vec.t -> Vec.t ->
-  lo:int -> hi:int -> unit
-(** Three right-hand sides in one row walk; the randomization solver's
-    order-3 recursion multiplies [Q'] into three U-vectors per
-    iteration, which this serves with a third of the matrix traffic.
-    Same contract as {!mv2_into_range}. *)
-
 val mv_multi_into_range :
   t -> Vec.t array -> Vec.t array -> lo:int -> hi:int -> unit
 (** [mv_multi_into_range a xs ys ~lo ~hi] writes rows [lo .. hi-1] of
-    [A xs.(k)] into [ys.(k)] for every [k], walking each CSR row once.
-    Dispatches to the specialized 1/2/3-vector kernels when they apply.
+    [A xs.(k)] into [ys.(k)] for every [k], walking each CSR row once
+    and touching [values]/[col_index] a single time — the randomization
+    recursion multiplies [Q'] into [order] vectors per iteration.
+    Dispatches to specialized 1/2/3-vector kernels when they apply.
     Bit-for-bit equal to [Array.length xs] independent
-    {!mv_into_range} calls. *)
+    {!mv_into_range} calls: each output accumulates the same operation
+    sequence. No output may alias an input or another output. *)
 
 type tridiag
 (** A matrix proven tridiagonal: the three central diagonals stored as
@@ -83,19 +69,14 @@ val as_tridiagonal : t -> tridiag option
     [|i - j| <= 1], and no stored value is exactly [0.] (a stored zero
     would be indistinguishable from an absent entry). O(nnz). *)
 
-val tridiag_mv_into_range :
-  tridiag -> Vec.t -> Vec.t -> lo:int -> hi:int -> unit
-(** Structure-specialized row slice of [A x]: three streaming array
-    reads per row, no column indirection. Bit-for-bit equal to
-    {!mv_into_range} on the originating matrix (entries are visited in
-    the same increasing-column order, absent entries skipped exactly as
-    the CSR walk skips them). *)
-
 val tridiag_mv_multi_into_range :
   tridiag -> Vec.t array -> Vec.t array -> lo:int -> hi:int -> unit
-(** Fused multi-vector form of {!tridiag_mv_into_range}; the order-3
-    case is hand-specialized. Same distinctness contract as
-    {!mv_multi_into_range}. *)
+(** Structure-specialized {!mv_multi_into_range}: three streaming
+    array reads per row, no column indirection; the 1- and 3-vector
+    cases are hand-specialized. Bit-for-bit equal to {!mv_into_range}
+    on the originating matrix (entries are visited in the same
+    increasing-column order, absent entries skipped exactly as the CSR
+    walk skips them). Same distinctness contract. *)
 
 val vm : Vec.t -> t -> Vec.t
 (** [vm x a] is [x^T A]. *)

@@ -23,19 +23,6 @@ let sub a b =
 
 let scale alpha a = Array.map (fun x -> alpha *. x) a
 
-let check_range name a ~lo ~hi =
-  if lo < 0 || hi > Array.length a || lo > hi then
-    invalid_arg
-      (Printf.sprintf "Vec.%s: bad range [%d, %d) for dimension %d" name lo hi
-         (Array.length a))
-
-let axpy_range ~alpha ~x ~y ~lo ~hi =
-  check_same_dim "axpy_range" x y;
-  check_range "axpy_range" x ~lo ~hi;
-  for i = lo to hi - 1 do
-    y.(i) <- y.(i) +. (alpha *. x.(i))
-  done
-
 let axpy ~alpha ~x ~y =
   check_same_dim "axpy" x y;
   for i = 0 to Array.length x - 1 do
@@ -58,23 +45,6 @@ let dot a b =
   let acc = ref 0. in
   for i = 0 to Array.length a - 1 do
     acc := !acc +. (a.(i) *. b.(i))
-  done;
-  !acc
-
-let dot_range a b ~lo ~hi =
-  check_same_dim "dot_range" a b;
-  check_range "dot_range" a ~lo ~hi;
-  let acc = ref 0. in
-  for i = lo to hi - 1 do
-    acc := !acc +. (a.(i) *. b.(i))
-  done;
-  !acc
-
-let sum_range a ~lo ~hi =
-  check_range "sum_range" a ~lo ~hi;
-  let acc = ref 0. in
-  for i = lo to hi - 1 do
-    acc := !acc +. a.(i)
   done;
   !acc
 

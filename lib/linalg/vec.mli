@@ -16,24 +16,12 @@ val scale : float -> t -> t
 val axpy : alpha:float -> x:t -> y:t -> unit
 (** In-place [y := alpha * x + y]. *)
 
-val axpy_range : alpha:float -> x:t -> y:t -> lo:int -> hi:int -> unit
-(** {!axpy} restricted to indices [lo .. hi-1]; the slice kernel behind
-    the partitioned (multi-domain) reductions of {!Mrm_engine.Kernel}.
-    Requires [0 <= lo <= hi <= dim]. *)
-
 val add_inplace : t -> t -> unit
 (** [add_inplace dst src] is [dst := dst + src]. *)
 
 val scale_inplace : float -> t -> unit
 
 val dot : t -> t -> float
-
-val dot_range : t -> t -> lo:int -> hi:int -> float
-(** Partial dot product over indices [lo .. hi-1] (the per-chunk piece
-    of a parallel reduction). Requires [0 <= lo <= hi <= dim]. *)
-
-val sum_range : t -> lo:int -> hi:int -> float
-(** Partial sum over indices [lo .. hi-1]. *)
 
 val norm_inf : t -> float
 val norm1 : t -> float

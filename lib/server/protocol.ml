@@ -25,27 +25,26 @@ let deadline_of_json json =
       | Some s when s > 0. && Float.is_finite s -> Ok (Some s)
       | _ -> Error "field \"deadline_s\": expected a positive number")
 
-let parse_request ?default_eps ~now ~default_id line =
-  match Json.parse line with
+let request_of_json ?default_eps ~now ~default_id json =
+  match deadline_of_json json with
   | Error e -> Error e
-  | Ok json -> (
-      match deadline_of_json json with
+  | Ok deadline -> (
+      match Batch.job_of_json ~default_id ?default_eps json with
+      (* Model builders reject out-of-domain specs (negative variance,
+         bad dimensions) by raising — at the service boundary that is a
+         malformed request, not a dead handler thread. *)
+      | exception Invalid_argument msg -> Error msg
       | Error e -> Error e
-      | Ok deadline -> (
-          match Batch.job_of_json ~default_id ?default_eps json with
-          (* Model builders reject out-of-domain specs (negative
-             variance, bad dimensions) by raising — at the service
-             boundary that is a malformed request, not a dead handler
-             thread. *)
-          | exception Invalid_argument msg -> Error msg
-          | Error e -> Error e
-          | Ok job ->
-              Ok
-                {
-                  job;
-                  digest = Batch.digest job;
-                  expires = Option.map (fun s -> now +. s) deadline;
-                }))
+      | Ok job ->
+          Ok
+            {
+              job;
+              digest = Batch.digest job;
+              expires = Option.map (fun s -> now +. s) deadline;
+            })
+
+let parse_request ?default_eps ~now ~default_id line =
+  Result.bind (Json.parse line) (request_of_json ?default_eps ~now ~default_id)
 
 let validate (job : Batch.job) =
   let model = job.Batch.model in

@@ -28,11 +28,16 @@ type request = {
       (** absolute [Unix.gettimeofday]-clock deadline, from [deadline_s] *)
 }
 
+val request_of_json :
+  ?default_eps:float -> now:float -> default_id:string -> Mrm_util.Json.t ->
+  (request, string) result
+(** Read a request from an already-parsed line ([now] anchors
+    [deadline_s]). The error string is ready for an [SRV001] reply. *)
+
 val parse_request :
   ?default_eps:float -> now:float -> default_id:string -> string ->
   (request, string) result
-(** Parse one request line ([now] anchors [deadline_s]). The error
-    string is ready for an [SRV001] reply. *)
+(** {!Mrm_util.Json.parse} followed by {!request_of_json}. *)
 
 val validate : Mrm_batch.Batch.job -> Mrm_check.Diagnostics.t list
 (** Server-side model validation: {!Mrm_check.Check.check} over the

@@ -4,7 +4,7 @@ module Metrics = Mrm_obs.Metrics
 module Trace = Mrm_obs.Trace
 module Diagnostics = Mrm_check.Diagnostics
 
-type endpoint = [ `Unix of string | `Tcp of string * int ]
+type endpoint = Listener.endpoint
 
 type config = {
   endpoint : endpoint;
@@ -75,28 +75,14 @@ let await reply =
 (* ------------------------------------------------------------------ *)
 (* Handle *)
 
-type conn = { conn_id : int; fd : Unix.file_descr }
-
 type handle = {
-  cfg : config;
-  listen_fd : Unix.file_descr;
-  listen_addr : Unix.sockaddr;
-  wake_r : Unix.file_descr;  (* self-pipe: drain wakes the acceptor *)
-  wake_w : Unix.file_descr;
-  stop : bool Atomic.t;
+  listener : Listener.t;
   queue : work Rqueue.t;
-  cache : Batch.outcome Lru_cache.t;
   pool : Pool.t option;
-  registry : (int, conn) Hashtbl.t;  (* open connections, under reg_mutex *)
-  reg_mutex : Mutex.t;
-  handler_done : Condition.t;  (* a handler thread exited *)
-  mutable active_handlers : int;  (* under reg_mutex *)
-  mutable next_conn_id : int;  (* under reg_mutex *)
-  mutable acceptor : Thread.t option;
-  mutable worker_threads : Thread.t list;
+  workers : Thread.t list;
 }
 
-let listen_address h = h.listen_addr
+let listen_address h = Listener.address h.listener
 
 (* Approximate heap footprint of a cached outcome, for the byte cap. *)
 let outcome_weight (o : Batch.outcome) =
@@ -120,7 +106,7 @@ let outcome_weight (o : Batch.outcome) =
 (* Runs on a solver worker thread; everything here is sequential per
    worker, so the per-request span nests correctly (workers = 1) or at
    worst interleaves emission (workers > 1). *)
-let serve_request h (request : Protocol.request) =
+let serve_request ~cache ~pool (request : Protocol.request) =
   let job = request.Protocol.job in
   let id = job.Batch.id in
   Trace.with_span "server.request"
@@ -139,7 +125,7 @@ let serve_request h (request : Protocol.request) =
       "deadline exceeded before the solve started"
   end
   else
-    match Lru_cache.find_opt h.cache request.Protocol.digest with
+    match Lru_cache.find_opt cache request.Protocol.digest with
     | Some stored ->
         Metrics.incr m_cache_hits;
         Trace.add_attr "cached" (Trace.Bool true);
@@ -148,33 +134,33 @@ let serve_request h (request : Protocol.request) =
     | None ->
         Metrics.incr m_cache_misses;
         Trace.add_attr "cached" (Trace.Bool false);
-        let outcome = (Batch.run ?pool:h.pool [| job |]).(0) in
+        let outcome = (Batch.run ?pool [| job |]).(0) in
         (match outcome.Batch.result with
         | Ok _ ->
-            Lru_cache.add h.cache request.Protocol.digest outcome;
+            Lru_cache.add cache request.Protocol.digest outcome;
             Metrics.set g_cache_entries
-              (float_of_int (Lru_cache.length h.cache))
+              (float_of_int (Lru_cache.length cache))
         | Error _ -> ());
         Protocol.response_of_outcome ~cached:false outcome
 
-let worker_loop h =
+let worker_loop ~cache ~pool queue =
   let rec loop () =
-    match Rqueue.pop h.queue with
+    match Rqueue.pop queue with
     | None -> ()
     | Some { request; reply } ->
-        resolve reply (serve_request h request);
+        resolve reply (serve_request ~cache ~pool request);
         loop ()
   in
   loop ()
 
 (* Runs on the connection-handler thread: parse, validate, enqueue,
    block until the worker resolves the reply. *)
-let process h ~lineno line =
+let process cfg queue ~lineno line =
   Metrics.incr m_requests;
   let now = Unix.gettimeofday () in
   let default_id = Printf.sprintf "req-%d" lineno in
   match
-    Protocol.parse_request ~default_eps:h.cfg.default_eps ~now ~default_id
+    Protocol.parse_request ~default_eps:cfg.default_eps ~now ~default_id
       line
   with
   | Error msg ->
@@ -183,7 +169,7 @@ let process h ~lineno line =
   | Ok request -> begin
       let id = request.Protocol.job.Batch.id in
       match
-        if h.cfg.validate then Protocol.validate request.Protocol.job else []
+        if cfg.validate then Protocol.validate request.Protocol.job else []
       with
       | _ :: _ as report ->
           Metrics.incr m_validation_failures;
@@ -195,260 +181,62 @@ let process h ~lineno line =
             { rmutex = Mutex.create (); rcond = Condition.create ();
               answer = None }
           in
-          match Rqueue.push h.queue { request; reply } with
+          match Rqueue.push queue { request; reply } with
           | `Full ->
               Metrics.incr m_rejected;
               Protocol.error_response ~id ~code:"SRV002"
                 (Printf.sprintf
                    "request queue full (capacity %d) — retry later"
-                   (Rqueue.capacity h.queue))
+                   (Rqueue.capacity queue))
           | `Closed ->
               Protocol.error_response ~id ~code:"SRV004"
                 "server is draining and no longer accepts requests"
           | `Ok ->
               Metrics.observe_max g_queue_peak
-                (float_of_int (Rqueue.length h.queue));
+                (float_of_int (Rqueue.length queue));
               await reply
         end
     end
 
 (* ------------------------------------------------------------------ *)
-(* Connections *)
-
-let unregister h conn =
-  (with_lock h.reg_mutex @@ fun () ->
-   Hashtbl.remove h.registry conn.conn_id;
-   h.active_handlers <- h.active_handlers - 1;
-   Condition.broadcast h.handler_done);
-  (* Off the registry: drain can no longer race this close. *)
-  try Unix.close conn.fd with Unix.Unix_error _ -> ()
-
-let handle_connection h conn =
-  (* Raw-descriptor line I/O via [Wire]: EINTR from the systhreads tick
-     signal is retried instead of surfacing as a bogus disconnect (the
-     buffered-channel predecessor dropped the client on it). A drain's
-     half-close ([SHUTDOWN_RECEIVE]) makes the blocked read return 0,
-     i.e. [Wire.Closed]. *)
-  let wire = Wire.of_fd conn.fd in
-  let lineno = ref 0 in
-  let rec loop () =
-    match Wire.read_line wire with
-    | exception (Wire.Closed | Wire.Timeout) -> ()
-    | exception Unix.Unix_error _ -> ()
-    | line ->
-        incr lineno;
-        if String.trim line = "" then loop ()
-        else begin
-          let response = process h ~lineno:!lineno (String.trim line) in
-          match Wire.write_line wire response with
-          | () -> if Atomic.get h.stop then () else loop ()
-          | exception (Wire.Closed | Wire.Timeout) -> ()
-          | exception Unix.Unix_error _ -> ()
-        end
-  in
-  Fun.protect ~finally:(fun () -> unregister h conn) loop
-
-let spawn_connection h fd =
-  Metrics.incr m_connections;
-  let conn =
-    with_lock h.reg_mutex @@ fun () ->
-    let conn = { conn_id = h.next_conn_id; fd } in
-    h.next_conn_id <- h.next_conn_id + 1;
-    h.active_handlers <- h.active_handlers + 1;
-    Hashtbl.replace h.registry conn.conn_id conn;
-    conn
-  in
-  (* A drain that iterated the registry before we registered would miss
-     this connection; re-check the stop flag so the handler still sees
-     EOF promptly. *)
-  if Atomic.get h.stop then begin
-    try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-    with Unix.Unix_error _ -> ()
-  end;
-  ignore (Thread.create (fun () -> handle_connection h conn) ())
-
-let accept_loop h =
-  let rec loop () =
-    if Atomic.get h.stop then ()
-    else begin
-      match Unix.select [ h.listen_fd; h.wake_r ] [] [] (-1.) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | ready, _, _ ->
-          if Atomic.get h.stop then ()
-          else if List.memq h.listen_fd ready then begin
-            (match Unix.accept h.listen_fd with
-            | fd, _ -> spawn_connection h fd
-            | exception Unix.Unix_error _ -> ());
-            loop ()
-          end
-          else loop ()
-    end
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
-(* A Unix socket path left behind by a crashed instance must be
-   unlinked before bind — but only after proving it is stale. A connect
-   probe decides: a live listener accepts (refuse to clobber a running
-   server: EADDRINUSE, exactly what bind would have said), a leftover
-   from a dead process refuses the connection. A path that is not a
-   socket at all is never touched. *)
-let remove_stale_socket path =
-  match Unix.stat path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-  | stats when stats.Unix.st_kind <> Unix.S_SOCK ->
-      raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
-  | _ -> begin
-      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      let verdict =
-        Fun.protect
-          ~finally:(fun () ->
-            try Unix.close probe with Unix.Unix_error _ -> ())
-          (fun () ->
-            match Unix.connect probe (Unix.ADDR_UNIX path) with
-            | () -> `Live
-            | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> `Stale
-            | exception Unix.Unix_error (Unix.ENOENT, _, _) -> `Gone
-            | exception Unix.Unix_error _ ->
-                (* Can't prove it stale (EACCES, ...): don't clobber. *)
-                `Live)
-      in
-      match verdict with
-      | `Gone -> ()
-      | `Stale -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-      | `Live -> raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
-    end
-
-let bind_listen endpoint =
-  match endpoint with
-  | `Unix path ->
-      remove_stale_socket path;
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
-  | `Tcp (host, port) ->
-      let addr =
-        if host = "" || host = "*" then Unix.inet_addr_any
-        else if host = "localhost" then Unix.inet_addr_loopback
-        else begin
-          match Unix.inet_addr_of_string host with
-          | addr -> addr
-          | exception Failure _ ->
-              (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        end
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd 64;
-      fd
-
-(* The cluster router front-end binds its listening socket exactly the
-   way the server does (same endpoint forms, same stale-socket rules). *)
-let bind_endpoint = bind_listen
-
-let start cfg =
+let start (cfg : config) =
   if cfg.workers < 1 then
     invalid_arg (Printf.sprintf "Server.start: workers %d" cfg.workers);
-  let listen_fd = bind_listen cfg.endpoint in
-  let wake_r, wake_w = Unix.pipe () in
-  let h =
-    {
-      cfg;
-      listen_fd;
-      listen_addr = Unix.getsockname listen_fd;
-      wake_r;
-      wake_w;
-      stop = Atomic.make false;
-      queue = Rqueue.create ~capacity:cfg.queue_capacity;
-      cache =
-        Lru_cache.create ~max_entries:cfg.cache_entries
-          ~max_weight:cfg.cache_bytes
-          ~on_evict:(fun _key -> Metrics.incr m_cache_evictions)
-          ~weight:outcome_weight ();
-      pool =
-        (if cfg.pool_jobs > 1 then Some (Pool.create ~jobs:cfg.pool_jobs ())
-         else None);
-      registry = Hashtbl.create 16;
-      reg_mutex = Mutex.create ();
-      handler_done = Condition.create ();
-      active_handlers = 0;
-      next_conn_id = 0;
-      acceptor = None;
-      worker_threads = [];
-    }
+  let queue = Rqueue.create ~capacity:cfg.queue_capacity in
+  (* Bind before creating the pool, so a refused endpoint leaks no
+     domains; a request accepted before the workers start just waits
+     in the queue. *)
+  let listener =
+    Listener.start ~connections:m_connections cfg.endpoint (process cfg queue)
   in
-  h.worker_threads <-
-    List.init cfg.workers (fun _ -> Thread.create (fun () -> worker_loop h) ());
-  h.acceptor <- Some (Thread.create (fun () -> accept_loop h) ());
-  h
+  let cache =
+    Lru_cache.create ~max_entries:cfg.cache_entries ~max_weight:cfg.cache_bytes
+      ~on_evict:(fun _key -> Metrics.incr m_cache_evictions)
+      ~weight:outcome_weight ()
+  in
+  let pool =
+    if cfg.pool_jobs > 1 then Some (Pool.create ~jobs:cfg.pool_jobs ())
+    else None
+  in
+  let workers =
+    List.init cfg.workers (fun _ ->
+        Thread.create (fun () -> worker_loop ~cache ~pool queue) ())
+  in
+  { listener; queue; pool; workers }
 
-let drain h =
-  if not (Atomic.exchange h.stop true) then begin
-    Metrics.incr m_drains;
-    (* Wake the acceptor's select. *)
-    (try ignore (Unix.write h.wake_w (Bytes.of_string "x") 0 1)
-     with Unix.Unix_error _ -> ());
-    (* Half-close every open connection: handlers blocked in input_line
-       see EOF and exit; handlers mid-request finish the solve, flush
-       the response, then exit on the stop flag. Snapshot the registry
-       under the lock, shut down outside it: shutdown is a syscall that
-       can fail arbitrarily, and a handler unregistering concurrently
-       only makes its fd's shutdown a caught no-op. *)
-    let conns =
-      with_lock h.reg_mutex @@ fun () ->
-      Hashtbl.fold (fun _ conn acc -> conn :: acc) h.registry []
-    in
-    List.iter
-      (fun conn ->
-        try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      conns
-  end
+let drain h = if Listener.drain h.listener then Metrics.incr m_drains
 
 let wait h =
-  (match h.acceptor with Some t -> Thread.join t | None -> ());
   (* Every accepted request is finished before the queue closes. *)
-  (with_lock h.reg_mutex @@ fun () ->
-   while h.active_handlers > 0 do
-     Condition.wait h.handler_done h.reg_mutex
-   done);
+  Listener.wait h.listener;
   Rqueue.close h.queue;
-  List.iter Thread.join h.worker_threads;
-  (match h.pool with Some pool -> Pool.shutdown pool | None -> ());
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    [ h.listen_fd; h.wake_r; h.wake_w ];
-  match h.cfg.endpoint with
-  | `Unix path ->
-      (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-  | `Tcp _ -> ()
+  List.iter Thread.join h.workers;
+  Option.iter Pool.shutdown h.pool
 
 let run ?(on_ready = ignore) cfg =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let signals = [ Sys.sigterm; Sys.sigint ] in
-  (* Block the shutdown signals BEFORE spawning any thread (threads
-     inherit the mask), then consume them from a dedicated watcher: the
-     classic threaded-daemon pattern — no async-signal-unsafe work in a
-     signal handler, no thread left with the default disposition, and
-     repeated signals stay graceful. *)
-  ignore (Thread.sigmask Unix.SIG_BLOCK signals);
-  let h = start cfg in
-  on_ready h.listen_addr;
-  let (_ : Thread.t) =
-    Thread.create
-      (fun () ->
-        let rec watch () =
-          (match Thread.wait_signal signals with
-          | _ -> drain h
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          watch ()
-        in
-        watch ())
-      ()
-  in
+  let h = Listener.with_shutdown_signals ~drain (fun () -> start cfg) in
+  on_ready (listen_address h);
   wait h;
   0

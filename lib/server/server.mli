@@ -15,7 +15,9 @@
 
     {2 Threading model}
 
-    One acceptor thread, one handler thread per connection, [workers]
+    The sockets belong to a {!Listener}: one acceptor thread and one
+    handler thread per connection, which parses, validates and
+    enqueues each request line. Beside them run [workers]
     solver threads, and [pool_jobs - 1] pool domains shared by all
     solves ({!Mrm_engine.Pool} serializes concurrent runs, so extra
     workers overlap cache hits and deadline rejections with a running
@@ -25,10 +27,10 @@
 
     {2 Graceful drain}
 
-    {!drain} (hooked to SIGTERM/SIGINT by {!run}) stops the acceptor,
-    half-closes idle connections, lets in-flight solves finish, flushes
-    every pending response, and only then lets {!wait} return — the
-    [mrm2 serve] process exits 0.
+    {!drain} (hooked to SIGTERM/SIGINT by {!run}) drains the
+    {!Listener} — stop accepting, half-close idle connections — while
+    in-flight solves finish and every pending response is flushed; only
+    then does {!wait} return, and the [mrm2 serve] process exits 0.
 
     {2 Metrics}
 
@@ -60,20 +62,10 @@ val default_config : endpoint -> config
 
 type handle
 
-val bind_endpoint : endpoint -> Unix.file_descr
-(** Bind and listen on an endpoint without starting a server — the
-    cluster router reuses the server's socket handling. A Unix socket
-    path already on disk is connect-probed first: a refused connection
-    marks it as the leftover of a crashed process and it is unlinked; a
-    live listener (or a path that is not a socket) raises
-    [Unix.Unix_error (EADDRINUSE, _, _)] instead of being clobbered. *)
-
 val start : config -> handle
-(** Bind, listen and spawn the acceptor/worker threads, then return.
-    @raise Unix.Unix_error when the endpoint cannot be bound. A stale
-    Unix socket path from a crashed previous run is detected (connect
-    probe) and unlinked; a path with a live listener is refused with
-    [EADDRINUSE]. *)
+(** Start a {!Listener} on the endpoint (same stale-socket rules) and
+    spawn the worker threads, then return.
+    @raise Unix.Unix_error when the endpoint cannot be bound. *)
 
 val listen_address : handle -> Unix.sockaddr
 (** The bound address — for [`Tcp (host, 0)] this carries the actual
@@ -90,8 +82,7 @@ val wait : handle -> unit
     closed (and the Unix socket path unlinked). *)
 
 val run : ?on_ready:(Unix.sockaddr -> unit) -> config -> int
-(** Block SIGTERM/SIGINT into a watcher thread that triggers {!drain}
-    (the mask is installed {e before} {!start} so every spawned thread
-    inherits it), ignore SIGPIPE, {!start}, call [on_ready] with the
-    bound address, and {!wait}. Returns 0 — the [mrm2 serve] exit code
-    for a graceful shutdown. *)
+(** {!start} under {!Listener.with_shutdown_signals} (SIGTERM/SIGINT
+    trigger {!drain}), call [on_ready] with the bound address, and
+    {!wait}. Returns 0 — the [mrm2 serve] exit code for a graceful
+    shutdown. *)

@@ -12,15 +12,30 @@
    code this replaces surfaced EINTR as [Sys_error] and treated it as a
    disconnect. *)
 
+(* The residue lives in [buf.[start, stop)]; [scanned] marks how far it
+   is known to hold no newline, so each byte is searched once however
+   many reads a long line takes. The buffer grows by doubling and is
+   compacted only when its free tail runs short: reading an n-byte line
+   costs O(n). *)
 type conn = {
   fd : Unix.file_descr;
-  rbuf : Buffer.t;  (* bytes read past the last returned line *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  mutable scanned : int;
 }
 
 exception Timeout
 exception Closed
 
-let of_fd fd = { fd; rbuf = Buffer.create 512 }
+let min_read = 4096
+
+(* A buffer grown by one huge line is given back once it drains. *)
+let max_idle_capacity = 65536
+
+let of_fd fd =
+  { fd; buf = Bytes.create min_read; start = 0; stop = 0; scanned = 0 }
+
 let fd conn = conn.fd
 let close conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
@@ -44,33 +59,67 @@ let write_line conn line =
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
         ->
           raise Timeout
-      | exception Unix.Unix_error (Unix.EPIPE, _, _) -> raise Closed
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+          raise Closed
     end
   in
   push 0
 
-(* Extract the first complete line of [b], leaving the rest in place. *)
-let take_line b =
-  let s = Buffer.contents b in
-  match String.index_opt s '\n' with
-  | None -> None
+(* Make room for at least [min_read] bytes after [stop]. *)
+let reserve conn =
+  if Bytes.length conn.buf - conn.stop < min_read then begin
+    let live = conn.stop - conn.start in
+    let target =
+      if live + min_read <= Bytes.length conn.buf then conn.buf
+      else Bytes.create (max (2 * Bytes.length conn.buf) (live + min_read))
+    in
+    Bytes.blit conn.buf conn.start target 0 live;
+    conn.buf <- target;
+    conn.scanned <- conn.scanned - conn.start;
+    conn.start <- 0;
+    conn.stop <- live
+  end
+
+(* Pop the first complete line of the residue, if any. *)
+let take_line conn =
+  let rec find i =
+    if i >= conn.stop then None
+    else if Bytes.get conn.buf i = '\n' then Some i
+    else find (i + 1)
+  in
+  match find conn.scanned with
+  | None ->
+      conn.scanned <- conn.stop;
+      None
   | Some i ->
-      Buffer.clear b;
-      Buffer.add_substring b s (i + 1) (String.length s - i - 1);
-      Some (String.sub s 0 i)
+      let line = Bytes.sub_string conn.buf conn.start (i - conn.start) in
+      conn.start <- i + 1;
+      conn.scanned <- i + 1;
+      if conn.start = conn.stop then begin
+        if Bytes.length conn.buf > max_idle_capacity then
+          conn.buf <- Bytes.create min_read;
+        conn.start <- 0;
+        conn.stop <- 0;
+        conn.scanned <- 0
+      end;
+      Some line
 
 let read_line conn =
-  let chunk = Bytes.create 4096 in
   let rec fill () =
-    match take_line conn.rbuf with
+    match take_line conn with
     | Some line -> line
     | None -> begin
-        match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+        reserve conn;
+        match
+          Unix.read conn.fd conn.buf conn.stop
+            (Bytes.length conn.buf - conn.stop)
+        with
         | 0 -> raise Closed
         | n ->
-            Buffer.add_subbytes conn.rbuf chunk 0 n;
+            conn.stop <- conn.stop + n;
             fill ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> raise Closed
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
           ->
             raise Timeout

@@ -14,7 +14,7 @@ exception Timeout
 (** The send/receive deadline passed (SO_RCVTIMEO / SO_SNDTIMEO). *)
 
 exception Closed
-(** The peer closed the connection. *)
+(** The peer closed or reset the connection. *)
 
 val of_fd : Unix.file_descr -> conn
 (** Wrap an open descriptor (fresh, empty residue buffer). The wrapper

@@ -193,38 +193,37 @@ let prop_partition_covers_random =
 
 let prop_kernel_matches_sequential =
   QCheck2.Test.make ~count:60
-    ~name:"Kernel mv/dot/sum = Sparse.mv/Vec (jobs x parts x chunk)"
+    ~name:"Kernel sweep/for_ranges = Sparse.mv"
     QCheck2.Gen.(
       let* n = int_range 1 24 in
       let* entries = list_repeat (3 * n) (float_range (-2.) 2.) in
-      let* x = list_repeat n (float_range (-1.) 1.) in
+      let* count = int_range 1 3 in
+      let* xs = list_repeat (count * n) (float_range (-1.) 1.) in
       let* jobs = oneofl job_counts in
       let* parts = int_range 1 7 in
-      let* chunk = oneofl [ None; Some 1; Some 3 ] in
-      return (n, entries, Array.of_list x, jobs, parts, chunk))
-    (fun (n, entries, x, jobs, parts, chunk) ->
+      return (n, entries, count, Array.of_list xs, jobs, parts))
+    (fun (n, entries, count, xs_flat, jobs, parts) ->
       let triplets =
         List.mapi (fun k v -> (k mod n, (k * 5 + 1) mod n, v)) entries
       in
       let m = Sparse.of_triplets ~rows:n ~cols:n triplets in
+      let structure = Kernel.detect m in
+      let xs = Array.init count (fun s -> Array.sub xs_flat (s * n) n) in
+      let fresh () = Array.init count (fun _ -> Array.make n Float.nan) in
+      let once = Array.map (Sparse.mv m) xs in
+      let twice = Array.map (Sparse.mv m) once in
       Pool.with_pool ~jobs (fun pool ->
-          let partition = Partition.by_nnz ~parts m in
-          let expected = Sparse.mv m x in
-          let got = Array.make n Float.nan in
-          Kernel.mv_into pool partition m x got;
-          let y = Array.init n (fun i -> float_of_int i /. 7.) in
-          let y' = Array.copy y in
-          Kernel.axpy pool partition ~alpha:1.5 ~x ~y;
-          Vec.axpy ~alpha:1.5 ~x ~y:y';
-          (* Row-sliced kernels are bit-identical; chunked reductions
-             reorder the summation, so those get a tolerance — but must
-             be deterministic across runs for a fixed chunk. *)
-          let close a b = abs_float (a -. b) <= 1e-12 *. (1. +. abs_float b) in
-          expected = got && y = y'
-          && close (Kernel.dot pool ?chunk x expected) (Vec.dot x expected)
-          && close (Kernel.sum pool ?chunk x) (Vec.sum x)
-          && Kernel.dot pool ?chunk x expected = Kernel.dot pool ?chunk x expected
-          && Kernel.sum pool ?chunk x = Kernel.sum pool ?chunk x))
+          (* one product per range through the pool... *)
+          let got = fresh () in
+          Kernel.for_ranges pool (Partition.by_nnz ~parts m) (fun lo hi ->
+              Kernel.mv_fused structure xs got ~lo ~hi);
+          (* ...and two dependent products as a pinned two-round sweep *)
+          let ys = fresh () and zs = fresh () in
+          Kernel.sweep (Some pool) (Partition.pinned ~jobs:(Pool.jobs pool) m)
+            ~rounds:2 (fun ~round ~lo ~hi ->
+              if round = 0 then Kernel.mv_fused structure xs ys ~lo ~hi
+              else Kernel.mv_fused structure ys zs ~lo ~hi);
+          got = once && ys = once && zs = twice))
 
 (* ------------------------------------------------------------------ *)
 (* Solver: ?pool must not change a single bit                           *)
@@ -829,6 +828,10 @@ let expect_race name expected_code f =
   | exception e ->
       Alcotest.(check string) (name ^ ": code") expected_code (race_code e)
 
+(* A partitioned copy: each range blits its own slice. *)
+let copy_ranges pool partition x y =
+  Kernel.for_ranges pool partition (fun lo hi -> Array.blit x lo y lo (hi - lo))
+
 let test_racecheck_overlap_rejected () =
   with_racecheck true (fun () ->
       Pool.with_pool ~jobs:2 (fun pool ->
@@ -840,11 +843,11 @@ let test_racecheck_overlap_rejected () =
             Partition.of_ranges ~rows:n [| (0, 3); (2, 5); (5, n) |]
           in
           expect_race "overlap" "RACE001" (fun () ->
-              Kernel.copy_into pool overlapping x y);
+              copy_ranges pool overlapping x y);
           (* the diagnostic names both offending jobs *)
           (match
              try
-               Kernel.copy_into pool overlapping x y;
+               copy_ranges pool overlapping x y;
                None
              with Racecheck.Race d -> Some d
            with
@@ -856,15 +859,15 @@ let test_racecheck_overlap_rejected () =
                 "job_b" (Some "1") (List.assoc_opt "job_b" ctx)
           | None -> Alcotest.fail "overlap not detected");
           expect_race "gap" "RACE002" (fun () ->
-              Kernel.copy_into pool
+              copy_ranges pool
                 (Partition.of_ranges ~rows:n [| (0, 3); (5, n) |])
                 x y);
           expect_race "out of bounds" "RACE003" (fun () ->
-              Kernel.copy_into pool
+              copy_ranges pool
                 (Partition.of_ranges ~rows:n [| (0, 3); (3, n + 1) |])
                 x y);
           (* empty ranges are legal; a valid tiling passes and computes *)
-          Kernel.copy_into pool
+          copy_ranges pool
             (Partition.of_ranges ~rows:n [| (0, 3); (3, 3); (3, n) |])
             x y;
           Alcotest.(check bool) "copy happened" true (x = y)))
@@ -877,21 +880,33 @@ let test_racecheck_disabled_is_silent () =
           let n = 6 in
           let x = Array.init n float_of_int in
           let y = Array.make n 0. in
-          Kernel.copy_into pool
+          copy_ranges pool
             (Partition.of_ranges ~rows:n [| (0, 4); (2, n) |])
             x y;
           Alcotest.(check bool) "unchecked sweep ran" true (x = y)))
 
-let test_racecheck_reduce_checked () =
+let test_racecheck_fused_sweep_checked () =
   with_racecheck true (fun () ->
       Pool.with_pool ~jobs:2 (fun pool ->
-          let x = Array.init 31 (fun i -> float_of_int i /. 3.) in
-          (* chunked reductions build their own ranges; they must pass
-             the checker and still match the sequential sum *)
-          let got = Kernel.sum pool ~chunk:4 x in
-          let expected = Vec.sum x in
-          Alcotest.(check bool) "sum close" true
-            (abs_float (got -. expected) <= 1e-12 *. (1. +. abs_float expected))))
+          (* fine-grained hand-built ranges must pass the checker and
+             the fused product over them must match the plain one *)
+          let n = 31 in
+          let m =
+            Sparse.of_triplets ~rows:n ~cols:n
+              (List.init (2 * n) (fun k ->
+                   (k mod n, (k * 7 + 3) mod n, float_of_int (k + 1) /. 9.)))
+          in
+          let partition =
+            Partition.of_ranges ~rows:n
+              (Array.init 8 (fun c -> (c * 4, min n ((c + 1) * 4))))
+          in
+          let structure = Kernel.detect m in
+          let x = Array.init n (fun i -> float_of_int i /. 3.) in
+          let y = Array.make n Float.nan in
+          Kernel.sweep (Some pool) partition ~rounds:1 (fun ~round:_ ~lo ~hi ->
+              Kernel.mv_fused structure [| x |] [| y |] ~lo ~hi);
+          Alcotest.(check bool) "fused sweep = Sparse.mv" true
+            (y = Sparse.mv m x)))
 
 let test_racecheck_solve_bit_for_bit () =
   (* Section 7 ON-OFF example: an instrumented parallel solve is
@@ -1125,8 +1140,8 @@ let () =
             test_racecheck_overlap_rejected;
           Alcotest.test_case "disabled is silent" `Quick
             test_racecheck_disabled_is_silent;
-          Alcotest.test_case "reductions pass the checker" `Quick
-            test_racecheck_reduce_checked;
+          Alcotest.test_case "fused sweep passes the checker" `Quick
+            test_racecheck_fused_sweep_checked;
           Alcotest.test_case "checked solve is bit-for-bit" `Quick
             test_racecheck_solve_bit_for_bit;
         ] );

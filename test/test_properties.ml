@@ -145,6 +145,25 @@ let prop_moment_series_consistent =
           abs_float (ms.(2) -. direct) <= 1e-10 *. (1. +. abs_float direct))
         series)
 
+let prop_moments_is_one_point_sweep =
+  QCheck2.Test.make ~count ~name:"moments = one-point moments_at_times (bitwise)"
+    ~print:(fun (m, t, order) ->
+      Printf.sprintf "%s, t = %h, order %d" (model_print m) t order)
+    QCheck2.Gen.(
+      triple random_model_gen
+        (oneof [ return 0.; float_range 0.01 3. ])
+        (int_range 0 5))
+    (fun (m, t, order) ->
+      let a = Randomization.moments m ~t ~order in
+      let b = (Randomization.moments_at_times m ~times:[| t |] ~order).(0) in
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      let da = a.Randomization.diagnostics and db = b.Randomization.diagnostics in
+      da.iterations = db.iterations
+      && List.for_all2 same
+           [ da.q; da.d; da.shift; da.log_error_bound ]
+           [ db.q; db.d; db.shift; db.log_error_bound ]
+      && Array.for_all2 (Array.for_all2 same) a.moments b.moments)
+
 (* ------------------------------------------------------------------ *)
 
 let prop_poisson_window_mass =
@@ -449,6 +468,7 @@ let () =
           to_alcotest prop_variance_monotone_in_s;
           to_alcotest prop_error_bound_honored;
           to_alcotest prop_moment_series_consistent;
+          to_alcotest prop_moments_is_one_point_sweep;
           to_alcotest prop_truncation_point_monotone;
         ] );
       ( "ctmc",

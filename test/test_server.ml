@@ -598,6 +598,8 @@ let test_client_retry_until_server_appears () =
 (* Shared wire helper (EINTR-retrying line I/O)                         *)
 
 module Wire = Mrm_server.Wire
+module Listener = Mrm_server.Listener
+module Router = Mrm_cluster.Router
 
 (* Run [f] while an interval timer delivers SIGALRM every few
    milliseconds to a no-op handler. OCaml installs handlers without
@@ -699,6 +701,49 @@ let test_wire_residue_and_close () =
       | (_ : string) -> Alcotest.fail "EOF must raise Closed"
       | exception Wire.Closed -> ())
 
+let test_wire_long_line_linear () =
+  (* One 8 MB line written in 4 KB pieces, the last piece also carrying
+     a second line: both come back exact, and reading is linear in the
+     line length (the residue is scanned once, not per read). *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Wire.of_fd a in
+  let long = String.init (8 * 1024 * 1024) (fun i -> Char.chr (97 + (i mod 26))) in
+  let payload = Bytes.of_string (long ^ "\nsecond\n") in
+  let piece = 4096 in
+  Fun.protect
+    ~finally:(fun () ->
+      Wire.close conn;
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () ->
+      let writer =
+        Thread.create
+          (fun () ->
+            let len = Bytes.length payload in
+            let rec push off =
+              if off < len then begin
+                (* the final write holds the tail of the long line and
+                   the whole second line *)
+                let n = if len - off <= piece + 7 then len - off else piece in
+                let rec put o stop =
+                  if o < stop then put (o + Unix.single_write b payload o (stop - o)) stop
+                in
+                put off (off + n);
+                push (off + n)
+              end
+            in
+            push 0)
+          ()
+      in
+      let t0 = Unix.gettimeofday () in
+      let first = Wire.read_line conn in
+      let second = Wire.read_line conn in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Thread.join writer;
+      Alcotest.(check bool) "8 MB line exact" true (String.equal first long);
+      Alcotest.(check string) "second line" "second" second;
+      if elapsed >= 2. then
+        Alcotest.failf "reading the 8 MB line took %.2f s" elapsed)
+
 let test_wire_rcvtimeo_is_timeout () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.setsockopt_float a Unix.SO_RCVTIMEO 0.05;
@@ -712,19 +757,95 @@ let test_wire_rcvtimeo_is_timeout () =
       | (_ : string) -> Alcotest.fail "deadline must raise Timeout"
       | exception Wire.Timeout -> ())
 
+(* A Router with one Server behind it, as an endpoint [f] can call. *)
+let with_router_over_server f =
+  with_server (Server.default_config (`Tcp ("127.0.0.1", 0))) (fun server ->
+      let router =
+        Router.start
+          {
+            (Router.default_config ~listen:(`Tcp ("127.0.0.1", 0))
+               ~backends:[ ("r0", tcp_endpoint server) ])
+            with
+            Router.probe_interval = 60.;
+          }
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Router.drain router;
+          Router.wait router)
+        (fun () ->
+          match Router.listen_address router with
+          | Unix.ADDR_INET (_, port) -> f (`Tcp ("127.0.0.1", port))
+          | Unix.ADDR_UNIX path -> f (`Unix path)))
+
 let test_session_survives_eintr () =
-  (* End to end: a whole client session against a live server completes
-     under the signal storm — no spurious Disconnected. *)
-  with_server (Server.default_config (`Tcp ("127.0.0.1", 0))) (fun handle ->
-      let endpoint = tcp_endpoint handle in
-      with_signal_storm (fun () ->
-          let jobs = List.init 5 (fun k -> job_line ~id:(string_of_int k) ()) in
-          let summary =
-            with_input_lines jobs (fun ic ->
-                Client.call endpoint ~input:ic ~on_response:(fun _ -> ()))
-          in
-          Alcotest.(check int) "all answered" 5 summary.Client.sent;
-          Alcotest.(check int) "no errors" 0 summary.Client.errors))
+  (* End to end: a whole client session completes under the signal
+     storm — no spurious Disconnected — against a bare server and
+     against a router forwarding to one. *)
+  List.iter
+    (fun (target, with_endpoint) ->
+      with_endpoint (fun endpoint ->
+          with_signal_storm (fun () ->
+              let jobs =
+                List.init 5 (fun k -> job_line ~id:(string_of_int k) ())
+              in
+              let summary =
+                with_input_lines jobs (fun ic ->
+                    Client.call endpoint ~input:ic ~on_response:(fun _ -> ()))
+              in
+              Alcotest.(check int) (target ^ ": all answered") 5
+                summary.Client.sent;
+              Alcotest.(check int) (target ^ ": no errors") 0
+                summary.Client.errors)))
+    [
+      ( "server",
+        fun f ->
+          with_server (Server.default_config (`Tcp ("127.0.0.1", 0)))
+            (fun handle -> f (tcp_endpoint handle)) );
+      ("router", with_router_over_server);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Listener                                                             *)
+
+let test_listener_drain_closes_connections () =
+  (* An idle connection open across the drain, and one that connects
+     only after the stop flag is set, must both end in Closed (the late
+     one is never served: the acceptor has stopped, and closing the
+     listening socket resets it), and wait must return. *)
+  let listener =
+    Listener.start
+      ~connections:(Mrm_obs.Metrics.counter "test.listener.connections")
+      (`Tcp ("127.0.0.1", 0))
+      (fun ~lineno line -> Printf.sprintf "%d:%s" lineno line)
+  in
+  let endpoint =
+    match Listener.address listener with
+    | Unix.ADDR_INET (_, port) -> `Tcp ("127.0.0.1", port)
+    | Unix.ADDR_UNIX path -> `Unix path
+  in
+  let idle = Mrm_cluster.Wire.connect ~timeout:5. endpoint in
+  Alcotest.(check string) "served before the drain" "1:ping"
+    (match Mrm_cluster.Wire.exchange idle "ping" with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "exchange: %s" e);
+  Alcotest.(check bool) "first drain begins it" true (Listener.drain listener);
+  Alcotest.(check bool) "drain is idempotent" false (Listener.drain listener);
+  (* The listening socket is still open until wait, so the kernel
+     completes this handshake. *)
+  let late = Mrm_cluster.Wire.connect ~timeout:5. endpoint in
+  let closed name conn =
+    match Mrm_cluster.Wire.read_line conn with
+    | (_ : string) -> Alcotest.failf "%s: expected Closed, got a line" name
+    | exception Mrm_cluster.Wire.Closed -> ()
+    | exception Mrm_cluster.Wire.Timeout ->
+        Alcotest.failf "%s: still open after the drain" name
+  in
+  closed "idle connection" idle;
+  Listener.wait listener;
+  closed "late connection" late;
+  Mrm_cluster.Wire.close idle;
+  Mrm_cluster.Wire.close late
 
 let () =
   Alcotest.run "server"
@@ -792,9 +913,16 @@ let () =
             test_wire_write_survives_eintr;
           Alcotest.test_case "residue buffer + Closed" `Quick
             test_wire_residue_and_close;
+          Alcotest.test_case "8 MB line in linear time" `Quick
+            test_wire_long_line_linear;
           Alcotest.test_case "SO_RCVTIMEO -> Timeout" `Quick
             test_wire_rcvtimeo_is_timeout;
           Alcotest.test_case "session survives EINTR" `Quick
             test_session_survives_eintr;
+        ] );
+      ( "listener",
+        [
+          Alcotest.test_case "drain closes idle and late connections" `Quick
+            test_listener_drain_closes_connections;
         ] );
     ]

@@ -397,7 +397,9 @@ let test_concurrency_self_check () =
         ~finally:(fun () -> Sys.chdir cwd)
         (fun () ->
           Sys.chdir root;
-          let findings = Lint.lint_paths [ "lib/server"; "lib/engine" ] in
+          let findings =
+            Lint.lint_paths [ "lib/server"; "lib/cluster"; "lib/engine" ]
+          in
           let concurrency =
             List.filter
               (fun (f : Lint.finding) ->
