@@ -1324,15 +1324,17 @@ let serve_cmd =
     Arg.(
       value & opt int 64
       & info [ "cache-mb" ] ~docv:"MB"
-          ~doc:"Result-cache (approximate) size cap in MiB.")
+          ~doc:"Result-cache size cap in MiB of stored response bytes.")
   in
   let workers =
     Arg.(
       value & opt int 1
       & info [ "workers" ] ~docv:"W"
           ~doc:
-            "Solver worker threads. One worker keeps per-request trace \
-             spans nested; more overlap cache hits with running solves.")
+            "Solver worker threads. Cache hits never wait for one: they \
+             are answered on their connection's thread. One worker keeps \
+             per-request trace spans nested; more overlap deadline \
+             rejections with running solves.")
   in
   let no_validate =
     Arg.(

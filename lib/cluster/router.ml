@@ -98,9 +98,11 @@ let note_replicas_up h =
 (* ------------------------------------------------------------------ *)
 (* Request processing *)
 
+(* Compares in place: this runs on every forwarded response. *)
 let contains_sub ~sub s =
   let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  let rec matches i j = j = m || (s.[i + j] = sub.[j] && matches i (j + 1)) in
+  let rec at i = i + m <= n && (matches i 0 || at (i + 1)) in
   at 0
 
 (* A replica answering the drain error is as down as one that closed

@@ -82,9 +82,9 @@ let init_from_env () =
   | Some spec -> set_sink (sink_of_spec spec)
 
 (* ------------------------------------------------------------------ *)
-(* Spans. Nesting is a process-wide stack: spans are opened from the
-   coordinating thread (workers use Metrics / event), so a plain ref
-   is enough — see the .mli note.                                       *)
+(* Spans. Nesting is a process-wide stack: nested spans are opened from
+   one thread (workers use Metrics / event, other threads root spans),
+   so a plain ref is enough — see the .mli note.                        *)
 
 type span = {
   id : int;
@@ -157,33 +157,45 @@ let emit_span span ~stop =
         ((stop -. span.start) *. 1e3)
         (attrs_human span.attrs))
 
+let open_span ~parent attrs name =
+  {
+    id = Atomic.fetch_and_add next_id 1;
+    parent;
+    name;
+    start = now ();
+    attrs = List.rev attrs;
+  }
+
+let run_span span ~finish f =
+  match f () with
+  | result ->
+      finish ();
+      result
+  | exception exn ->
+      span.attrs <- ("raised", Str (Printexc.to_string exn)) :: span.attrs;
+      finish ();
+      raise exn
+
 let with_span ?(attrs = []) name f =
   if not (enabled ()) then f ()
   else begin
-    let span =
-      {
-        id = Atomic.fetch_and_add next_id 1;
-        parent = (match !current with None -> None | Some s -> Some s.id);
-        name;
-        start = now ();
-        attrs = List.rev attrs;
-      }
-    in
     let saved = !current in
-    current := Some span;
-    let finish () =
-      current := saved;
-      emit_span span ~stop:(now ())
+    let span =
+      open_span attrs name
+        ~parent:(match saved with None -> None | Some s -> Some s.id)
     in
-    match f () with
-    | result ->
-        finish ();
-        result
-    | exception exn ->
-        span.attrs <- ("raised", Str (Printexc.to_string exn)) :: span.attrs;
-        finish ();
-        raise exn
+    current := Some span;
+    run_span span f ~finish:(fun () ->
+        current := saved;
+        emit_span span ~stop:(now ()))
   end
+
+(* Never on the stack, so any thread may open one. *)
+let with_root_span ?(attrs = []) name f =
+  if not (enabled ()) then f ()
+  else
+    let span = open_span ~parent:None attrs name in
+    run_span span f ~finish:(fun () -> emit_span span ~stop:(now ()))
 
 let add_attr key v =
   if enabled () then

@@ -37,8 +37,10 @@
     Emission is serialized internally, so any thread or domain may
     close spans or post events without corrupting the output. Span
     {e nesting}, however, is tracked in a single process-wide stack:
-    open spans from the coordinating thread and use {!Metrics} (or
-    {!event}) from pool workers. *)
+    open {!with_span} spans from one thread only (the coordinating
+    thread, or a server's solver worker) and use {!Metrics} (or
+    {!event}) from pool workers. Other threads may open
+    {!with_root_span} spans, which never touch the stack, beside it. *)
 
 type sink =
   | Null  (** discard everything (the default) *)
@@ -72,6 +74,13 @@ val with_span : ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f] inside a span. The span closes (and is
     emitted) when [f] returns or raises; a raising span carries a
     ["raised"] attribute with the exception text. *)
+
+val with_root_span :
+  ?attrs:(string * value) list -> string -> (unit -> 'a) -> 'a
+(** Like {!with_span}, but the span's parent is [null] and it is never
+    pushed on the nesting stack: spans opened inside [f] nest under
+    whatever span was already open, and {!add_attr} never reaches it,
+    so its attributes are all given in [attrs]. *)
 
 val add_attr : string -> value -> unit
 (** Attach an attribute to the innermost open span; no-op when no span

@@ -76,22 +76,19 @@ let promote t node =
   unlink t node;
   push_front t node
 
-let evict_one t =
-  match t.tail with
-  | None -> ()
-  | Some node ->
-      unlink t node;
-      Hashtbl.remove t.table node.key;
-      t.current_weight <- t.current_weight - node.node_weight;
-      t.evictions <- t.evictions + 1;
-      t.on_evict node.key
+let evict t node =
+  unlink t node;
+  Hashtbl.remove t.table node.key;
+  t.current_weight <- t.current_weight - node.node_weight;
+  t.evictions <- t.evictions + 1;
+  t.on_evict node.key
 
 let enforce_caps t =
   while
     Hashtbl.length t.table > t.max_entries
     || (t.current_weight > t.max_weight && Option.is_some t.tail)
   do
-    evict_one t
+    Option.iter (evict t) t.tail
   done
 
 let find_opt t key =
@@ -111,6 +108,9 @@ let add t key value =
   locked t @@ fun () ->
   let w = t.weight value in
   match Hashtbl.find_opt t.table key with
+  | Some node when w > t.max_weight ->
+      (* An oversize value is never stored, so its key goes — alone. *)
+      evict t node
   | Some node ->
       t.current_weight <- t.current_weight - node.node_weight + w;
       node.value <- value;

@@ -3,8 +3,8 @@
     Entries are keyed by string (the server uses
     {!Mrm_batch.Batch.digest} hex keys) and bounded two ways: a maximum
     entry count and a maximum total weight (the caller supplies a
-    per-value weight function — the server estimates the byte footprint
-    of a solved outcome). When either cap is exceeded the
+    per-value weight function — the server stores encoded responses and
+    weighs each by its byte length). When either cap is exceeded the
     least-recently-used entries are evicted until both hold again.
 
     All operations take an internal mutex, so connection handlers and
@@ -30,7 +30,8 @@ val find_opt : 'a t -> string -> 'a option
 
 val add : 'a t -> string -> 'a -> unit
 (** Insert (or replace — replacement also promotes), then evict
-    LRU-first until both caps hold. *)
+    LRU-first until both caps hold. Replacing a key with a value heavier
+    than [max_weight] drops that key alone, as one eviction. *)
 
 val mem : 'a t -> string -> bool
 (** Like {!find_opt} but with no promotion and no hit/miss accounting. *)

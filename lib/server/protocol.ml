@@ -70,13 +70,29 @@ let validate (job : Batch.job) =
 (* ------------------------------------------------------------------ *)
 (* Responses *)
 
+let response_json ~cached outcome =
+  match Batch.outcome_to_json outcome with
+  | Json.Obj fields -> Json.Obj (fields @ [ ("cached", Json.Bool cached) ])
+  | other -> other
+
 let response_of_outcome ~cached outcome =
-  let json =
-    match Batch.outcome_to_json outcome with
-    | Json.Obj fields -> Json.Obj (fields @ [ ("cached", Json.Bool cached) ])
-    | other -> other
-  in
-  Json.to_string json
+  Json.to_string (response_json ~cached outcome)
+
+(* [outcome_to_json] leads with the id, so dropping that member here and
+   splicing one back in front below rebuilds the whole line. *)
+let cached_body outcome =
+  match response_json ~cached:true outcome with
+  | Json.Obj (("id", _) :: members) -> Json.to_string (Json.Obj members)
+  | _ -> invalid_arg "Protocol.cached_body: outcome JSON does not lead with id"
+
+let cached_response ~id body =
+  let quoted = Json.to_string (Json.Str id) in
+  let line = Buffer.create (String.length quoted + String.length body + 6) in
+  Buffer.add_string line "{\"id\":";
+  Buffer.add_string line quoted;
+  Buffer.add_char line ',';
+  Buffer.add_substring line body 1 (String.length body - 1);
+  Buffer.contents line
 
 let error_response ~id ~code ?diagnostics message =
   let diagnostics_field =

@@ -51,6 +51,16 @@ val validate : Mrm_batch.Batch.job -> Mrm_check.Diagnostics.t list
 val response_of_outcome :
   cached:bool -> Mrm_batch.Batch.outcome -> string
 
+val cached_body : Mrm_batch.Batch.outcome -> string
+(** The cache-hit response of an outcome, encoded once when the outcome
+    is cached: [response_of_outcome ~cached:true outcome] without its
+    leading ["id"] member. *)
+
+val cached_response : id:string -> string -> string
+(** [cached_response ~id body] splices the requester's [id] back into a
+    {!cached_body}. The line is byte-identical to
+    [response_of_outcome ~cached:true {outcome with id}]. *)
+
 val error_response :
   id:string -> code:string ->
   ?diagnostics:Mrm_check.Diagnostics.t list -> string -> string

@@ -84,24 +84,19 @@ type handle = {
 
 let listen_address h = Listener.address h.listener
 
-(* Approximate heap footprint of a cached outcome, for the byte cap. *)
-let outcome_weight (o : Batch.outcome) =
-  let base = 96 + String.length o.Batch.id + String.length o.Batch.digest in
-  match o.Batch.result with
-  | Error message -> base + String.length message
-  | Ok (Batch.Points points) ->
-      Array.fold_left
-        (fun acc (p : Batch.point) -> acc + 48 + (8 * Array.length p.Batch.values))
-        base points
-  | Ok (Batch.Density d) ->
-      base + 96
-      + (8 * Array.length d.Batch.marginal)
-      + List.fold_left
-          (fun acc w -> acc + String.length w)
-          0 d.Batch.stationary_warnings
-
 (* ------------------------------------------------------------------ *)
 (* Request processing *)
+
+(* The cache maps a digest to the hit response of its solved outcome,
+   encoded once (Protocol.cached_body); only the id is the caller's. *)
+let answer_hit ~id body =
+  Metrics.incr m_cache_hits;
+  Protocol.cached_response ~id body
+
+let expired (request : Protocol.request) =
+  match request.Protocol.expires with
+  | Some e -> Unix.gettimeofday () > e
+  | None -> false
 
 (* Runs on a solver worker thread; everything here is sequential per
    worker, so the per-request span nests correctly (workers = 1) or at
@@ -113,31 +108,26 @@ let serve_request ~cache ~pool (request : Protocol.request) =
     ~attrs:
       [ ("id", Trace.Str id); ("digest", Trace.Str request.Protocol.digest) ]
   @@ fun () ->
-  let expired =
-    match request.Protocol.expires with
-    | Some e -> Unix.gettimeofday () > e
-    | None -> false
-  in
-  if expired then begin
+  if expired request then begin
     Metrics.incr m_timeouts;
     Trace.add_attr "outcome" (Trace.Str "timeout");
     Protocol.error_response ~id ~code:"SRV003"
       "deadline exceeded before the solve started"
   end
   else
+    (* A duplicate may have been solved while this one sat in the queue. *)
     match Lru_cache.find_opt cache request.Protocol.digest with
-    | Some stored ->
-        Metrics.incr m_cache_hits;
+    | Some body ->
         Trace.add_attr "cached" (Trace.Bool true);
-        (* Bit-for-bit the stored outcome — only the id is the caller's. *)
-        Protocol.response_of_outcome ~cached:true { stored with Batch.id = id }
+        answer_hit ~id body
     | None ->
         Metrics.incr m_cache_misses;
         Trace.add_attr "cached" (Trace.Bool false);
         let outcome = (Batch.run ?pool [| job |]).(0) in
         (match outcome.Batch.result with
         | Ok _ ->
-            Lru_cache.add cache request.Protocol.digest outcome;
+            Lru_cache.add cache request.Protocol.digest
+              (Protocol.cached_body outcome);
             Metrics.set g_cache_entries
               (float_of_int (Lru_cache.length cache))
         | Error _ -> ());
@@ -153,9 +143,40 @@ let worker_loop ~cache ~pool queue =
   in
   loop ()
 
-(* Runs on the connection-handler thread: parse, validate, enqueue,
-   block until the worker resolves the reply. *)
-let process cfg queue ~lineno line =
+(* Runs on the connection-handler thread for every request that is not
+   a cache hit: validate, enqueue, block until the worker resolves the
+   reply. *)
+let enqueue cfg queue (request : Protocol.request) =
+  let id = request.Protocol.job.Batch.id in
+  match if cfg.validate then Protocol.validate request.Protocol.job else [] with
+  | _ :: _ as report ->
+      Metrics.incr m_validation_failures;
+      Protocol.error_response ~id ~code:"SRV005" ~diagnostics:report
+        (Printf.sprintf "model failed validation: %s"
+           (String.concat ", " (Diagnostics.codes report)))
+  | [] -> (
+      let reply =
+        { rmutex = Mutex.create (); rcond = Condition.create (); answer = None }
+      in
+      match Rqueue.push queue { request; reply } with
+      | `Full ->
+          Metrics.incr m_rejected;
+          Protocol.error_response ~id ~code:"SRV002"
+            (Printf.sprintf "request queue full (capacity %d) — retry later"
+               (Rqueue.capacity queue))
+      | `Closed ->
+          Protocol.error_response ~id ~code:"SRV004"
+            "server is draining and no longer accepts requests"
+      | `Ok ->
+          Metrics.observe_max g_queue_peak (float_of_int (Rqueue.length queue));
+          await reply)
+
+(* Runs on the connection-handler thread: parse, then answer an
+   unexpired cache hit right here, skipping validation: only validated,
+   solved jobs are cached, and the digest covers every input validation
+   reads. The hit span is a root span, since the worker may be inside
+   nested spans at the same time. *)
+let process cfg ~cache queue ~lineno line =
   Metrics.incr m_requests;
   let now = Unix.gettimeofday () in
   let default_id = Printf.sprintf "req-%d" lineno in
@@ -166,37 +187,19 @@ let process cfg queue ~lineno line =
   | Error msg ->
       Metrics.incr m_parse_errors;
       Protocol.error_response ~id:default_id ~code:"SRV001" msg
-  | Ok request -> begin
+  | Ok request -> (
       let id = request.Protocol.job.Batch.id in
+      let digest = request.Protocol.digest in
       match
-        if cfg.validate then Protocol.validate request.Protocol.job else []
+        if expired request then None else Lru_cache.find_opt cache digest
       with
-      | _ :: _ as report ->
-          Metrics.incr m_validation_failures;
-          Protocol.error_response ~id ~code:"SRV005" ~diagnostics:report
-            (Printf.sprintf "model failed validation: %s"
-               (String.concat ", " (Diagnostics.codes report)))
-      | [] -> begin
-          let reply =
-            { rmutex = Mutex.create (); rcond = Condition.create ();
-              answer = None }
-          in
-          match Rqueue.push queue { request; reply } with
-          | `Full ->
-              Metrics.incr m_rejected;
-              Protocol.error_response ~id ~code:"SRV002"
-                (Printf.sprintf
-                   "request queue full (capacity %d) — retry later"
-                   (Rqueue.capacity queue))
-          | `Closed ->
-              Protocol.error_response ~id ~code:"SRV004"
-                "server is draining and no longer accepts requests"
-          | `Ok ->
-              Metrics.observe_max g_queue_peak
-                (float_of_int (Rqueue.length queue));
-              await reply
-        end
-    end
+      | Some body ->
+          Trace.with_root_span "server.request"
+            ~attrs:
+              [ ("id", Trace.Str id); ("digest", Trace.Str digest);
+                ("cached", Trace.Bool true) ]
+            (fun () -> answer_hit ~id body)
+      | None -> enqueue cfg queue request)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
@@ -205,16 +208,18 @@ let start (cfg : config) =
   if cfg.workers < 1 then
     invalid_arg (Printf.sprintf "Server.start: workers %d" cfg.workers);
   let queue = Rqueue.create ~capacity:cfg.queue_capacity in
+  (* An entry weighs its stored response bytes. *)
+  let cache =
+    Lru_cache.create ~max_entries:cfg.cache_entries ~max_weight:cfg.cache_bytes
+      ~on_evict:(fun _key -> Metrics.incr m_cache_evictions)
+      ~weight:String.length ()
+  in
   (* Bind before creating the pool, so a refused endpoint leaks no
      domains; a request accepted before the workers start just waits
      in the queue. *)
   let listener =
-    Listener.start ~connections:m_connections cfg.endpoint (process cfg queue)
-  in
-  let cache =
-    Lru_cache.create ~max_entries:cfg.cache_entries ~max_weight:cfg.cache_bytes
-      ~on_evict:(fun _key -> Metrics.incr m_cache_evictions)
-      ~weight:outcome_weight ()
+    Listener.start ~connections:m_connections cfg.endpoint
+      (process cfg ~cache queue)
   in
   let pool =
     if cfg.pool_jobs > 1 then Some (Pool.create ~jobs:cfg.pool_jobs ())

@@ -2,28 +2,36 @@
 
     A server listens on a Unix-domain socket or a TCP address, speaks
     the {!Protocol} JSONL wire format over any number of concurrent
-    connections, and funnels every request through
+    connections, and answers each request one of two ways:
 
-    - server-side model validation ({!Protocol.validate}, [SRV005] with
-      MRM0xx diagnostics over the wire instead of a crashed connection),
-    - a bounded {!Rqueue} (explicit [SRV002] backpressure when full),
-    - an {!Lru_cache} of solved outcomes keyed by
-      {!Mrm_batch.Batch.digest} (a repeat job is answered bit-for-bit
-      from the cache without re-solving), and
-    - solver worker threads that run cache misses as one-job
-      {!Mrm_batch.Batch.run}s on the shared {!Mrm_engine.Pool}.
+    - a cache hit — an unexpired request whose
+      {!Mrm_batch.Batch.digest} keys an entry of the {!Lru_cache} — is
+      answered bit-for-bit from the response bytes stored when the job
+      was first solved ({!Protocol.cached_body}), with only the
+      requester's id spliced in. It skips validation: only jobs that
+      passed it and solved are cached, and the digest covers every
+      input {!Protocol.validate} reads;
+    - every other request goes through server-side model validation
+      ({!Protocol.validate}, [SRV005] with MRM0xx diagnostics over the
+      wire instead of a crashed connection), a bounded {!Rqueue}
+      (explicit [SRV002] backpressure when full), and solver worker
+      threads that run cache misses as one-job {!Mrm_batch.Batch.run}s
+      on the shared {!Mrm_engine.Pool}.
 
     {2 Threading model}
 
     The sockets belong to a {!Listener}: one acceptor thread and one
-    handler thread per connection, which parses, validates and
-    enqueues each request line. Beside them run [workers]
-    solver threads, and [pool_jobs - 1] pool domains shared by all
-    solves ({!Mrm_engine.Pool} serializes concurrent runs, so extra
-    workers overlap cache hits and deadline rejections with a running
-    solve rather than oversubscribing cores). With [workers = 1] the
-    per-request trace spans ([server.request]) nest correctly; more
-    workers keep metrics exact but interleave span emission.
+    handler thread per connection, which parses each request line,
+    answers a cache hit itself, and validates and enqueues the rest, so
+    a hit never waits behind a solve or a full queue. Beside them run
+    [workers] solver threads, and [pool_jobs - 1] pool domains shared by
+    all solves ({!Mrm_engine.Pool} serializes concurrent runs, so extra
+    workers overlap deadline rejections with a running solve rather
+    than oversubscribing cores). With [workers = 1] the per-request
+    trace spans ([server.request]) of queued requests nest correctly; a
+    hit's span is a {!Mrm_obs.Trace.with_root_span}, which leaves that
+    nesting alone. More workers keep metrics exact but interleave span
+    emission.
 
     {2 Graceful drain}
 
@@ -48,7 +56,7 @@ type config = {
   endpoint : endpoint;
   queue_capacity : int;  (** bounded request queue (backpressure point) *)
   cache_entries : int;  (** LRU result-cache entry cap *)
-  cache_bytes : int;  (** LRU result-cache (approximate) byte cap *)
+  cache_bytes : int;  (** LRU result-cache cap on the stored response bytes *)
   workers : int;  (** solver worker threads *)
   pool_jobs : int;  (** domains of the shared solve pool (1 = sequential) *)
   default_eps : float;  (** [eps] for jobs that do not set one *)

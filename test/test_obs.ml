@@ -224,6 +224,44 @@ let test_trace_jsonl_roundtrip () =
   Alcotest.(check bool) "event float attr" true
     (Option.bind (attr "k" event) Json.to_float = Some 0.5)
 
+let test_root_span_leaves_nesting () =
+  (* A root span opened inside an open span has no parent and is never
+     on the nesting stack: the next nested span still hangs off the
+     outer span, and add_attr inside the root span reaches the outer. *)
+  let path = Filename.temp_file "mrm2_trace" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  with_sink (Trace.Jsonl path) (fun () ->
+      Trace.with_span "outer" (fun () ->
+          Trace.with_root_span "root" ~attrs:[ ("cached", Trace.Bool true) ]
+            (fun () ->
+              Trace.add_attr "seen" (Trace.Bool true);
+              Trace.with_span "inside-root" ignore);
+          Trace.with_span "inner" ignore);
+      Trace.flush ());
+  let records = read_jsonl path in
+  let find_span name =
+    List.find (fun r -> str_member "name" r = Some name) records
+  in
+  let id json = Option.bind (Json.member "id" json) Json.to_int in
+  let parent json = Option.bind (Json.member "parent" json) Json.to_int in
+  let attr key json =
+    Option.bind (Json.member "attrs" json) (Json.member key)
+  in
+  let outer = find_span "outer" and root = find_span "root" in
+  Alcotest.(check bool) "root parent is null" true
+    (Json.member "parent" root = Some Json.Null);
+  Alcotest.(check bool) "root keeps its up-front attrs" true
+    (Option.bind (attr "cached" root) Json.to_bool = Some true);
+  Alcotest.(check bool) "add_attr skips the root span" true
+    (attr "seen" root = None && attr "seen" outer <> None);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " parented to outer")
+        true
+        (parent (find_span name) = id outer))
+    [ "inside-root"; "inner" ]
+
 let test_traced_solver_emits_span () =
   let path = Filename.temp_file "mrm2_trace" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -309,6 +347,8 @@ let () =
             test_trace_disabled_is_transparent;
           Alcotest.test_case "jsonl round trip" `Quick
             test_trace_jsonl_roundtrip;
+          Alcotest.test_case "root span leaves nesting intact" `Quick
+            test_root_span_leaves_nesting;
           Alcotest.test_case "solver span schema" `Quick
             test_traced_solver_emits_span;
           Alcotest.test_case "numerics unchanged" `Quick

@@ -14,6 +14,7 @@ module Client = Mrm_server.Client
 module Batch = Mrm_batch.Batch
 module Json = Mrm_util.Json
 module Diagnostics = Mrm_check.Diagnostics
+module Metrics = Mrm_obs.Metrics
 
 (* ------------------------------------------------------------------ *)
 (* LRU cache *)
@@ -75,6 +76,29 @@ let test_lru_replace_and_clear () =
   Lru_cache.clear cache;
   Alcotest.(check int) "cleared" 0 (Lru_cache.length cache);
   Alcotest.(check int) "cleared weight" 0 (Lru_cache.total_weight cache)
+
+let test_lru_oversize_replacement () =
+  (* Replacing a key with a value heavier than the whole cache drops
+     that key alone — the other entries stay. *)
+  let evicted = ref [] in
+  let cache =
+    Lru_cache.create ~max_entries:10 ~max_weight:10
+      ~on_evict:(fun k -> evicted := k :: !evicted)
+      ~weight:String.length ()
+  in
+  Lru_cache.add cache "a" "aaa";
+  Lru_cache.add cache "b" "bbb";
+  Lru_cache.add cache "c" "cc";
+  Lru_cache.add cache "b" (String.make 11 'B');
+  Alcotest.(check (list string)) "only b evicted" [ "b" ] !evicted;
+  Alcotest.(check (option string)) "a survives" (Some "aaa")
+    (Lru_cache.find_opt cache "a");
+  Alcotest.(check (option string)) "c survives" (Some "cc")
+    (Lru_cache.find_opt cache "c");
+  Alcotest.(check bool) "b gone" false (Lru_cache.mem cache "b");
+  Alcotest.(check int) "weight = a + c" 5 (Lru_cache.total_weight cache);
+  Alcotest.(check int) "one eviction counted" 1
+    (Lru_cache.stats cache).Lru_cache.evictions
 
 let test_lru_invalid_caps () =
   List.iter
@@ -280,6 +304,63 @@ let test_protocol_responses () =
     (Json.to_string (strip_cached fresh))
     (Json.to_string (strip_cached hit))
 
+(* A cache hit splices the requester's id into the response bytes
+   stored at insert; that must equal a fresh encode of the outcome
+   under the new id, byte for byte, whatever the id holds. *)
+let id_gen =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 8)
+         (oneof
+            [
+              map (String.make 1) char;
+              oneofl
+                [ "\""; "\\"; "\n"; "\r"; "\t"; "\b"; "\012"; "\000"; "\031";
+                  "\127"; "\195\169"; "\226\134\146"; "\240\159\152\128";
+                  "req-7" ];
+            ])))
+
+let outcome_gen =
+  QCheck2.Gen.(
+    let number = oneof [ float; oneofl [ 0.; -0.; 1e-300; nan; infinity ] ] in
+    let numbers = array_size (int_range 0 6) number in
+    let points =
+      map
+        (fun points -> Batch.Points points)
+        (array_size (int_range 0 4)
+           (map3
+              (fun time values iterations -> { Batch.time; values; iterations })
+              number numbers
+              (option (int_range 0 100_000))))
+    in
+    let density =
+      let* marginal = numbers in
+      let* mean_level = number and* reward_rate = number and* tau = number in
+      let* cr_iterations = int_range 0 50 and* residual = number in
+      let* stationary_warnings = list_size (int_range 0 2) id_gen in
+      return
+        (Batch.Density
+           { Batch.marginal; mean_level; reward_rate; tau; cr_iterations;
+             residual; stationary_warnings })
+    in
+    let* id = id_gen and* duplicate_of = option id_gen in
+    let* digest = map Digest.to_hex (map Digest.string string) in
+    let* elapsed = number and* solution = oneof [ points; density ] in
+    return
+      { Batch.id; digest; duplicate_of; elapsed; result = Ok solution })
+
+let prop_cached_response_matches_encode =
+  QCheck2.Test.make ~count:300
+    ~name:"cached_response ~id (cached_body o) = fresh encode under id"
+    ~print:(fun (o, id) ->
+      Printf.sprintf "id %S, outcome %s" id
+        (Protocol.response_of_outcome ~cached:true o))
+    QCheck2.Gen.(pair outcome_gen id_gen)
+    (fun (o, id) ->
+      String.equal
+        (Protocol.cached_response ~id (Protocol.cached_body o))
+        (Protocol.response_of_outcome ~cached:true { o with Batch.id = id }))
+
 let test_protocol_error_response () =
   let diagnostics =
     [ Diagnostics.error ~code:"MRM004" "initial distribution does not sum to 1" ]
@@ -336,6 +417,23 @@ let tcp_endpoint handle =
   | Unix.ADDR_INET (_, port) -> `Tcp ("127.0.0.1", port)
   | Unix.ADDR_UNIX path -> `Unix path
 
+(* The raw hit line a fresh response line must come back as: the same
+   bytes with only the requester's id and the cached flag changed. *)
+let as_hit ~fresh_id ~id fresh =
+  let prefix = Printf.sprintf "{\"id\":%S," fresh_id
+  and suffix = ",\"cached\":false}" in
+  let n = String.length fresh
+  and p = String.length prefix
+  and s = String.length suffix in
+  if
+    n < p + s
+    || String.sub fresh 0 p <> prefix
+    || String.sub fresh (n - s) s <> suffix
+  then Alcotest.failf "unexpected fresh line %s" fresh
+  else
+    Printf.sprintf "{\"id\":%S,%s,\"cached\":true}" id
+      (String.sub fresh p (n - p - s))
+
 let test_server_cache_and_deadline_tcp () =
   let config = Server.default_config (`Tcp ("127.0.0.1", 0)) in
   with_server config @@ fun handle ->
@@ -352,35 +450,20 @@ let test_server_cache_and_deadline_tcp () =
         Client.call (tcp_endpoint handle) ~input:ic ~on_response:(fun l ->
             responses := l :: !responses))
   in
-  let responses = List.rev_map Json.parse_exn !responses in
   Alcotest.(check int) "sent" 3 summary.Client.sent;
   Alcotest.(check int) "one cache hit" 1 summary.Client.cache_hits;
   Alcotest.(check int) "deadline rejected" 1 summary.Client.errors;
-  match responses with
+  match List.rev !responses with
   | [ fresh; hit; late ] ->
       Alcotest.(check (option string)) "fresh ok" (Some "ok")
-        (Protocol.response_status fresh);
-      Alcotest.(check bool) "fresh not cached" false
-        (Protocol.response_cached fresh);
-      Alcotest.(check bool) "repeat served from cache" true
-        (Protocol.response_cached hit);
-      (* bit-for-bit: identical except the requester's id and the flag *)
-      let strip json =
-        match json with
-        | Json.Obj fields ->
-            Json.Obj
-              (List.filter (fun (k, _) -> k <> "id" && k <> "cached") fields)
-        | other -> other
-      in
+        (Protocol.response_status (Json.parse_exn fresh));
       Alcotest.(check string) "cache hit bit-for-bit"
-        (Json.to_string (strip fresh))
-        (Json.to_string (strip hit));
-      Alcotest.(check (option string)) "hit keeps requester id"
-        (Some "again")
-        (Option.bind (Json.member "id" hit) Json.to_str);
+        (as_hit ~fresh_id:"first" ~id:"again" fresh)
+        hit;
+      (* expired even though its digest is cached *)
       Alcotest.(check (option string)) "expired deadline -> SRV003"
         (Some "SRV003")
-        (Option.bind (Json.member "code" late) Json.to_str)
+        (Option.bind (Json.member "code" (Json.parse_exn late)) Json.to_str)
   | other -> Alcotest.failf "expected 3 responses, got %d" (List.length other)
 
 let test_server_malformed_line_keeps_connection () =
@@ -476,6 +559,68 @@ let test_server_concurrent_clients () =
                 (Option.bind (Json.member "id" json) Json.to_str))
             responses)
     results
+
+let test_server_hit_bypasses_queue () =
+  (* The one worker is busy with a slow solve and the one queue slot is
+     taken by a second solve: a warm key is still answered from the
+     cache, before the slow solve's reply, instead of being refused with
+     SRV002. The test thread alone drives all three connections. *)
+  let config =
+    { (Server.default_config (`Tcp ("127.0.0.1", 0))) with
+      Server.workers = 1;
+      queue_capacity = 1 }
+  in
+  let hits = Metrics.counter "server.cache_hits"
+  and misses = Metrics.counter "server.cache_misses"
+  and queue_peak = Metrics.gauge "server.queue_peak" in
+  let hits0 = Metrics.count hits and misses0 = Metrics.count misses in
+  with_server config @@ fun handle ->
+  let module Wire = Mrm_server.Wire in
+  let connect () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Server.listen_address handle);
+    Wire.of_fd fd
+  in
+  let slow = connect () and queued = connect () and c = connect () in
+  Fun.protect ~finally:(fun () -> List.iter Wire.close [ slow; queued; c ])
+  @@ fun () ->
+  let exchange conn line =
+    Wire.write_line conn line;
+    Wire.read_line conn
+  in
+  let wait_until what ready =
+    let deadline = Unix.gettimeofday () +. 30. in
+    while not (ready ()) do
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "timed out waiting for %s" what;
+      Thread.delay 0.001
+    done
+  in
+  let warm = exchange c (job_line ~id:"warm" ()) in
+  Wire.write_line slow
+    "{\"id\":\"slow\",\"model\":\"onoff\",\"sigma2\":1,\"size\":3000,\"t\":1,\"order\":3}";
+  (* The worker counts a miss as it starts a solve. *)
+  wait_until "the slow solve to start" (fun () ->
+      Metrics.count misses >= misses0 + 2);
+  Metrics.set queue_peak 0.;
+  Wire.write_line queued (job_line ~id:"queued" ~t:2. ());
+  wait_until "the second solve to be queued" (fun () ->
+      Metrics.gauge_value queue_peak >= 1.);
+  let hit = exchange c (job_line ~id:"hit" ()) in
+  let slow_replied, _, _ = Unix.select [ Wire.fd slow ] [] [] 0. in
+  Alcotest.(check string) "warm key answered from the cache"
+    (as_hit ~fresh_id:"warm" ~id:"hit" warm)
+    hit;
+  Alcotest.(check bool) "hit answered before the slow solve's reply" true
+    (slow_replied = []);
+  List.iter
+    (fun (name, conn) ->
+      Alcotest.(check (option string))
+        (name ^ " solved") (Some "ok")
+        (Protocol.response_status (Json.parse_exn (Wire.read_line conn))))
+    [ ("slow", slow); ("queued", queued) ];
+  Alcotest.(check int) "one hit" 1 (Metrics.count hits - hits0);
+  Alcotest.(check int) "three solves" 3 (Metrics.count misses - misses0)
 
 (* ------------------------------------------------------------------ *)
 (* Stale Unix socket handling (Server.bind_endpoint rules) *)
@@ -857,6 +1002,8 @@ let () =
             test_lru_weight_eviction;
           Alcotest.test_case "replace + clear" `Quick
             test_lru_replace_and_clear;
+          Alcotest.test_case "oversize replacement drops one key" `Quick
+            test_lru_oversize_replacement;
           Alcotest.test_case "invalid caps" `Quick test_lru_invalid_caps;
           Alcotest.test_case "concurrent hit/insert/evict" `Quick
             test_lru_concurrent;
@@ -876,6 +1023,7 @@ let () =
           Alcotest.test_case "deadline_s parsing" `Quick
             test_protocol_deadline_parsing;
           Alcotest.test_case "cached flag" `Quick test_protocol_responses;
+          QCheck_alcotest.to_alcotest prop_cached_response_matches_encode;
           Alcotest.test_case "error responses" `Quick
             test_protocol_error_response;
           Alcotest.test_case "validate clean model" `Quick
@@ -891,6 +1039,8 @@ let () =
             test_server_unix_socket_lifecycle;
           Alcotest.test_case "concurrent clients" `Quick
             test_server_concurrent_clients;
+          Alcotest.test_case "cache hit bypasses a full queue" `Quick
+            test_server_hit_bypasses_queue;
           Alcotest.test_case "stale socket reclaimed" `Quick
             test_stale_socket_unlinked;
           Alcotest.test_case "live socket refused" `Quick
