@@ -1311,8 +1311,9 @@ let serve_cmd =
       value & opt int 64
       & info [ "queue" ] ~docv:"N"
           ~doc:
-            "Request-queue capacity; requests beyond it are rejected with \
-             a structured $(b,SRV002) error (backpressure).")
+            "Cache misses that may wait while another one is solved (at \
+             least 1); a miss beyond them is rejected with a structured \
+             $(b,SRV002) error (backpressure). Cache hits never wait.")
   in
   let cache_entries =
     Arg.(
@@ -1326,16 +1327,6 @@ let serve_cmd =
       & info [ "cache-mb" ] ~docv:"MB"
           ~doc:"Result-cache size cap in MiB of stored response bytes.")
   in
-  let workers =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"W"
-          ~doc:
-            "Solver worker threads. Cache hits never wait for one: they \
-             are answered on their connection's thread. One worker keeps \
-             per-request trace spans nested; more overlap deadline \
-             rejections with running solves.")
-  in
   let no_validate =
     Arg.(
       value & flag
@@ -1344,8 +1335,8 @@ let serve_cmd =
             "Skip the server-side $(b,mrm2 lint) pass (MRM0xx diagnostics \
              over the wire) before solving each request.")
   in
-  let run socket listen queue cache_entries cache_mb workers no_validate eps
-      jobs obs =
+  let run socket listen queue cache_entries cache_mb no_validate eps jobs
+      obs =
     obs @@ fun () ->
     match endpoint_of ~tcp_flag:"listen" socket listen with
     | Error msg ->
@@ -1358,7 +1349,6 @@ let serve_cmd =
             Server.queue_capacity = queue;
             cache_entries;
             cache_bytes = cache_mb * 1024 * 1024;
-            workers;
             pool_jobs = jobs;
             default_eps = eps;
             validate = not no_validate;
@@ -1378,6 +1368,9 @@ let serve_cmd =
         | code ->
             Printf.eprintf "mrm2 serve: drained, exiting\n%!";
             code
+        | exception Invalid_argument msg ->
+            Printf.eprintf "mrm2 serve: %s\n" msg;
+            2
         | exception Unix.Unix_error (Unix.EADDRINUSE, _, what) ->
             Printf.eprintf
               "mrm2 serve: %s is in use by a live listener (or is not a \
@@ -1388,7 +1381,7 @@ let serve_cmd =
   let term =
     Term.(
       const run $ socket_arg $ listen $ queue $ cache_entries $ cache_mb
-      $ workers $ no_validate $ eps_arg
+      $ no_validate $ eps_arg
       $ jobs_arg ~default:Mrm_engine.Pool.default_jobs
       $ obs_term)
   in
@@ -1398,8 +1391,8 @@ let serve_cmd =
          "Run the resident solver service: accept concurrent JSONL \
           connections on a Unix socket ($(b,--socket)) or TCP address \
           ($(b,--listen)), answer repeat jobs from an LRU result cache \
-          keyed by the structural job digest, push back with structured \
-          errors when the bounded request queue is full, honour \
+          keyed by the structural job digest, solve misses one at a time \
+          and push back with structured errors when too many wait, honour \
           per-request $(b,deadline_s) budgets, and drain gracefully on \
           SIGTERM/SIGINT (in-flight solves finish, responses flush, exit \
           0).")

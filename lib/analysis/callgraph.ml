@@ -14,7 +14,7 @@ let default_blocking =
   [
     "Unix.read"; "Unix.write"; "Unix.select"; "Unix.accept"; "Unix.sleepf";
     "Unix.sleep"; "Thread.delay"; "Thread.join"; "Thread.wait_signal";
-    "Condition.wait"; "Rqueue.pop"; "Randomization.moments";
+    "Condition.wait"; "Randomization.moments";
     "Randomization.moments_at_times"; "Randomization.moment_series";
     "Batch.run"; "Pool.run"; "Pool.parallel_for"; "Pool.map_array";
   ]

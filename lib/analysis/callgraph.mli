@@ -11,8 +11,8 @@ type t
 val default_blocking : string list
 (** Calls considered blocking: [Unix.read]/[write]/[select]/[accept]/
     [sleepf], [Thread.delay]/[join]/[wait_signal], [Condition.wait],
-    [Rqueue.pop], the solver entry points ([Randomization.moments*],
-    [Batch.run]) and the pool barriers. *)
+    the solver entry points ([Randomization.moments*], [Batch.run])
+    and the pool barriers. *)
 
 val build : Cfg.t list -> t
 

@@ -30,7 +30,7 @@ type event =
   | Join  (** structural no-op: merge point, loop head, handler entry *)
   | Lock of lock
   | Unlock of lock
-  | Call of string  (** callee as written, e.g. "Rqueue.pop" or "pop" *)
+  | Call of string  (** callee as written, e.g. "Pool.run" or "run" *)
   | Cond_wait of { cond : string; mutex : lock option; looped : bool }
   | Cond_notify of { cond : string; kind : notify_kind }
   | Write of { target : string; what : string }

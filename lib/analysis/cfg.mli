@@ -26,7 +26,7 @@
     escape the graph. See DESIGN.md §9 for the limits. *)
 
 type lock = string
-(** Qualified lock name, e.g. ["Rqueue.mutex"] or ["Server.reg_mutex"]. *)
+(** Qualified lock name, e.g. ["Server.mutex"] or ["Listener.reg_mutex"]. *)
 
 type notify_kind = Signal | Broadcast
 
@@ -37,7 +37,7 @@ type event =
   | Join  (** structural no-op: merge point, loop head, handler entry *)
   | Lock of lock
   | Unlock of lock
-  | Call of string  (** callee as written, e.g. ["Rqueue.pop"] or ["pop"] *)
+  | Call of string  (** callee as written, e.g. ["Pool.run"] or ["run"] *)
   | Cond_wait of { cond : string; mutex : lock option; looped : bool }
       (** [looped] is true when the wait sits inside a [while] loop or
           a [let rec]-bound re-check function *)
@@ -79,7 +79,7 @@ type facts = {
 }
 
 val module_of_path : string -> string
-(** ["lib/server/rqueue.ml"] -> ["Rqueue"];
+(** ["lib/server/listener.ml"] -> ["Listener"];
     ["pool_backend.domains.ml"] -> ["Pool_backend"]. *)
 
 val normalize_apply : Parsetree.expression -> Parsetree.expression

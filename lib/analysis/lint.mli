@@ -34,7 +34,7 @@
       interprocedural lock-set dataflow over {!Cfg}, fix hint:
       [Mutex.protect].
     - [SRC011] (warning) — a blocking call (Unix I/O, [Thread.join],
-      [Condition.wait], [Rqueue.pop], solver entry points — see
+      [Condition.wait], solver entry points — see
       {!Callgraph.default_blocking}) reachable while a mutex is held,
       one level through the call graph.
     - [SRC012] (error) — lock-order cycle across the program-wide

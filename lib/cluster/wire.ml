@@ -6,10 +6,4 @@
 include Mrm_server.Wire
 
 let connect ?timeout endpoint =
-  let fd = Mrm_server.Client.connect endpoint in
-  (match timeout with
-  | Some s when s > 0. ->
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO s;
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
-  | Some _ | None -> ());
-  of_fd fd
+  of_fd (Mrm_server.Client.connect ?timeout endpoint)

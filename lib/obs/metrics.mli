@@ -29,7 +29,9 @@
       backpressure), [server.timeouts] (deadline expiries),
       [server.cache_hits], [server.cache_misses],
       [server.cache_evictions], [server.drains]; gauges
-      [server.queue_peak] (high-watermark request-queue depth) and
+      [server.queue_peak] (high-watermark depth of the solve-slot
+      queue: an arriving cache miss plus the misses waiting ahead of
+      it) and
       [server.cache_entries];
     - the sharding router ([mrm2 route]): [cluster.connections],
       [cluster.requests], [cluster.parse_errors], [cluster.forwarded],

@@ -83,8 +83,8 @@ let init_from_env () =
 
 (* ------------------------------------------------------------------ *)
 (* Spans. Nesting is a process-wide stack: nested spans are opened from
-   one thread (workers use Metrics / event, other threads root spans),
-   so a plain ref is enough — see the .mli note.                        *)
+   one thread at a time (pool workers use Metrics / event, other
+   threads root spans), so a plain ref is enough — see the .mli note.  *)
 
 type span = {
   id : int;

@@ -36,11 +36,12 @@
 
     Emission is serialized internally, so any thread or domain may
     close spans or post events without corrupting the output. Span
-    {e nesting}, however, is tracked in a single process-wide stack:
-    open {!with_span} spans from one thread only (the coordinating
-    thread, or a server's solver worker) and use {!Metrics} (or
-    {!event}) from pool workers. Other threads may open
-    {!with_root_span} spans, which never touch the stack, beside it. *)
+    {e nesting}, however, is tracked in a single process-wide stack,
+    so {!with_span} spans must come from one thread at a time: the
+    coordinating thread, or in a server the connection thread that
+    holds the solve slot. Pool workers use {!Metrics} (or {!event});
+    other threads may open {!with_root_span} spans, which never touch
+    the stack, beside it. *)
 
 type sink =
   | Null  (** discard everything (the default) *)

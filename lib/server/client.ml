@@ -111,23 +111,6 @@ let exchange ~conn ~summary line lineno =
       summary := absorb !summary response;
       response
 
-let session ~fd ~input ~on_response =
-  let conn = Wire.of_fd fd in
-  let summary = ref empty_summary in
-  let lineno = ref 0 in
-  let rec loop () =
-    match input_line input with
-    | exception End_of_file -> ()
-    | line ->
-        incr lineno;
-        let trimmed = String.trim line in
-        if trimmed <> "" then
-          on_response (exchange ~conn ~summary trimmed !lineno);
-        loop ()
-  in
-  loop ();
-  !summary
-
 (* ------------------------------------------------------------------ *)
 (* Retrying driver *)
 

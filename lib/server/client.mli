@@ -39,14 +39,6 @@ exception Disconnected of string
     receive timeout expired) before answering a sent request; the
     payload names the failed request id. *)
 
-val session :
-  fd:Unix.file_descr -> input:in_channel ->
-  on_response:(string -> unit) -> summary
-(** Drive one request/response session over an open connection, reading
-    job specs from [input] until EOF — no retries, connection left open
-    (callers close [fd]). Responses that are not valid JSON count as
-    errors (the wire guarantees one JSON object per line). *)
-
 val call :
   ?retries:int -> ?timeout:float ->
   ?on_retry:(attempt:int -> delay:float -> string -> unit) ->

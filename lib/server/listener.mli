@@ -52,7 +52,8 @@ val sleep : t -> float -> bool
 val wait : t -> unit
 (** Block until drained: acceptor joined, every connection handler
     exited, listening socket and self-pipe closed, and a Unix socket
-    path unlinked. *)
+    path unlinked. [respond] runs on the handlers, so this also waits
+    out every call of it in progress (a server's in-flight solves). *)
 
 val with_shutdown_signals : drain:('h -> unit) -> (unit -> 'h) -> 'h
 (** [with_shutdown_signals ~drain start] ignores SIGPIPE, blocks

@@ -7,10 +7,10 @@
     weighs each by its byte length). When either cap is exceeded the
     least-recently-used entries are evicted until both hold again.
 
-    All operations take an internal mutex, so connection handlers and
-    solver workers (threads or domains) may share one cache. Eviction,
-    hit and miss counts are reported through {!stats}; the server mirrors
-    them into {!Mrm_obs.Metrics} ([server.cache_*]). *)
+    All operations take an internal mutex, so any number of threads or
+    domains (a server's connection handlers) may share one cache.
+    Eviction, hit and miss counts are reported through {!stats}; the
+    server mirrors them into {!Mrm_obs.Metrics} ([server.cache_*]). *)
 
 type 'a t
 

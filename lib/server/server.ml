@@ -11,7 +11,6 @@ type config = {
   queue_capacity : int;
   cache_entries : int;
   cache_bytes : int;
-  workers : int;
   pool_jobs : int;
   default_eps : float;
   validate : bool;
@@ -23,7 +22,6 @@ let default_config endpoint =
     queue_capacity = 64;
     cache_entries = 256;
     cache_bytes = 64 * 1024 * 1024;
-    workers = 1;
     pool_jobs = 1;
     default_eps = 1e-9;
     validate = true;
@@ -46,41 +44,50 @@ let g_queue_peak = Metrics.gauge "server.queue_peak"
 let g_cache_entries = Metrics.gauge "server.cache_entries"
 
 (* ------------------------------------------------------------------ *)
-(* Requests in flight: a reply cell each handler blocks on *)
+(* The solve slot: a FIFO ticket lock. One solve runs at a time, on the
+   connection thread holding the slot; at most [capacity] misses wait
+   behind it. *)
 
-type reply = {
-  rmutex : Mutex.t;
-  rcond : Condition.t;
-  mutable answer : string option;
+type slot = {
+  mutex : Mutex.t;
+  turn : Condition.t;  (* a solve finished: the next ticket may run *)
+  capacity : int;
+  mutable issued : int;  (* tickets handed out *)
+  mutable finished : int;  (* releases; ticket [finished] holds the slot *)
+  mutable pool : Pool.t option;  (* set by [start] holding the slot *)
 }
-
-type work = { request : Protocol.request; reply : reply }
 
 let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let resolve reply response =
-  with_lock reply.rmutex @@ fun () ->
-  reply.answer <- Some response;
-  Condition.signal reply.rcond
+(* Take a ticket and block until it holds the slot, or answer [false]
+   when [capacity] misses already wait. [ahead] counts the solve in
+   the slot and the misses waiting; the depth an arriving miss sees is
+   itself plus those waiting, [max 1 ahead]. *)
+let acquire slot =
+  with_lock slot.mutex @@ fun () ->
+  let ahead = slot.issued - slot.finished in
+  if ahead > slot.capacity then false
+  else begin
+    let ticket = slot.issued in
+    slot.issued <- ticket + 1;
+    Metrics.observe_max g_queue_peak (float_of_int (Int.max 1 ahead));
+    while slot.finished < ticket do
+      Condition.wait slot.turn slot.mutex
+    done;
+    true
+  end
 
-let await reply =
-  with_lock reply.rmutex @@ fun () ->
-  while Option.is_none reply.answer do
-    Condition.wait reply.rcond reply.rmutex
-  done;
-  Option.get reply.answer
+let release slot =
+  with_lock slot.mutex @@ fun () ->
+  slot.finished <- slot.finished + 1;
+  Condition.broadcast slot.turn
 
 (* ------------------------------------------------------------------ *)
 (* Handle *)
 
-type handle = {
-  listener : Listener.t;
-  queue : work Rqueue.t;
-  pool : Pool.t option;
-  workers : Thread.t list;
-}
+type handle = { listener : Listener.t; slot : slot }
 
 let listen_address h = Listener.address h.listener
 
@@ -98,10 +105,9 @@ let expired (request : Protocol.request) =
   | Some e -> Unix.gettimeofday () > e
   | None -> false
 
-(* Runs on a solver worker thread; everything here is sequential per
-   worker, so the per-request span nests correctly (workers = 1) or at
-   worst interleaves emission (workers > 1). *)
-let serve_request ~cache ~pool (request : Protocol.request) =
+(* Runs while the caller holds the solve slot, so only one thread at a
+   time is inside this span and the solver's nested spans. *)
+let serve_request ~cache slot (request : Protocol.request) =
   let job = request.Protocol.job in
   let id = job.Batch.id in
   Trace.with_span "server.request"
@@ -115,7 +121,7 @@ let serve_request ~cache ~pool (request : Protocol.request) =
       "deadline exceeded before the solve started"
   end
   else
-    (* A duplicate may have been solved while this one sat in the queue. *)
+    (* A duplicate may have been solved while this one waited. *)
     match Lru_cache.find_opt cache request.Protocol.digest with
     | Some body ->
         Trace.add_attr "cached" (Trace.Bool true);
@@ -123,7 +129,7 @@ let serve_request ~cache ~pool (request : Protocol.request) =
     | None ->
         Metrics.incr m_cache_misses;
         Trace.add_attr "cached" (Trace.Bool false);
-        let outcome = (Batch.run ?pool [| job |]).(0) in
+        let outcome = (Batch.run ?pool:slot.pool [| job |]).(0) in
         (match outcome.Batch.result with
         | Ok _ ->
             Lru_cache.add cache request.Protocol.digest
@@ -133,20 +139,9 @@ let serve_request ~cache ~pool (request : Protocol.request) =
         | Error _ -> ());
         Protocol.response_of_outcome ~cached:false outcome
 
-let worker_loop ~cache ~pool queue =
-  let rec loop () =
-    match Rqueue.pop queue with
-    | None -> ()
-    | Some { request; reply } ->
-        resolve reply (serve_request ~cache ~pool request);
-        loop ()
-  in
-  loop ()
-
-(* Runs on the connection-handler thread for every request that is not
-   a cache hit: validate, enqueue, block until the worker resolves the
-   reply. *)
-let enqueue cfg queue (request : Protocol.request) =
+(* Every request that is not a cache hit: validate, wait for the solve
+   slot, then serve it on this connection thread. *)
+let solve_miss cfg ~cache slot (request : Protocol.request) =
   let id = request.Protocol.job.Batch.id in
   match if cfg.validate then Protocol.validate request.Protocol.job else [] with
   | _ :: _ as report ->
@@ -154,29 +149,24 @@ let enqueue cfg queue (request : Protocol.request) =
       Protocol.error_response ~id ~code:"SRV005" ~diagnostics:report
         (Printf.sprintf "model failed validation: %s"
            (String.concat ", " (Diagnostics.codes report)))
-  | [] -> (
-      let reply =
-        { rmutex = Mutex.create (); rcond = Condition.create (); answer = None }
-      in
-      match Rqueue.push queue { request; reply } with
-      | `Full ->
-          Metrics.incr m_rejected;
-          Protocol.error_response ~id ~code:"SRV002"
-            (Printf.sprintf "request queue full (capacity %d) — retry later"
-               (Rqueue.capacity queue))
-      | `Closed ->
-          Protocol.error_response ~id ~code:"SRV004"
-            "server is draining and no longer accepts requests"
-      | `Ok ->
-          Metrics.observe_max g_queue_peak (float_of_int (Rqueue.length queue));
-          await reply)
+  | [] ->
+      if acquire slot then
+        Fun.protect
+          ~finally:(fun () -> release slot)
+          (fun () -> serve_request ~cache slot request)
+      else begin
+        Metrics.incr m_rejected;
+        Protocol.error_response ~id ~code:"SRV002"
+          (Printf.sprintf "request queue full (capacity %d) — retry later"
+             slot.capacity)
+      end
 
 (* Runs on the connection-handler thread: parse, then answer an
    unexpired cache hit right here, skipping validation: only validated,
    solved jobs are cached, and the digest covers every input validation
-   reads. The hit span is a root span, since the worker may be inside
-   nested spans at the same time. *)
-let process cfg ~cache queue ~lineno line =
+   reads. The hit span is a root span, since the slot holder may be
+   inside nested spans at the same time. *)
+let process cfg ~cache slot ~lineno line =
   Metrics.incr m_requests;
   let now = Unix.gettimeofday () in
   let default_id = Printf.sprintf "req-%d" lineno in
@@ -199,46 +189,49 @@ let process cfg ~cache queue ~lineno line =
               [ ("id", Trace.Str id); ("digest", Trace.Str digest);
                 ("cached", Trace.Bool true) ]
             (fun () -> answer_hit ~id body)
-      | None -> enqueue cfg queue request)
+      | None -> solve_miss cfg ~cache slot request)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)
 
 let start (cfg : config) =
-  if cfg.workers < 1 then
-    invalid_arg (Printf.sprintf "Server.start: workers %d" cfg.workers);
-  let queue = Rqueue.create ~capacity:cfg.queue_capacity in
+  if cfg.queue_capacity < 1 then
+    invalid_arg
+      (Printf.sprintf "Server.start: queue_capacity %d" cfg.queue_capacity);
   (* An entry weighs its stored response bytes. *)
   let cache =
     Lru_cache.create ~max_entries:cfg.cache_entries ~max_weight:cfg.cache_bytes
       ~on_evict:(fun _key -> Metrics.incr m_cache_evictions)
       ~weight:String.length ()
   in
-  (* Bind before creating the pool, so a refused endpoint leaks no
-     domains; a request accepted before the workers start just waits
-     in the queue. *)
+  (* Start holds ticket 0 until the pool exists. It binds first, so a
+     refused endpoint leaks no domains; a miss accepted meanwhile just
+     waits for the slot. *)
+  let slot =
+    {
+      mutex = Mutex.create ();
+      turn = Condition.create ();
+      capacity = cfg.queue_capacity;
+      issued = 1;
+      finished = 0;
+      pool = None;
+    }
+  in
   let listener =
     Listener.start ~connections:m_connections cfg.endpoint
-      (process cfg ~cache queue)
+      (process cfg ~cache slot)
   in
-  let pool =
-    if cfg.pool_jobs > 1 then Some (Pool.create ~jobs:cfg.pool_jobs ())
-    else None
-  in
-  let workers =
-    List.init cfg.workers (fun _ ->
-        Thread.create (fun () -> worker_loop ~cache ~pool queue) ())
-  in
-  { listener; queue; pool; workers }
+  if cfg.pool_jobs > 1 then
+    slot.pool <- Some (Pool.create ~jobs:cfg.pool_jobs ());
+  release slot;
+  { listener; slot }
 
 let drain h = if Listener.drain h.listener then Metrics.incr m_drains
 
 let wait h =
-  (* Every accepted request is finished before the queue closes. *)
+  (* Every handler has exited, so no solve is in flight or waiting. *)
   Listener.wait h.listener;
-  Rqueue.close h.queue;
-  List.iter Thread.join h.workers;
-  Option.iter Pool.shutdown h.pool
+  Option.iter Pool.shutdown h.slot.pool
 
 let run ?(on_ready = ignore) cfg =
   let h = Listener.with_shutdown_signals ~drain (fun () -> start cfg) in

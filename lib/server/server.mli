@@ -13,32 +13,33 @@
       input {!Protocol.validate} reads;
     - every other request goes through server-side model validation
       ({!Protocol.validate}, [SRV005] with MRM0xx diagnostics over the
-      wire instead of a crashed connection), a bounded {!Rqueue}
-      (explicit [SRV002] backpressure when full), and solver worker
-      threads that run cache misses as one-job {!Mrm_batch.Batch.run}s
-      on the shared {!Mrm_engine.Pool}.
+      wire instead of a crashed connection), then waits for the solve
+      slot (explicit [SRV002] backpressure when [queue_capacity] misses
+      already wait), and is solved as a one-job
+      {!Mrm_batch.Batch.run} on the shared {!Mrm_engine.Pool}.
 
     {2 Threading model}
 
     The sockets belong to a {!Listener}: one acceptor thread and one
-    handler thread per connection, which parses each request line,
-    answers a cache hit itself, and validates and enqueues the rest, so
-    a hit never waits behind a solve or a full queue. Beside them run
-    [workers] solver threads, and [pool_jobs - 1] pool domains shared by
-    all solves ({!Mrm_engine.Pool} serializes concurrent runs, so extra
-    workers overlap deadline rejections with a running solve rather
-    than oversubscribing cores). With [workers = 1] the per-request
-    trace spans ([server.request]) of queued requests nest correctly; a
-    hit's span is a {!Mrm_obs.Trace.with_root_span}, which leaves that
-    nesting alone. More workers keep metrics exact but interleave span
-    emission.
+    handler thread per connection, which parses each request line and
+    answers it itself. A cache hit is answered at once, so it never
+    waits behind a solve or a full queue. A miss takes a ticket for
+    the solve slot, a FIFO lock that lets one solve run at a time —
+    the systhreads of one domain never run in parallel, and the pool
+    runs a second concurrent solve sequentially anyway — and is solved
+    on its own handler thread once its turn comes. The pool's
+    [pool_jobs - 1] domains parallelize that one solve. Only the slot
+    holder opens nested trace spans ([server.request] and the solver's
+    spans under it); a hit's span is a {!Mrm_obs.Trace.with_root_span},
+    which leaves that nesting alone.
 
     {2 Graceful drain}
 
     {!drain} (hooked to SIGTERM/SIGINT by {!run}) drains the
     {!Listener} — stop accepting, half-close idle connections — while
-    in-flight solves finish and every pending response is flushed; only
-    then does {!wait} return, and the [mrm2 serve] process exits 0.
+    every accepted request, waiting or solving, is answered and its
+    response flushed; only then does {!wait} return, and the
+    [mrm2 serve] process exits 0.
 
     {2 Metrics}
 
@@ -47,17 +48,19 @@
     backpressure), [server.timeouts] (deadline expiries),
     [server.cache_hits], [server.cache_misses],
     [server.cache_evictions], [server.drains]; gauges
-    [server.queue_peak] (high-watermark queue depth) and
+    [server.queue_peak] (high-watermark depth of the solve-slot queue:
+    an arriving miss plus the misses waiting ahead of it) and
     [server.cache_entries]. *)
 
 type endpoint = [ `Unix of string | `Tcp of string * int ]
 
 type config = {
   endpoint : endpoint;
-  queue_capacity : int;  (** bounded request queue (backpressure point) *)
+  queue_capacity : int;
+      (** cache misses that may wait for the running solve (>= 1); one
+          more is answered [SRV002] (backpressure) *)
   cache_entries : int;  (** LRU result-cache entry cap *)
   cache_bytes : int;  (** LRU result-cache cap on the stored response bytes *)
-  workers : int;  (** solver worker threads *)
   pool_jobs : int;  (** domains of the shared solve pool (1 = sequential) *)
   default_eps : float;  (** [eps] for jobs that do not set one *)
   validate : bool;  (** run {!Protocol.validate} before solving *)
@@ -65,14 +68,15 @@ type config = {
 
 val default_config : endpoint -> config
 (** [queue_capacity = 64], [cache_entries = 256], [cache_bytes =
-    64 MiB], [workers = 1], [pool_jobs = 1], [default_eps = 1e-9],
-    [validate = true]. *)
+    64 MiB], [pool_jobs = 1], [default_eps = 1e-9], [validate = true]. *)
 
 type handle
 
 val start : config -> handle
-(** Start a {!Listener} on the endpoint (same stale-socket rules) and
-    spawn the worker threads, then return.
+(** Start a {!Listener} on the endpoint (same stale-socket rules),
+    then create the pool and return.
+    @raise Invalid_argument when [queue_capacity], [cache_entries] or
+    [cache_bytes] is below 1, before anything is bound.
     @raise Unix.Unix_error when the endpoint cannot be bound. *)
 
 val listen_address : handle -> Unix.sockaddr
@@ -85,9 +89,10 @@ val drain : handle -> unit
     {!wait}. *)
 
 val wait : handle -> unit
-(** Block until the server has fully drained: acceptor and every
-    connection handler joined, queue empty, workers joined, sockets
-    closed (and the Unix socket path unlinked). *)
+(** Block until the server has fully drained: acceptor joined, every
+    connection handler exited with its requests answered (so no solve
+    is in flight), sockets closed (and the Unix socket path unlinked),
+    pool shut down. *)
 
 val run : ?on_ready:(Unix.sockaddr -> unit) -> config -> int
 (** {!start} under {!Listener.with_shutdown_signals} (SIGTERM/SIGINT

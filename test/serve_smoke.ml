@@ -1,7 +1,8 @@
 (* End-to-end smoke driver behind the @serve-smoke dune alias (not an
    alcotest binary): spawns a real `mrm2 serve` process on a temporary
    Unix-domain socket and checks the service contract from outside —
-   a scripted `mrm2 call` session whose duplicate job is served from
+   an invalid --queue refused with exit 2 before anything is bound, a
+   scripted `mrm2 call` session whose duplicate job is served from
    the cache, two concurrent clients each receiving complete
    well-formed JSONL, SIGTERM during an in-flight solve still
    completing that solve before a clean exit 0, and the exit metrics
@@ -63,6 +64,24 @@ let () =
   let socket = tmp ".sock" in
   Sys.remove socket;
   let serve_out = tmp ".serve.out" and serve_err = tmp ".serve.err" in
+
+  (* -------------------------------------------------------------- *)
+  (* an invalid --queue is a usage error: exit 2 with the reason, and
+     nothing bound *)
+  let refused =
+    spawn mrm2
+      [| mrm2; "serve"; "--socket"; socket; "--queue"; "0" |]
+      ~stdout:serve_out ~stderr:serve_err
+  in
+  (match wait_exit refused with
+  | 2 -> ()
+  | code ->
+      fail "serve --queue 0 exited %d; stderr:\n%s" code (read_file serve_err));
+  (match read_file serve_err with
+  | err when contains ~sub:"mrm2 serve: Server.start: queue_capacity 0" err ->
+      ()
+  | err -> fail "serve --queue 0 gave no reason; stderr:\n%s" err);
+  if Sys.file_exists socket then fail "serve --queue 0 left a socket behind";
 
   (* -------------------------------------------------------------- *)
   (* start the service and wait for readiness *)

@@ -1,13 +1,12 @@
 (* Tests for the solver service: the LRU result cache (promotion,
-   entry/weight eviction, statistics), the bounded request queue
-   (backpressure, close semantics, blocking pop), the wire protocol
-   (deadline_s parsing, SRV error rendering, cached flag), and the
-   server itself end to end — in-process Server.start / Client.call /
-   Server.drain on TCP and Unix-domain endpoints, including the
-   cache-hit bit-for-bit guarantee and concurrent clients. *)
+   entry/weight eviction, statistics), the wire protocol (deadline_s
+   parsing, SRV error rendering, cached flag), and the server itself
+   end to end — in-process Server.start / Client.call / Server.drain on
+   TCP and Unix-domain endpoints, including the cache-hit bit-for-bit
+   guarantee, concurrent clients, and the solve slot's FIFO order,
+   backpressure and deadlines. *)
 
 module Lru_cache = Mrm_server.Lru_cache
-module Rqueue = Mrm_server.Rqueue
 module Protocol = Mrm_server.Protocol
 module Server = Mrm_server.Server
 module Client = Mrm_server.Client
@@ -175,55 +174,6 @@ let test_lru_concurrent () =
     (Lru_cache.length cache <= max_entries);
   Alcotest.(check bool) "weight cap holds at rest" true
     (Lru_cache.total_weight cache <= max_weight)
-
-(* ------------------------------------------------------------------ *)
-(* Bounded request queue *)
-
-let test_rqueue_fifo_and_full () =
-  let q = Rqueue.create ~capacity:2 in
-  Alcotest.(check int) "capacity" 2 (Rqueue.capacity q);
-  Alcotest.(check bool) "push 1" true (Rqueue.push q 1 = `Ok);
-  Alcotest.(check bool) "push 2" true (Rqueue.push q 2 = `Ok);
-  Alcotest.(check bool) "push 3 full" true (Rqueue.push q 3 = `Full);
-  Alcotest.(check int) "length" 2 (Rqueue.length q);
-  Alcotest.(check (option int)) "fifo 1" (Some 1) (Rqueue.pop q);
-  Alcotest.(check (option int)) "fifo 2" (Some 2) (Rqueue.pop q)
-
-let test_rqueue_close_semantics () =
-  let q = Rqueue.create ~capacity:1 in
-  Alcotest.(check bool) "push" true (Rqueue.push q 7 = `Ok);
-  Rqueue.close q;
-  Rqueue.close q;
-  (* idempotent *)
-  Alcotest.(check bool) "closed" true (Rqueue.closed q);
-  (* Closed wins over Full *)
-  Alcotest.(check bool) "push after close" true (Rqueue.push q 8 = `Closed);
-  (* already-accepted work is still delivered, then None *)
-  Alcotest.(check (option int)) "drain accepted" (Some 7) (Rqueue.pop q);
-  Alcotest.(check (option int)) "drained" None (Rqueue.pop q)
-
-let test_rqueue_blocking_pop () =
-  let q = Rqueue.create ~capacity:4 in
-  let got = ref None in
-  let consumer = Thread.create (fun () -> got := Rqueue.pop q) () in
-  Thread.delay 0.05;
-  Alcotest.(check (option int)) "consumer still blocked" None !got;
-  Alcotest.(check bool) "push wakes" true (Rqueue.push q 42 = `Ok);
-  Thread.join consumer;
-  Alcotest.(check (option int)) "woken with value" (Some 42) !got;
-  (* close wakes a blocked consumer with None *)
-  let got2 = ref (Some 0) in
-  let consumer2 = Thread.create (fun () -> got2 := Rqueue.pop q) () in
-  Thread.delay 0.05;
-  Rqueue.close q;
-  Thread.join consumer2;
-  Alcotest.(check (option int)) "close wakes with None" None !got2
-
-let test_rqueue_invalid_capacity () =
-  match Rqueue.create ~capacity:0 with
-  | (_ : int Rqueue.t) ->
-      Alcotest.fail "capacity < 1 must raise Invalid_argument"
-  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol *)
@@ -509,10 +459,7 @@ let test_server_unix_socket_lifecycle () =
     (Sys.file_exists path)
 
 let test_server_concurrent_clients () =
-  let config =
-    { (Server.default_config (`Tcp ("127.0.0.1", 0))) with
-      Server.workers = 2 }
-  in
+  let config = Server.default_config (`Tcp ("127.0.0.1", 0)) in
   with_server config @@ fun handle ->
   let endpoint = tcp_endpoint handle in
   let lines i =
@@ -561,14 +508,13 @@ let test_server_concurrent_clients () =
     results
 
 let test_server_hit_bypasses_queue () =
-  (* The one worker is busy with a slow solve and the one queue slot is
+  (* A slow solve holds the solve slot and the one waiting place is
      taken by a second solve: a warm key is still answered from the
      cache, before the slow solve's reply, instead of being refused with
      SRV002. The test thread alone drives all three connections. *)
   let config =
     { (Server.default_config (`Tcp ("127.0.0.1", 0))) with
-      Server.workers = 1;
-      queue_capacity = 1 }
+      Server.queue_capacity = 1 }
   in
   let hits = Metrics.counter "server.cache_hits"
   and misses = Metrics.counter "server.cache_misses"
@@ -599,7 +545,7 @@ let test_server_hit_bypasses_queue () =
   let warm = exchange c (job_line ~id:"warm" ()) in
   Wire.write_line slow
     "{\"id\":\"slow\",\"model\":\"onoff\",\"sigma2\":1,\"size\":3000,\"t\":1,\"order\":3}";
-  (* The worker counts a miss as it starts a solve. *)
+  (* A miss is counted as its solve starts. *)
   wait_until "the slow solve to start" (fun () ->
       Metrics.count misses >= misses0 + 2);
   Metrics.set queue_peak 0.;
@@ -621,6 +567,79 @@ let test_server_hit_bypasses_queue () =
     [ ("slow", slow); ("queued", queued) ];
   Alcotest.(check int) "one hit" 1 (Metrics.count hits - hits0);
   Alcotest.(check int) "three solves" 3 (Metrics.count misses - misses0)
+
+let test_server_slot_order_and_backpressure () =
+  (* A slow solve holds the slot and three misses wait behind it, sent
+     one at a time: A and B share a digest, C has a 0.2 s deadline. A
+     fourth miss D is refused at once. Then A solves, B is answered
+     from A's bytes (so A ran first), and C's deadline has passed by
+     its turn. *)
+  let config =
+    { (Server.default_config (`Tcp ("127.0.0.1", 0))) with
+      Server.queue_capacity = 3 }
+  in
+  let misses = Metrics.counter "server.cache_misses"
+  and rejected = Metrics.counter "server.rejected"
+  and timeouts = Metrics.counter "server.timeouts"
+  and queue_peak = Metrics.gauge "server.queue_peak" in
+  let misses0 = Metrics.count misses
+  and rejected0 = Metrics.count rejected
+  and timeouts0 = Metrics.count timeouts in
+  with_server config @@ fun handle ->
+  let module Wire = Mrm_server.Wire in
+  let connect () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Server.listen_address handle);
+    Wire.of_fd fd
+  in
+  let slow = connect () and a = connect () and b = connect ()
+  and c = connect () and d = connect () in
+  Fun.protect ~finally:(fun () -> List.iter Wire.close [ slow; a; b; c; d ])
+  @@ fun () ->
+  let wait_until what ready =
+    let deadline = Unix.gettimeofday () +. 30. in
+    while not (ready ()) do
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "timed out waiting for %s" what;
+      Thread.delay 0.001
+    done
+  in
+  Wire.write_line slow
+    "{\"id\":\"slow\",\"model\":\"onoff\",\"sigma2\":1,\"size\":3000,\"t\":1,\"order\":3}";
+  wait_until "the slow solve to start" (fun () ->
+      Metrics.count misses >= misses0 + 1);
+  Metrics.set queue_peak 0.;
+  List.iteri
+    (fun k (name, conn, line) ->
+      Wire.write_line conn line;
+      wait_until (name ^ " to wait for the slot") (fun () ->
+          Metrics.gauge_value queue_peak >= float_of_int (k + 1)))
+    [ ("A", a, job_line ~id:"A" ());
+      ("B", b, job_line ~id:"B" ());
+      ("C", c, job_line ~id:"C" ~t:2. ~extra:"\"deadline_s\":0.2" ()) ];
+  Wire.write_line d (job_line ~id:"D" ~t:3. ());
+  let refused = Wire.read_line d in
+  let slow_replied, _, _ = Unix.select [ Wire.fd slow ] [] [] 0. in
+  Alcotest.(check bool) "D answered while the slow solve runs" true
+    (slow_replied = []);
+  Alcotest.(check string) "D refused: queue full"
+    (Protocol.error_response ~id:"D" ~code:"SRV002"
+       "request queue full (capacity 3) — retry later")
+    refused;
+  Alcotest.(check int) "one rejection" 1 (Metrics.count rejected - rejected0);
+  Alcotest.(check (option string)) "slow solved" (Some "ok")
+    (Protocol.response_status (Json.parse_exn (Wire.read_line slow)));
+  let fresh = Wire.read_line a in
+  Alcotest.(check (option string)) "A solved" (Some "ok")
+    (Protocol.response_status (Json.parse_exn fresh));
+  Alcotest.(check string) "B answered from A's bytes"
+    (as_hit ~fresh_id:"A" ~id:"B" fresh)
+    (Wire.read_line b);
+  Alcotest.(check string) "C expired while waiting"
+    (Protocol.error_response ~id:"C" ~code:"SRV003"
+       "deadline exceeded before the solve started")
+    (Wire.read_line c);
+  Alcotest.(check int) "one timeout" 1 (Metrics.count timeouts - timeouts0)
 
 (* ------------------------------------------------------------------ *)
 (* Stale Unix socket handling (Server.bind_endpoint rules) *)
@@ -1008,16 +1027,6 @@ let () =
           Alcotest.test_case "concurrent hit/insert/evict" `Quick
             test_lru_concurrent;
         ] );
-      ( "rqueue",
-        [
-          Alcotest.test_case "fifo + backpressure" `Quick
-            test_rqueue_fifo_and_full;
-          Alcotest.test_case "close semantics" `Quick
-            test_rqueue_close_semantics;
-          Alcotest.test_case "blocking pop" `Quick test_rqueue_blocking_pop;
-          Alcotest.test_case "invalid capacity" `Quick
-            test_rqueue_invalid_capacity;
-        ] );
       ( "protocol",
         [
           Alcotest.test_case "deadline_s parsing" `Quick
@@ -1041,6 +1050,8 @@ let () =
             test_server_concurrent_clients;
           Alcotest.test_case "cache hit bypasses a full queue" `Quick
             test_server_hit_bypasses_queue;
+          Alcotest.test_case "slot order, backpressure, deadline" `Quick
+            test_server_slot_order_and_backpressure;
           Alcotest.test_case "stale socket reclaimed" `Quick
             test_stale_socket_unlinked;
           Alcotest.test_case "live socket refused" `Quick
