@@ -1714,9 +1714,8 @@ let loadgen_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE"
           ~doc:
-            "Also write the benchmark record to $(docv) (e.g. \
-             $(b,figures/BENCH_serve.json)); it is always printed to \
-             standard output.")
+            "Also write the benchmark record to $(docv); it is always \
+             printed to standard output.")
   in
   let run socket connect requests workers keys skew size order seed timeout
       out obs =

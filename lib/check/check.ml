@@ -54,27 +54,54 @@ let fmt = Printf.sprintf
 let fg v = fmt "%g" v
 let fi v = string_of_int v
 
-(* Mirrors the solver's choices (Randomization): uniformization rate
-   q = max_i |q_ii|, drift shift making all rates non-negative, and the
-   minimal d keeping R' and S' substochastic. *)
+(* The uniformization rate q = max_i |q_ii| (the solver's choice). *)
 let chain_rate m =
   let q = ref 0. in
   Sparse.iter m (fun i j v -> if i = j then q := Float.max !q (abs_float v));
   !q
 
-let shift_of rates = Float.min 0. (Array.fold_left Float.min infinity rates)
-
-let default_d ~q ~rates ~variances =
+(* The reward scaling constant d of Theorem 3, shared with the solvers:
+   the minimal d keeping |R'| and S' substochastic, where R' = R/(q d)
+   may be signed and S' = S/(q d^2). *)
+let reward_scaling ~q ~rates ~variances =
   if q <= 0. then 0.
   else begin
-    let shift = shift_of rates in
-    let max_shifted =
-      Array.fold_left (fun acc r -> Float.max acc (r -. shift)) 0. rates
+    let max_abs_rate =
+      Array.fold_left (fun acc r -> Float.max acc (abs_float r)) 0. rates
     in
-    let max_std =
-      sqrt (Array.fold_left Float.max 0. variances)
+    let max_std = sqrt (Array.fold_left Float.max 0. variances) in
+    Float.max (max_abs_rate /. q) (max_std /. sqrt q)
+  end
+
+(* Truncation point from Theorem 4, with a corrected tail index. The
+   paper's appendix bounds the truncated series by
+   2 d^n n! (qt)^n sum_{k >= G+n+1} Pois(qt; k), but the substitution
+   w_k k!/(k-n)! = (qt)^n w_{k-n} actually shifts the index the other way:
+   the tail starts at G+1-n. We therefore pick the smallest G with
+   2 d^n n! (qt)^n * P(Pois(qt) >= G+1-n) < eps (G is larger than the
+   paper's by about 2n; validated empirically in the test suite). *)
+let truncation_point ~d ~lambda ~order ~eps =
+  if not (Float.is_finite lambda) || lambda < 0. then
+    invalid_arg "Check.truncation_point: requires finite lambda >= 0";
+  (* mrm:ignore SRC001 — sentinel: Pois(0) is a point mass at k = 0, but
+     the U-recursion still needs [order] steps to feed the lower-order
+     terms through; without this short circuit [log lambda = -inf]
+     poisons [log_prefactor] below. *)
+  if lambda = 0. then max 1 order
+  else if order = 0 then
+    (* V^(0) is exact (row sums are 1); a single term suffices, but we keep
+       enough terms for the weights to sum to ~1. *)
+    Poisson.tail_quantile ~lambda ~log_eps:(log eps)
+  else begin
+    let log_prefactor =
+      log 2.
+      +. (float_of_int order *. log d)
+      +. Special.log_factorial order
+      +. (float_of_int order *. log lambda)
     in
-    Float.max (max_shifted /. q) (max_std /. sqrt q)
+    let log_eps = log eps -. log_prefactor in
+    let m = Poisson.tail_quantile ~lambda ~log_eps in
+    max 1 (m + order - 1)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -289,30 +316,31 @@ let check_uniformization ?(tol = 1e-9) ?(config = default_config)
                (fmt "uniformized row %d sums to %g > 1 (not substochastic)" i
                   row_sum')))
       (Sparse.row_sums q_matrix);
-    let d = Option.value config.d ~default:(default_d ~q ~rates ~variances) in
+    let d =
+      Option.value config.d ~default:(reward_scaling ~q ~rates ~variances)
+    in
     if not (Float.is_finite d) then
       add
         (D.error ~code:"MRM044"
            ~context:[ ("d", fg d) ]
            (fmt "reward scaling constant %g is not finite" d))
     else if d > 0. then begin
-      let shift = shift_of rates in
       Array.iteri
         (fun i r ->
-          let r' = (r -. shift) /. (q *. d) in
+          let r' = r /. (q *. d) in
           if not (Float.is_finite r') then
             add
               (D.error ~code:"MRM044"
                  ~context:[ ("state", fi i); ("value", fg r') ]
                  (fmt "scaled drift at state %d is not finite" i))
-          else if r' > 1. +. tol then
+          else if abs_float r' > 1. +. tol then
             add
               (D.error ~code:"MRM042"
                  ~context:[ ("state", fi i); ("value", fg r'); ("d", fg d) ]
                  (fmt
-                    "R' not substochastic: r_%d' = %g > 1 for d = %g \
+                    "|R'| not substochastic: |r_%d'| = %g > 1 for d = %g \
                      (Lemma 2 bound invalid)"
-                    i r' d)))
+                    i (abs_float r') d)))
         rates;
       Array.iteri
         (fun i v ->
@@ -335,25 +363,11 @@ let check_uniformization ?(tol = 1e-9) ?(config = default_config)
   end;
   List.rev !acc
 
-(* Theorem-4 truncation point for the requested precision; mirrors
-   Randomization.truncation_point. Above [lambda_direct_warning] we skip
-   the quantile search and warn from [G ~ lambda] directly. *)
+(* Above [g_warning_threshold] iterations MRM050 fires; above
+   [lambda_direct_warning] we skip the quantile search and warn from
+   [G ~ lambda] directly. *)
 let g_warning_threshold = 2_000_000
 let lambda_direct_warning = 5e7
-
-let estimate_truncation ~d ~lambda ~order ~eps =
-  if order = 0 then Poisson.tail_quantile ~lambda ~log_eps:(log eps)
-  else begin
-    let log_prefactor =
-      log 2.
-      +. (float_of_int order *. log d)
-      +. Special.log_factorial order
-      +. (float_of_int order *. log lambda)
-    in
-    let log_eps = log eps -. log_prefactor in
-    let m = Poisson.tail_quantile ~lambda ~log_eps in
-    max 1 (m + order - 1)
-  end
 
 (* The paper's large example has 200,001 states; anything within a
    couple of orders of that only saturates one core for no reason when
@@ -396,22 +410,13 @@ let check_conditioning ?(config = default_config)
             "eps = %g is below attainable double precision; the truncation \
              bound will cost iterations without gaining accuracy"
             config.eps));
-  let shift = shift_of rates in
-  if shift < 0. then
-    add
-      (D.info ~code:"MRM052"
-         ~context:[ ("shift", fg shift) ]
-         (fmt
-            "negative drifts present: the solver shifts all rates by %g \
-             (results are mapped back exactly)"
-            (-.shift)));
   (* Scale spread of the reward structure: the moments mix r_i and
      sigma_i contributions, so >~8 orders of magnitude between the
      smallest and largest non-zero scale loses digits. *)
   let scales = ref [] in
   Array.iter
     (fun r ->
-      let m = abs_float (r -. shift) in
+      let m = abs_float r in
       if m > 0. && Float.is_finite m then scales := m :: !scales)
     rates;
   Array.iter
@@ -448,11 +453,11 @@ let check_conditioning ?(config = default_config)
               lambda lambda))
     else begin
       let d =
-        Option.value config.d ~default:(default_d ~q ~rates ~variances)
+        Option.value config.d ~default:(reward_scaling ~q ~rates ~variances)
       in
       if lambda > 0. && d > 0. && Float.is_finite d then begin
         let g =
-          estimate_truncation ~d ~lambda ~order:config.order ~eps:config.eps
+          truncation_point ~d ~lambda ~order:config.order ~eps:config.eps
         in
         if g > g_warning_threshold then
           add
@@ -579,12 +584,11 @@ let code_table =
     ("MRM032", D.Info, "reducible chain (multiple communicating classes)");
     ("MRM040", D.Error, "uniformization rate below the max exit rate");
     ("MRM041", D.Error, "uniformized generator Q' not substochastic");
-    ("MRM042", D.Error, "scaled drift matrix R' not substochastic");
+    ("MRM042", D.Error, "scaled drift matrix |R'| not substochastic");
     ("MRM043", D.Error, "scaled variance matrix S' not substochastic");
     ("MRM044", D.Error, "non-finite uniformized quantity");
     ("MRM050", D.Warning, "Poisson truncation point impractically large");
     ("MRM051", D.Warning, "reward scales span many orders of magnitude");
-    ("MRM052", D.Info, "drift shift applied to handle negative rates");
     ("MRM053", D.Info, "paper-scale model solved sequentially (jobs = 1)");
     ("MRM060", D.Error, "invalid solver configuration (t, order or eps)");
     ("MRM061", D.Warning, "eps below attainable double precision");

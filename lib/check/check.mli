@@ -2,11 +2,11 @@
     solvers assume, checked {e without} solving anything.
 
     The paper's randomization solver (Theorems 3/4) multiplies
-    non-negative substochastic matrices by non-negative vectors; its
-    a-priori error bound (eq. 11) is only valid when the inputs actually
-    are a generator ([q_ij >= 0] off the diagonal, zero row sums), a
-    reward structure ([sigma_i^2 >= 0], finite drifts) and a probability
-    vector, and when the uniformized [Q' = Q/q + I], [R' = R/(q d)],
+    substochastic matrices by bounded vectors; its a-priori error bound
+    (eq. 11) is only valid when the inputs actually are a generator
+    ([q_ij >= 0] off the diagonal, zero row sums), a reward structure
+    ([sigma_i^2 >= 0], finite drifts) and a probability vector, and when
+    the uniformized [Q' = Q/q + I], [|R'| = |R|/(q d)] and
     [S' = S/(q d^2)] are substochastic for the chosen [q] and [d].
     Reachability matters too: states unreachable from the initial
     support waste work, and absorbing states change moment behaviour
@@ -57,8 +57,8 @@ type config = {
   eps : float;  (** randomization truncation-error bound *)
   q : float option;  (** uniformization-rate override; default [max_i |q_ii|] *)
   d : float option;
-      (** reward-scaling override; default the minimal [d] making [R'] and
-          [S'] substochastic (the solver's choice) *)
+      (** reward-scaling override; default {!reward_scaling}, the
+          solver's choice *)
   jobs : int;
       (** domain count the solve would run on ([--jobs] / [MRM2_JOBS];
           1 = sequential) — only used to flag paper-scale models left on
@@ -67,6 +67,25 @@ type config = {
 
 val default_config : config
 (** [t = 1., order = 3, eps = 1e-9, jobs = 1], no overrides. *)
+
+(* ------------------------------------------------------------------ *)
+(* The solver's scaling constant and truncation point, defined once:    *)
+(* Randomization and Impulse call these, and so do the passes below.    *)
+
+val reward_scaling : q:float -> rates:float array -> variances:float array ->
+  float
+(** The reward scaling constant of Theorem 3,
+    [d = max(max_i |r_i| / q, max_i sigma_i / sqrt q)]: the minimal [d]
+    making [|R'| = |R|/(q d)] and [S' = S/(q d^2)] substochastic. Rates
+    may be negative; the recursion runs on the signed [R']. [0.] when
+    [q <= 0] (transition-free models take a closed form). *)
+
+val truncation_point : d:float -> lambda:float -> order:int -> eps:float -> int
+(** The Theorem-4 truncation point [G] with the corrected tail index:
+    the smallest [G] with [2 d^n n! lambda^n P(Pois(lambda) >= G+1-n) <
+    eps] for [n = order], where [lambda = q t]. [lambda = 0.] (a
+    point-mass Poisson) short-circuits to [max 1 order].
+    @raise Invalid_argument if [lambda] is NaN, infinite or negative. *)
 
 (* ------------------------------------------------------------------ *)
 (* Individual passes. Each returns an independent diagnostic list;      *)
@@ -102,7 +121,7 @@ val check_uniformization : ?tol:float -> ?config:config -> data ->
   Diagnostics.t list
 (** Substochasticity of the uniformized matrices for the chosen (or
     default) [q] and [d]: [q] at least the max exit rate ([MRM040]),
-    row sums of [Q'] at most 1 ([MRM041]), [r_i'/(q d) <= 1] ([MRM042]),
+    row sums of [Q'] at most 1 ([MRM041]), [|r_i|/(q d) <= 1] ([MRM042]),
     [sigma_i^2/(q d^2) <= 1] ([MRM043]), and a finiteness scan of the
     scaled quantities ([MRM044]). Skipped for transition-free models
     ([q = 0] — the solvers use a closed form there). *)
@@ -111,12 +130,12 @@ val check_conditioning : ?config:config -> data -> Diagnostics.t list
 (** Solver-configuration sanity: invalid [t]/[order]/[eps] ([MRM060],
     error), a Theorem-4 truncation point so large the solve is
     impractical ([MRM050], warning, threshold ~2e6 iterations),
-    reward scales spanning more than 8 orders of magnitude ([MRM051],
-    warning), a negative-drift shift being applied ([MRM052], info),
-    a paper-scale model (>= 10^4 states) about to be solved with
-    [jobs = 1] when the row-parallel engine could be used ([MRM053],
-    info, points at [--jobs]/[MRM2_JOBS]), and [eps] below attainable
-    double precision ([MRM061], warning). *)
+    reward scales [|r_i|], [sigma_i] spanning more than 8 orders of
+    magnitude ([MRM051], warning), a paper-scale model (>= 10^4
+    states) about to be solved with [jobs = 1] when the row-parallel
+    engine could be used ([MRM053], info, points at
+    [--jobs]/[MRM2_JOBS]), and [eps] below attainable double precision
+    ([MRM061], warning). *)
 
 val check_stationary : data -> Diagnostics.t list
 (** Stationary (MMBM) applicability, as warnings: zero-variance states

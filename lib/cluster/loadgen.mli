@@ -7,8 +7,7 @@
     job specs. The workload (who sends which key when) is a pure
     function of [seed]; only timing varies between runs.
 
-    {!run} returns the benchmark record written to
-    [figures/BENCH_serve.json]: request counts by outcome
+    {!run} returns the benchmark record: request counts by outcome
     (ok/cached/shed/error/disconnect), elapsed wall-clock, throughput,
     ok-latency percentiles (p50/p95/p99/mean/max, milliseconds), cache
     hit rate and shed rate — plus, when the target is a router, its

@@ -52,8 +52,6 @@ let q_power_matrix t m =
   Sparse.of_triplets ~rows:(Model.dim t.base) ~cols:(Model.dim t.base)
     !triplets
 
-let unshift_moments = Randomization.unshift_moments
-
 let moments ?(eps = 1e-9) t ~t:horizon ~order =
   if horizon < 0. then invalid_arg "Impulse.moments: requires t >= 0";
   if order < 0 then invalid_arg "Impulse.moments: requires order >= 0";
@@ -66,15 +64,11 @@ let moments ?(eps = 1e-9) t ~t:horizon ~order =
        solver, which also covers the q = 0 closed form. *)
     Randomization.moments ~eps base ~t:horizon ~order
   else begin
-    let min_rate = Model.min_rate base in
-    let shift = if min_rate < 0. then min_rate else 0. in
-    let shifted_rates = Array.map (fun r -> r -. shift) base.Model.rates in
-    let max_shifted_rate = Array.fold_left Float.max 0. shifted_rates in
-    let max_std_dev = Model.max_std_dev base in
     (* d must also dominate the impulses for P^(m) substochasticity. *)
     let d =
       Float.max (max_impulse t)
-        (Float.max (max_shifted_rate /. q) (max_std_dev /. sqrt q))
+        (Mrm_check.Check.reward_scaling ~q ~rates:base.Model.rates
+           ~variances:base.Model.variances)
     in
     let lambda = q *. horizon in
     (* Truncation from the generalized bound
@@ -92,7 +86,7 @@ let moments ?(eps = 1e-9) t ~t:horizon ~order =
       end
     in
     let q' = Generator.uniformized base.Model.generator ~rate:q in
-    let r' = Array.map (fun r -> r /. (q *. d)) shifted_rates in
+    let r' = Array.map (fun r -> r /. (q *. d)) base.Model.rates in
     let s' = Array.map (fun v -> v /. (q *. d *. d)) base.Model.variances in
     (* P^(m) = Q^(m) / (q d^m), for m = 1..order. *)
     let p_matrices =
@@ -133,7 +127,7 @@ let moments ?(eps = 1e-9) t ~t:horizon ~order =
           Array.blit scratch 0 u.(j) 0 n_states
         done
     done;
-    let shifted_moments =
+    let moments =
       Array.init (order + 1) (fun n ->
           if n = 0 then Vec.ones n_states
           else Vec.scale (Special.factorial n *. (d ** float_of_int n)) acc.(n))
@@ -145,8 +139,8 @@ let moments ?(eps = 1e-9) t ~t:horizon ~order =
         +. Poisson.log_tail ~lambda (max 0 (g + 1 - order))
     in
     {
-      Randomization.moments = unshift_moments ~shift ~t:horizon shifted_moments;
-      diagnostics = { q; d; shift; iterations = g; eps; log_error_bound };
+      Randomization.moments;
+      diagnostics = { q; d; iterations = g; eps; log_error_bound };
     }
   end
 

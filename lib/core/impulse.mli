@@ -20,7 +20,8 @@
     which stays substochastic provided [d >= max_ij rho_ij].
 
     The truncation bound generalizes with the coefficient-wise domination
-    [phi(x) <= e^(2x)]: [U^(n)(k) <= (2k)^n/n!], giving
+    [phi(x) <= e^(2x)]: [|U^(n)(k)| <= (2k)^n/n!] (by induction on the
+    recursion run with [|R'|], so signed drifts need no shift), giving
     [xi(G) <= (4d)^n (qt)^n P(Pois(qt) >= G+1-n)] (more conservative than
     Theorem 4's pure-rate bound; documented in DESIGN.md). *)
 
@@ -43,8 +44,8 @@ val moments :
   ?eps:float -> t -> t:float -> order:int -> Randomization.result
 (** Randomization solver extended with the impulse terms; same result
     layout and diagnostics semantics as {!Randomization.moments}. Negative
-    *rates* are allowed (handled by the usual shift); impulses must be
-    non-negative. *)
+    *rates* are allowed (the recursion runs on the signed [R'], as in
+    {!Randomization}); impulses must be non-negative. *)
 
 val moment : ?eps:float -> t -> t:float -> order:int -> float
 val mean : ?eps:float -> t -> t:float -> float

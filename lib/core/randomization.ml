@@ -24,7 +24,6 @@ let record_truncation g =
 type diagnostics = {
   q : float;
   d : float;
-  shift : float;
   iterations : int;
   eps : float;
   log_error_bound : float;
@@ -41,77 +40,6 @@ let moments_no_transitions model ~t ~order =
           Mrm_brownian.Brownian.raw_moment
             (Model.brownian_of_state model i)
             ~t k))
-
-(* Map moments of the shifted process B~ back to B = B~ + shift * t via the
-   binomial expansion of (B~ + c)^n with c = shift * t.
-
-   The coefficient C(n, j) c^j is computed in log space: for high orders
-   (n beyond ~25 with a large |c|) the two factors overflow individually
-   even when their product — let alone the final sum — is representable.
-   c <= 0 always (shift < 0, t >= 0), so the sign alternates with j. *)
-let unshift_coefficient ~log_abs_c ~negative n j =
-  if j = 0 then 1.
-  else begin
-    let log_magnitude =
-      Special.log_factorial n
-      -. Special.log_factorial j
-      -. Special.log_factorial (n - j)
-      +. (float_of_int j *. log_abs_c)
-    in
-    let magnitude = exp log_magnitude in
-    if negative && j land 1 = 1 then -.magnitude else magnitude
-  end
-
-let unshift_moments ~shift ~t shifted =
-  let c = shift *. t in
-  if c = 0. then shifted
-  else begin
-    let log_abs_c = log (abs_float c) in
-    let negative = c < 0. in
-    let order = Array.length shifted - 1 in
-    let n_states = Array.length shifted.(0) in
-    Array.init (order + 1) (fun n ->
-        Array.init n_states (fun i ->
-            let acc = ref 0. in
-            for j = 0 to n do
-              acc :=
-                !acc
-                +. unshift_coefficient ~log_abs_c ~negative n j
-                   *. shifted.(n - j).(i)
-            done;
-            !acc))
-  end
-
-(* Truncation point from Theorem 4, with a corrected tail index. The
-   paper's appendix bounds the truncated series by
-   2 d^n n! (qt)^n sum_{k >= G+n+1} Pois(qt; k), but the substitution
-   w_k k!/(k-n)! = (qt)^n w_{k-n} actually shifts the index the other way:
-   the tail starts at G+1-n. We therefore pick the smallest G with
-   2 d^n n! (qt)^n * P(Pois(qt) >= G+1-n) < eps (G is larger than the
-   paper's by about 2n; validated empirically in the test suite). *)
-let truncation_point ~d ~lambda ~order ~eps =
-  if not (Float.is_finite lambda) || lambda < 0. then
-    invalid_arg "Randomization.truncation_point: requires finite lambda >= 0";
-  if lambda = 0. then
-    (* Pois(0) is a point mass at k = 0, but the U-recursion still needs
-       [order] steps to feed the lower-order terms through; without this
-       short circuit [log lambda = -inf] poisons [log_prefactor] below. *)
-    max 1 order
-  else if order = 0 then
-    (* V^(0) is exact (row sums are 1); a single term suffices, but we keep
-       enough terms for the weights to sum to ~1. *)
-    Poisson.tail_quantile ~lambda ~log_eps:(log eps)
-  else begin
-    let log_prefactor =
-      log 2.
-      +. (float_of_int order *. log d)
-      +. Special.log_factorial order
-      +. (float_of_int order *. log lambda)
-    in
-    let log_eps = log eps -. log_prefactor in
-    let m = Poisson.tail_quantile ~lambda ~log_eps in
-    max 1 (m + order - 1)
-  end
 
 (* Pre-solve static verification (the ?validate flag): all of Check's
    passes with this solve's configuration; raises Check.Failed listing
@@ -223,43 +151,45 @@ let run_sweep ctx ~r' ~s' ~order ~n_states ~g ~terms =
 
 (* The one solve behind [moments] and [moments_at_times], run inside
    the caller's span. Each time point either takes a closed form (t = 0,
-   no transitions, or all shifted rewards zero) or joins the shared
-   sweep: the U^(n)(k) recursion does not depend on t, only the Poisson
-   weights do, so one pass to the largest per-time G serves every
-   point, each folding its own weights into its own accumulators. *)
+   no transitions, or one shared drift and no variance) or joins the
+   shared sweep: the U^(n)(k) recursion does not depend on t, only the
+   Poisson weights do, so one pass to the largest per-time G serves
+   every point, each folding its own weights into its own accumulators.
+   R' keeps the sign of the drifts (see the .mli note on d). *)
 let solve ?pool model ~times ~order ~eps =
   Metrics.incr m_solves;
   let n_states = Model.dim model in
   let q = Generator.uniformization_rate model.Model.generator in
-  (* Shift drifts to be non-negative (paper, Section 6). *)
-  let min_rate = Model.min_rate model in
-  let shift = if min_rate < 0. then min_rate else 0. in
-  let shifted_rates = Array.map (fun r -> r -. shift) model.Model.rates in
-  let max_shifted_rate = Array.fold_left Float.max 0. shifted_rates in
-  (* Minimal d making both R' and S' substochastic (see .mli note). *)
   let d =
-    Float.max (max_shifted_rate /. q) (Model.max_std_dev model /. sqrt q)
+    Mrm_check.Check.reward_scaling ~q ~rates:model.Model.rates
+      ~variances:model.Model.variances
   in
-  let unit_moments () =
-    Array.init (order + 1) (fun n ->
-        if n = 0 then Vec.ones n_states else Vec.zeros n_states)
+  let min_rate = Model.min_rate model in
+  let constant_drift =
+    Model.is_first_order model && Float.equal min_rate (Model.max_rate model)
   in
   let closed_form t =
-    let closed path ~shift moments =
+    let closed path moments =
       let diagnostics =
-        { q; d = 0.; shift; iterations = 0; eps; log_error_bound = neg_infinity }
+        { q; d = 0.; iterations = 0; eps; log_error_bound = neg_infinity }
       in
       Some (path, { moments; diagnostics })
     in
     (* t = 0 is exact: B(0) = 0, so moment 0 is 1 and every higher
        moment vanishes; no truncation point is involved (computing one
        would need log(lambda) with lambda = qt = 0). *)
-    if t = 0. then closed "t=0" ~shift:0. (unit_moments ())
+    if t = 0. then
+      closed "t=0"
+        (Array.init (order + 1) (fun n ->
+             if n = 0 then Vec.ones n_states else Vec.zeros n_states))
     else if q = 0. then
-      closed "no-transitions" ~shift:0. (moments_no_transitions model ~t ~order)
-    else if d = 0. then
-      (* All shifted rates and variances vanish: B~ is identically 0. *)
-      closed "zero-rewards" ~shift (unshift_moments ~shift ~t (unit_moments ()))
+      closed "no-transitions" (moments_no_transitions model ~t ~order)
+    else if constant_drift then
+      (* Every state has drift c and no variance: B(t) = c t exactly. *)
+      let ct = min_rate *. t in
+      closed "constant-drift"
+        (Array.init (order + 1) (fun n ->
+             Array.make n_states (ct ** float_of_int n)))
     else None
   in
   let closed = Array.map closed_form times in
@@ -278,12 +208,14 @@ let solve ?pool model ~times ~order ~eps =
           let g_of_t =
             Array.mapi
               (fun i t ->
-                if swept i then truncation_point ~d ~lambda:(q *. t) ~order ~eps
+                if swept i then
+                  Mrm_check.Check.truncation_point ~d ~lambda:(q *. t) ~order
+                    ~eps
                 else 0)
               times
           in
           let q' = Generator.uniformized model.Model.generator ~rate:q in
-          let r' = Array.map (fun r -> r /. (q *. d)) shifted_rates in
+          let r' = Array.map (fun r -> r /. (q *. d)) model.Model.rates in
           let s' =
             Array.map (fun v -> v /. (q *. d *. d)) model.Model.variances
           in
@@ -330,7 +262,7 @@ let solve ?pool model ~times ~order ~eps =
             | None ->
                 let lambda = q *. t and g_t = g_of_t.(i) in
                 (* V^(n) = n! d^n * acc_n; V^(0) = h exactly. *)
-                let shifted_moments =
+                let moments =
                   Array.init (order + 1) (fun n ->
                       if n = 0 then Vec.ones n_states
                       else
@@ -348,9 +280,9 @@ let solve ?pool model ~times ~order ~eps =
                     +. Poisson.log_tail ~lambda (max 0 (g_t + 1 - order))
                 in
                 {
-                  moments = unshift_moments ~shift ~t shifted_moments;
+                  moments;
                   diagnostics =
-                    { q; d; shift; iterations = g_t; eps; log_error_bound };
+                    { q; d; iterations = g_t; eps; log_error_bound };
                 })
           times)
   end

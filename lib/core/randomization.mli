@@ -2,23 +2,23 @@
     reward in a second-order MRM — the paper's main algorithm
     (Theorems 3 and 4, Appendix B).
 
-    The computation multiplies only non-negative substochastic matrices
-    with non-negative vectors, so it is subtraction-free and numerically
-    stable, and the truncation point [G] comes with the a-priori error
-    bound of Theorem 4. Cost: [G] sparse matrix–vector products per moment
-    order, with [G = O(qt)]. *)
+    The recursion runs on the signed drifts: [Q'] and [S'] are
+    non-negative substochastic and [|R'|] is substochastic, so every
+    iterate is bounded by the same recursion run with [|R'|] — the
+    paper's non-negative case. The computation is therefore
+    subtraction-free for non-negative rates and keeps a componentwise
+    rounding bound otherwise, and the truncation point [G] comes with
+    the a-priori error bound of Theorem 4 either way. Cost: [G] sparse
+    matrix–vector products per moment order, with [G = O(qt)]. *)
 
 type diagnostics = {
   q : float;  (** uniformization rate [max_i |q_ii|] *)
   d : float;  (** reward scaling constant (see note below) *)
-  shift : float;
-      (** drift shift applied to make all rates non-negative (0 when they
-          already are) *)
   iterations : int;  (** the truncation point [G] of Theorem 4 *)
   eps : float;  (** requested precision *)
   log_error_bound : float;
       (** natural log of the guaranteed element-wise truncation error of
-          the shifted model's highest-order moment vector *)
+          the highest-order moment vector [V^(order)] *)
 }
 
 type result = {
@@ -42,8 +42,8 @@ val moments :
     mutation and flags conditioning hazards of the configuration itself.
 
     [eps] (default 1e-9, the paper's setting for the large example) bounds
-    the truncation error of each element of the highest-order shifted
-    moment vector.
+    the truncation error of each element of the highest-order moment
+    vector.
 
     [pool] runs the per-step recursion
     [U^(n)(k+1) = R' U^(n-1)(k) + (1/2) S' U^(n-2)(k) + Q' U^(n)(k)]
@@ -58,9 +58,15 @@ val moments :
     that choice leaves [S' = S/(q d^2)] super-stochastic whenever [q > 1],
     invalidating the Lemma-2 bound behind Theorem 4. The computed moments
     are invariant to [d] (it cancels from eq. (9)/(10)), so this
-    implementation uses the minimal [d] making both [R'] and [S']
-    substochastic: [d = max(max_i r_i / q, max_i sigma_i / sqrt q)]
-    (after the non-negativity shift). Only [G] is (slightly) affected.
+    implementation uses the minimal [d] making both [|R'|] and [S']
+    substochastic: [d = max(max_i |r_i| / q, max_i sigma_i / sqrt q)]
+    ({!Mrm_check.Check.reward_scaling}). Only [G] is (slightly) affected.
+    Negative drifts need no shift: the paper's shift [r_i - min_j r_j]
+    and the binomial map back cancel catastrophically from about order 8.
+
+    A model whose states all share one drift [c] and have no variance
+    short-circuits to [V^(n) = (c t)^n] (reported with [d = 0.] and
+    [iterations = 0]).
 
     [t = 0.] short-circuits to the exact answer — moment 0 is the ones
     vector, every higher moment is the zero vector — without touching
@@ -104,20 +110,3 @@ val variance : ?eps:float -> Model.t -> t:float -> float
 (** Central second moment [E B^2 - (E B)^2] of the unconditional reward. *)
 
 val central_moment : ?eps:float -> Model.t -> t:float -> order:int -> float
-
-(**/**)
-
-val truncation_point : d:float -> lambda:float -> order:int -> eps:float -> int
-(** Internal: the Theorem-4 truncation point [G] with the corrected tail
-    index (see randomization.ml), i.e. the smallest [G] with
-    [2 d^n n! lambda^n P(Pois(lambda) >= G+1-n) < eps]. [lambda = 0.]
-    (a point-mass Poisson) short-circuits to [max 1 order]. Exposed for
-    the property-based tests; not part of the stable API.
-    @raise Invalid_argument if [lambda] is NaN, infinite or negative. *)
-
-val unshift_moments :
-  shift:float -> t:float -> float array array -> float array array
-(** Internal: maps moments of the drift-shifted process back through the
-    binomial expansion of [(B~ + shift*t)^n]. Exposed for the
-    impulse-reward extension ({!Impulse}); not part of the stable API. *)
-

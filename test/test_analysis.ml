@@ -1,15 +1,13 @@
 (* Tests for the second wave of analysis features: shared-sweep
-   randomization, quantile bounds, joint (final-state) moments and reward
-   covariance, inhomogeneous models, quadrature and SVG/CSV rendering. *)
+   randomization, quantile bounds, inhomogeneous models, quadrature and
+   SVG/CSV rendering. *)
 
 module Model = Mrm_core.Model
 module Randomization = Mrm_core.Randomization
-module Joint_moments = Mrm_core.Joint_moments
 module Moment_bounds = Mrm_core.Moment_bounds
 module Inhomogeneous = Mrm_core.Inhomogeneous
 module Generator = Mrm_ctmc.Generator
 module Transient = Mrm_ctmc.Transient
-module Dense = Mrm_linalg.Dense
 module Vec = Mrm_linalg.Vec
 module Quadrature = Mrm_util.Quadrature
 module Svg_plot = Mrm_util.Svg_plot
@@ -142,85 +140,6 @@ let test_radau_quadrature_at_gauss_node () =
   let b = Moment_bounds.prepare (Array.init 10 (fun k -> Special.factorial k)) in
   let gauss_nodes, _ = Moment_bounds.gauss_quadrature b in
   check_at (Array.init 10 (fun k -> Special.factorial k)) gauss_nodes.(0)
-
-(* ------------------------------------------------------------------ *)
-(* Joint moments and covariance                                         *)
-
-let test_joint_row_sums_recover_v () =
-  let t = 0.9 in
-  let mats = Joint_moments.matrices model2 ~t ~order:3 in
-  let reference = Randomization.moments model2 ~t ~order:3 in
-  for n = 0 to 3 do
-    for i = 0 to 1 do
-      let row_sum = Dense.get mats.(n) i 0 +. Dense.get mats.(n) i 1 in
-      check_close ~tol:1e-9
-        (Printf.sprintf "row sum n=%d i=%d" n i)
-        reference.Randomization.moments.(n).(i)
-        row_sum
-    done
-  done
-
-let test_joint_order0_is_transient_matrix () =
-  let t = 0.7 in
-  let mats = Joint_moments.matrices model2 ~t ~order:0 in
-  let from0 = Transient.probabilities generator2 ~initial:[| 1.; 0. |] ~t in
-  let from1 = Transient.probabilities generator2 ~initial:[| 0.; 1. |] ~t in
-  check_close ~tol:1e-10 "p00" from0.(0) (Dense.get mats.(0) 0 0);
-  check_close ~tol:1e-10 "p01" from0.(1) (Dense.get mats.(0) 0 1);
-  check_close ~tol:1e-10 "p10" from1.(0) (Dense.get mats.(0) 1 0);
-  check_close ~tol:1e-10 "p11" from1.(1) (Dense.get mats.(0) 1 1)
-
-let test_joint_time_zero () =
-  let mats = Joint_moments.matrices model2 ~t:0. ~order:2 in
-  check_close "identity" 1. (Dense.get mats.(0) 0 0);
-  check_close "no reward" 0. (Dense.get mats.(1) 0 0);
-  check_close "off-diagonal" 0. (Dense.get mats.(0) 0 1)
-
-let test_joint_no_transitions () =
-  let g = Generator.of_triplets ~states:2 [] in
-  let m =
-    Model.make ~generator:g ~rates:[| 1.; 2. |] ~variances:[| 0.5; 0. |]
-      ~initial:[| 0.5; 0.5 |]
-  in
-  let mats = Joint_moments.matrices m ~t:2. ~order:2 in
-  (* Z never moves: off-diagonals 0, diagonals hold Brownian moments. *)
-  check_close "diag m1 state 0" 2. (Dense.get mats.(1) 0 0);
-  check_close "diag m1 state 1" 4. (Dense.get mats.(1) 1 1);
-  check_close "offdiag" 0. (Dense.get mats.(1) 0 1);
-  check_close "diag m2 state 0" (4. +. 1.) (Dense.get mats.(2) 0 0)
-
-let test_joint_decomposition_sums_to_moment () =
-  let t = 1.1 in
-  let per_state = Joint_moments.reward_with_final_state model2 ~t ~order:2 in
-  check_close ~tol:1e-9 "decomposition total"
-    (Randomization.moment model2 ~t ~order:2)
-    (Vec.sum per_state)
-
-let test_covariance_at_equal_times_is_variance () =
-  let t = 0.8 in
-  check_close ~tol:1e-10 "cov(t,t) = var"
-    (Randomization.variance model2 ~t)
-    (Joint_moments.covariance model2 ~t1:t ~t2:t)
-
-let test_covariance_symmetric_in_arguments () =
-  check_close ~tol:1e-10 "symmetry"
-    (Joint_moments.covariance model2 ~t1:0.5 ~t2:1.2)
-    (Joint_moments.covariance model2 ~t1:1.2 ~t2:0.5)
-
-let test_covariance_vs_brownian_closed_form () =
-  (* Uniform rewards: B is Brownian, so Cov(B(s), B(t)) = sigma^2 min(s,t). *)
-  let m =
-    Model.make ~generator:generator2 ~rates:[| 1.; 1. |]
-      ~variances:[| 0.8; 0.8 |] ~initial:[| 1.; 0. |]
-  in
-  check_close ~tol:1e-8 "Brownian covariance" (0.8 *. 0.5)
-    (Joint_moments.covariance m ~t1:0.5 ~t2:1.7)
-
-let test_correlation_range_and_decay () =
-  let c_near = Joint_moments.correlation model2 ~t1:1.0 ~t2:1.1 in
-  let c_far = Joint_moments.correlation model2 ~t1:1.0 ~t2:40.0 in
-  Alcotest.(check bool) "in (0,1]" true (c_near > 0. && c_near <= 1. +. 1e-9);
-  Alcotest.(check bool) "decays with lag" true (c_far < c_near)
 
 (* ------------------------------------------------------------------ *)
 (* Inhomogeneous models                                                 *)
@@ -556,26 +475,6 @@ let () =
             test_quantile_bounds_extreme_p_clamped;
           Alcotest.test_case "Radau rule at exact Gauss node" `Quick
             test_radau_quadrature_at_gauss_node;
-        ] );
-      ( "joint_moments",
-        [
-          Alcotest.test_case "row sums recover V" `Quick
-            test_joint_row_sums_recover_v;
-          Alcotest.test_case "order 0 = transient matrix" `Quick
-            test_joint_order0_is_transient_matrix;
-          Alcotest.test_case "t = 0" `Quick test_joint_time_zero;
-          Alcotest.test_case "no transitions" `Quick
-            test_joint_no_transitions;
-          Alcotest.test_case "decomposition sums" `Quick
-            test_joint_decomposition_sums_to_moment;
-          Alcotest.test_case "cov(t,t) = variance" `Quick
-            test_covariance_at_equal_times_is_variance;
-          Alcotest.test_case "covariance symmetric" `Quick
-            test_covariance_symmetric_in_arguments;
-          Alcotest.test_case "Brownian closed form" `Quick
-            test_covariance_vs_brownian_closed_form;
-          Alcotest.test_case "correlation decay" `Quick
-            test_correlation_range_and_decay;
         ] );
       ( "inhomogeneous",
         [

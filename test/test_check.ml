@@ -1,7 +1,6 @@
 (* Tests for the static verification layer (mrm_check): structured
    diagnostics, Tarjan SCC, the model checks themselves, the solvers'
-   ?validate wiring, the log-space unshift satellite, and the mrm2 lint
-   CLI on the committed fixtures. *)
+   ?validate wiring, and the mrm2 lint CLI on the committed fixtures. *)
 
 module Check = Mrm_check.Check
 module Diagnostics = Mrm_check.Diagnostics
@@ -13,7 +12,6 @@ module Moments_ode = Mrm_core.Moments_ode
 module Onoff = Mrm_models.Onoff
 module Generator = Mrm_ctmc.Generator
 module Sparse = Mrm_linalg.Sparse
-module Special = Mrm_util.Special
 
 let check_close ?(tol = 1e-12) name expected actual =
   let scale = 1. +. Float.max (abs_float expected) (abs_float actual) in
@@ -246,8 +244,6 @@ let test_check_conditioning_codes () =
   expect_code "eps too small" "MRM061" (Check.check_conditioning ~config data);
   let config = { Check.default_config with Check.t = 1e9 } in
   expect_code "qt explosion" "MRM050" (Check.check_conditioning ~config data);
-  (* base_data has a negative drift: the shift note fires. *)
-  expect_code "shift note" "MRM052" (Check.check_conditioning data);
   let spread =
     { (base_data ()) with Check.rates = [| 1e-6; 1e6 |] }
   in
@@ -403,81 +399,6 @@ let prop_disconnected_state_flagged =
       has "MRM030" report && not (Diagnostics.has_errors report))
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: log-space unshift                                         *)
-
-let test_unshift_matches_direct_low_order () =
-  (* Direct binomial-expansion reference at low order, where nothing can
-     overflow: the log-space path must agree to near machine precision. *)
-  let order = 8 and n_states = 3 in
-  let shifted =
-    Array.init (order + 1) (fun n ->
-        Array.init n_states (fun i ->
-            ((0.3 *. float_of_int n) +. 1.) *. (float_of_int i +. 0.7)))
-  in
-  let shift = -1.7 and t = 0.9 in
-  let direct =
-    let c = shift *. t in
-    Array.init (order + 1) (fun n ->
-        Array.init n_states (fun i ->
-            let acc = ref 0. in
-            for j = 0 to n do
-              acc :=
-                !acc
-                +. Special.binomial n j
-                   *. (c ** float_of_int j)
-                   *. shifted.(n - j).(i)
-            done;
-            !acc))
-  in
-  let via_log = Randomization.unshift_moments ~shift ~t shifted in
-  for n = 0 to order do
-    for i = 0 to n_states - 1 do
-      check_close ~tol:1e-12
-        (Printf.sprintf "order %d state %d" n i)
-        direct.(n).(i) via_log.(n).(i)
-    done
-  done
-
-let test_unshift_high_order_finite () =
-  (* Order 40 with a large shift: the naive binomial * c^j path overflows
-     intermediates; the log-space coefficients stay finite whenever the
-     result is representable. *)
-  let order = 40 and n_states = 2 in
-  let shifted =
-    Array.init (order + 1) (fun n ->
-        Array.init n_states (fun _ -> 1. /. Special.factorial (min n 100)))
-  in
-  let out = Randomization.unshift_moments ~shift:(-100.) ~t:1. shifted in
-  Array.iteri
-    (fun n row ->
-      Array.iter
-        (fun v ->
-          if Float.is_nan v then
-            Alcotest.failf "NaN at order %d (coefficients overflowed)" n)
-        row)
-    out
-
-let test_unshift_end_to_end_negative_rates () =
-  (* A negative-rate model exercises the shift path inside the solver;
-     cross-check randomization against the adaptive ODE comparator. *)
-  let g = Generator.of_triplets ~states:2 [ (0, 1, 2.); (1, 0, 3.) ] in
-  let m =
-    Model.make ~generator:g ~rates:[| -4.; 2. |] ~variances:[| 0.5; 1. |]
-      ~initial:[| 1.; 0. |]
-  in
-  let t = 0.8 in
-  let a = Randomization.moments m ~t ~order:4 in
-  let b = Moments_ode.moments_adaptive ~tol:1e-11 m ~t ~order:4 in
-  for n = 0 to 4 do
-    for i = 0 to 1 do
-      check_close ~tol:1e-7
-        (Printf.sprintf "E[B^%d | Z=%d]" n i)
-        b.(n).(i)
-        a.Randomization.moments.(n).(i)
-    done
-  done
-
-(* ------------------------------------------------------------------ *)
 (* Model_io structured errors                                           *)
 
 let test_model_io_error_positions () =
@@ -616,15 +537,6 @@ let () =
           to_alcotest prop_mutated_row_sum_flagged;
           to_alcotest prop_mutated_variance_flagged;
           to_alcotest prop_disconnected_state_flagged;
-        ] );
-      ( "unshift",
-        [
-          Alcotest.test_case "matches direct formula" `Quick
-            test_unshift_matches_direct_low_order;
-          Alcotest.test_case "high order stays finite" `Quick
-            test_unshift_high_order_finite;
-          Alcotest.test_case "negative rates end-to-end" `Quick
-            test_unshift_end_to_end_negative_rates;
         ] );
       ( "model_io",
         [

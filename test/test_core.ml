@@ -4,6 +4,7 @@
 
 module Model = Mrm_core.Model
 module Randomization = Mrm_core.Randomization
+module Check = Mrm_check.Check
 module First_order = Mrm_core.First_order
 module Moments_ode = Mrm_core.Moments_ode
 module Transform_moments = Mrm_core.Transform_moments
@@ -156,7 +157,7 @@ let test_rand_order_zero () =
 
 let test_rand_negative_rates_shift () =
   (* Moments of -B equal (-1)^n times moments of B: run the mirrored model
-     and compare; exercises the r-shift transform. *)
+     and compare; exercises the signed R' recursion. *)
   let mirrored =
     Model.make ~generator:generator2 ~rates:[| -2.0; 1.0 |]
       ~variances:[| 0.5; 1.5 |] ~initial:[| 0.7; 0.3 |]
@@ -164,8 +165,6 @@ let test_rand_negative_rates_shift () =
   let t = 0.8 in
   let original = Randomization.moments model2 ~t ~order:4 in
   let negated = Randomization.moments mirrored ~t ~order:4 in
-  Alcotest.(check bool) "shift applied" true
-    (negated.diagnostics.shift < 0.);
   for n = 0 to 4 do
     let sign = if n mod 2 = 0 then 1. else -1. in
     for i = 0 to 1 do
@@ -174,6 +173,53 @@ let test_rand_negative_rates_shift () =
         (sign *. original.moments.(n).(i))
         negated.moments.(n).(i)
     done
+  done
+
+let test_rand_negative_rates_end_to_end () =
+  (* A negative-rate model exercises the signed R' recursion inside the
+     solver; cross-check randomization against the adaptive ODE
+     comparator. *)
+  let g = Generator.of_triplets ~states:2 [ (0, 1, 2.); (1, 0, 3.) ] in
+  let m =
+    Model.make ~generator:g ~rates:[| -4.; 2. |] ~variances:[| 0.5; 1. |]
+      ~initial:[| 1.; 0. |]
+  in
+  let t = 0.8 in
+  let a = Randomization.moments m ~t ~order:4 in
+  let b = Moments_ode.moments_adaptive ~tol:1e-11 m ~t ~order:4 in
+  for n = 0 to 4 do
+    for i = 0 to 1 do
+      check_close ~tol:1e-7
+        (Printf.sprintf "E[B^%d | Z=%d]" n i)
+        b.(n).(i)
+        a.Randomization.moments.(n).(i)
+    done
+  done
+
+(* Table 1 at sigma^2 = 0 re-centred on its mean rate (rates shifted by
+   c = m_1 / t): the drifts straddle zero, which is where a shift to
+   non-negative rates and the binomial map back cancel catastrophically
+   from about order 8. The signed recursion must track the moment ODE
+   through order 23. *)
+let test_rand_centred_table1_high_order () =
+  let t = 0.5 and order = 23 in
+  let table1 = Mrm_models.Onoff.model (Mrm_models.Onoff.table1 ~sigma2:0.) in
+  let c = Randomization.mean table1 ~t /. t in
+  let m =
+    Model.make ~generator:(table1 : Model.t).Model.generator
+      ~rates:(Array.map (fun r -> r -. c) (table1 : Model.t).Model.rates)
+      ~variances:(table1 : Model.t).Model.variances
+      ~initial:(table1 : Model.t).Model.initial
+  in
+  let a = Randomization.moments m ~t ~order in
+  let b = Moments_ode.moments_adaptive ~tol:1e-13 m ~t ~order in
+  for n = 1 to order do
+    Array.iteri
+      (fun i y ->
+        check_close ~tol:1e-10
+          (Printf.sprintf "E[B^%d | Z=%d]" n i)
+          y a.Randomization.moments.(n).(i))
+      b.(n)
   done
 
 let test_rand_all_zero_rewards () =
@@ -188,7 +234,7 @@ let test_rand_all_zero_rewards () =
 
 let test_rand_constant_negative_drift () =
   (* All rates equal and negative, zero variance: B(t) = r t exactly
-     (the shifted model has d = 0). *)
+     (the solver's constant-drift closed form). *)
   let m =
     Model.make ~generator:generator2 ~rates:[| -3.; -3. |]
       ~variances:[| 0.; 0. |] ~initial:[| 1.; 0. |]
@@ -207,14 +253,12 @@ let test_rand_error_bound_honored () =
   let loose = Randomization.moments ~eps:1e-4 model2 ~t ~order in
   let bound = exp loose.diagnostics.log_error_bound in
   Alcotest.(check bool) "bound <= eps" true (bound <= 1e-4);
-  (* The shifted model's moments differ from the unshifted by the binomial
-     map, which can only scale the error by O(1) here; compare directly on
-     the final moments with head-room. *)
+  (* The bound applies to the highest-order moment vector itself. *)
   for i = 0 to 1 do
     let diff =
       abs_float (reference.moments.(order).(i) -. loose.moments.(order).(i))
     in
-    if diff > 10. *. bound +. 1e-12 then
+    if diff > bound +. 1e-12 then
       Alcotest.failf "error %g exceeds bound %g (state %d)" diff bound i
   done
 
@@ -230,19 +274,19 @@ let test_rand_eps_controls_iterations () =
     (unconditional model2 loose.moments 2)
 
 let test_rand_diagnostics_substochastic () =
-  (* d is chosen so R' and S' are substochastic: max r'_i <= 1,
+  (* d is chosen so |R'| and S' are substochastic: max |r'_i| <= 1,
      max s'_i <= 1 (the DESIGN.md correction to the paper's d). *)
   let r = Randomization.moments model2 ~t:1. ~order:2 in
-  let { Randomization.q; d; shift; _ } = r.diagnostics in
-  let max_shifted_rate =
+  let { Randomization.q; d; _ } = r.diagnostics in
+  let max_abs_rate =
     Array.fold_left Float.max neg_infinity
-      (Array.map (fun x -> x -. shift) (model2 : Model.t).Model.rates)
+      (Array.map abs_float (model2 : Model.t).Model.rates)
   in
   let max_variance =
     Array.fold_left Float.max 0. (model2 : Model.t).Model.variances
   in
   Alcotest.(check bool) "R' substochastic" true
-    (max_shifted_rate /. (q *. d) <= 1. +. 1e-12);
+    (max_abs_rate /. (q *. d) <= 1. +. 1e-12);
   Alcotest.(check bool) "S' substochastic" true
     (max_variance /. (q *. d *. d) <= 1. +. 1e-12)
 
@@ -345,17 +389,17 @@ let test_rand_truncation_point_degenerate () =
      rate means the Poisson mixture is concentrated at N = 0, so order
      terms suffice exactly. *)
   Alcotest.(check int) "lambda = 0, order 3" 3
-    (Randomization.truncation_point ~d:1. ~lambda:0. ~order:3 ~eps:1e-9);
+    (Check.truncation_point ~d:1. ~lambda:0. ~order:3 ~eps:1e-9);
   Alcotest.(check int) "lambda = 0, order 0" 1
-    (Randomization.truncation_point ~d:1. ~lambda:0. ~order:0 ~eps:1e-9);
-  (match Randomization.truncation_point ~d:1. ~lambda:Float.nan ~order:2 ~eps:1e-9 with
+    (Check.truncation_point ~d:1. ~lambda:0. ~order:0 ~eps:1e-9);
+  (match Check.truncation_point ~d:1. ~lambda:Float.nan ~order:2 ~eps:1e-9 with
   | _ -> Alcotest.fail "nan lambda accepted"
   | exception Invalid_argument _ -> ());
-  (match Randomization.truncation_point ~d:1. ~lambda:(-1.) ~order:2 ~eps:1e-9 with
+  (match Check.truncation_point ~d:1. ~lambda:(-1.) ~order:2 ~eps:1e-9 with
   | _ -> Alcotest.fail "negative lambda accepted"
   | exception Invalid_argument _ -> ());
   (* Sanity on a regular call: G grows with lambda and stays modest. *)
-  let g = Randomization.truncation_point ~d:1. ~lambda:10. ~order:2 ~eps:1e-9 in
+  let g = Check.truncation_point ~d:1. ~lambda:10. ~order:2 ~eps:1e-9 in
   Alcotest.(check bool) "regular G sensible" true (g > 10 && g < 100)
 
 (* Golden values: [moments] on the Section-7 ON-OFF model must reproduce
@@ -886,6 +930,10 @@ let () =
           Alcotest.test_case "order 0" `Quick test_rand_order_zero;
           Alcotest.test_case "negative rates (shift)" `Quick
             test_rand_negative_rates_shift;
+          Alcotest.test_case "negative rates end-to-end" `Quick
+            test_rand_negative_rates_end_to_end;
+          Alcotest.test_case "centred Table 1, orders 1-23" `Quick
+            test_rand_centred_table1_high_order;
           Alcotest.test_case "all-zero rewards" `Quick
             test_rand_all_zero_rewards;
           Alcotest.test_case "constant negative drift" `Quick

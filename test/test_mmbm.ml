@@ -4,6 +4,7 @@
    models, and QCheck2 mass/nonnegativity properties. *)
 
 module Dense = Mrm_linalg.Dense
+module Sparse = Mrm_linalg.Sparse
 module Vec = Mrm_linalg.Vec
 module Generator = Mrm_ctmc.Generator
 module Stationary = Mrm_ctmc.Stationary
@@ -260,12 +261,19 @@ let random_model_gen =
     let initial = Array.init n (fun i -> if i = 0 then 1. else 0.) in
     return (Model.make ~generator ~rates ~variances ~initial))
 
+(* Every field at full precision, so a failing draw can be rebuilt. *)
 let model_print (m : Model.t) =
-  Printf.sprintf "n=%d rates=[%s] variances=[%s]" (Model.dim m)
-    (String.concat ";"
-       (Array.to_list (Array.map string_of_float m.Model.rates)))
-    (String.concat ";"
-       (Array.to_list (Array.map string_of_float m.Model.variances)))
+  let floats a =
+    String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%.17g") a))
+  in
+  let transitions = ref [] in
+  Sparse.iter (Generator.matrix m.Model.generator) (fun i j v ->
+      if i <> j then
+        transitions := Printf.sprintf "(%d,%d,%.17g)" i j v :: !transitions);
+  Printf.sprintf "n=%d transitions=[%s] rates=[%s] variances=[%s]"
+    (Model.dim m)
+    (String.concat ";" (List.rev !transitions))
+    (floats m.Model.rates) (floats m.Model.variances)
 
 let density_mass_property =
   QCheck2.Test.make ~count:25
@@ -301,11 +309,12 @@ let density_mass_property =
       let panels = 16 in
       let integral =
         (* composite quadrature: one high-order panel per dyadic slice
-           so the mass near 0 is resolved even when b is large *)
+           [0, b/2^15], [b/2^15, b/2^14], ..., [b/2, b], so the mass near
+           0 is resolved even when b is large *)
         let acc = ref 0. in
         let lo = ref 0. in
-        for k = 1 to panels do
-          let hi = if k = panels then b else b *. float_of_int k /. float_of_int panels in
+        for k = panels - 1 downto 0 do
+          let hi = Float.ldexp b (-k) in
           acc :=
             !acc
             +. Quadrature.gauss_legendre ~f:(Mmbm.total_density r) ~a:!lo
