@@ -73,14 +73,27 @@ let reward_scaling ~q ~rates ~variances =
     Float.max (max_abs_rate /. q) (max_std /. sqrt q)
   end
 
-(* Truncation point from Theorem 4, with a corrected tail index. The
-   paper's appendix bounds the truncated series by
-   2 d^n n! (qt)^n sum_{k >= G+n+1} Pois(qt; k), but the substitution
-   w_k k!/(k-n)! = (qt)^n w_{k-n} actually shifts the index the other way:
-   the tail starts at G+1-n. We therefore pick the smallest G with
-   2 d^n n! (qt)^n * P(Pois(qt) >= G+1-n) < eps (G is larger than the
-   paper's by about 2n; validated empirically in the test suite). *)
-let truncation_point ~d ~lambda ~order ~eps =
+(* The two a-priori truncation bounds, as the log of their prefactor
+   before the Poisson tail P(Pois(qt) >= G+1-n):
+   - rate rewards, Theorem 4 with a corrected tail index: the paper's
+     appendix bounds the truncated series by
+     2 d^n n! (qt)^n sum_{k >= G+n+1} Pois(qt; k), but the substitution
+     w_k k!/(k-n)! = (qt)^n w_{k-n} actually shifts the index the other
+     way, so the tail starts at G+1-n (G is larger than the paper's by
+     about 2n; validated empirically in the test suite);
+   - impulse rewards: (4d)^n (qt)^n, from |U^(n)(k)| <= (2k)^n / n!
+     (see impulse.mli). *)
+let log_prefactor ~impulses ~d ~lambda ~order =
+  if impulses then float_of_int order *. (log 4. +. log d +. log lambda)
+  else
+    log 2.
+    +. (float_of_int order *. log d)
+    +. Special.log_factorial order
+    +. (float_of_int order *. log lambda)
+
+(* The smallest G whose bound is below eps; the impulse rule also keeps
+   G >= 2 order. *)
+let truncation_point ~impulses ~d ~lambda ~order ~eps =
   if not (Float.is_finite lambda) || lambda < 0. then
     invalid_arg "Check.truncation_point: requires finite lambda >= 0";
   (* mrm:ignore SRC001 — sentinel: Pois(0) is a point mass at k = 0, but
@@ -93,16 +106,16 @@ let truncation_point ~d ~lambda ~order ~eps =
        enough terms for the weights to sum to ~1. *)
     Poisson.tail_quantile ~lambda ~log_eps:(log eps)
   else begin
-    let log_prefactor =
-      log 2.
-      +. (float_of_int order *. log d)
-      +. Special.log_factorial order
-      +. (float_of_int order *. log lambda)
-    in
-    let log_eps = log eps -. log_prefactor in
+    let log_eps = log eps -. log_prefactor ~impulses ~d ~lambda ~order in
     let m = Poisson.tail_quantile ~lambda ~log_eps in
-    max 1 (m + order - 1)
+    max (if impulses then 2 * order else 1) (m + order - 1)
   end
+
+let log_error_bound ~impulses ~d ~lambda ~order ~g =
+  if order = 0 then neg_infinity
+  else
+    log_prefactor ~impulses ~d ~lambda ~order
+    +. Poisson.log_tail ~lambda (max 0 (g + 1 - order))
 
 (* ------------------------------------------------------------------ *)
 (* Passes                                                               *)
@@ -457,7 +470,8 @@ let check_conditioning ?(config = default_config)
       in
       if lambda > 0. && d > 0. && Float.is_finite d then begin
         let g =
-          truncation_point ~d ~lambda ~order:config.order ~eps:config.eps
+          truncation_point ~impulses:false ~d ~lambda ~order:config.order
+            ~eps:config.eps
         in
         if g > g_warning_threshold then
           add

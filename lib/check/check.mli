@@ -69,8 +69,8 @@ val default_config : config
 (** [t = 1., order = 3, eps = 1e-9, jobs = 1], no overrides. *)
 
 (* ------------------------------------------------------------------ *)
-(* The solver's scaling constant and truncation point, defined once:    *)
-(* Randomization and Impulse call these, and so do the passes below.    *)
+(* The solver's scaling constant, truncation point and error bound,     *)
+(* defined once: Randomization calls these, and so do the passes below. *)
 
 val reward_scaling : q:float -> rates:float array -> variances:float array ->
   float
@@ -80,12 +80,26 @@ val reward_scaling : q:float -> rates:float array -> variances:float array ->
     may be negative; the recursion runs on the signed [R']. [0.] when
     [q <= 0] (transition-free models take a closed form). *)
 
-val truncation_point : d:float -> lambda:float -> order:int -> eps:float -> int
-(** The Theorem-4 truncation point [G] with the corrected tail index:
-    the smallest [G] with [2 d^n n! lambda^n P(Pois(lambda) >= G+1-n) <
-    eps] for [n = order], where [lambda = q t]. [lambda = 0.] (a
-    point-mass Poisson) short-circuits to [max 1 order].
+val truncation_point :
+  impulses:bool -> d:float -> lambda:float -> order:int -> eps:float -> int
+(** The truncation point [G]: the smallest [G] whose a-priori bound
+    {!log_error_bound} is below [eps], for [n = order] and
+    [lambda = q t]. Two rules:
+    - [~impulses:false] (rate rewards): Theorem 4 with the corrected tail
+      index, [2 d^n n! lambda^n P(Pois(lambda) >= G+1-n) < eps];
+    - [~impulses:true] (impulse rewards on transitions):
+      [(4d)^n lambda^n P(Pois(lambda) >= G+1-n) < eps], with
+      [G >= 2 order]. [d] must then also dominate the impulses.
+    Order 0 needs only [P(Pois(lambda) >= G+1) < eps] under both rules,
+    and [lambda = 0.] (a point-mass Poisson) short-circuits to
+    [max 1 order].
     @raise Invalid_argument if [lambda] is NaN, infinite or negative. *)
+
+val log_error_bound :
+  impulses:bool -> d:float -> lambda:float -> order:int -> g:int -> float
+(** The natural log of the a-priori truncation-error bound of a sweep
+    truncated at [g], under the same rule as {!truncation_point};
+    [neg_infinity] at order 0, where the recursion is exact. *)
 
 (* ------------------------------------------------------------------ *)
 (* Individual passes. Each returns an independent diagnostic list;      *)

@@ -1,5 +1,6 @@
 module Generator = Mrm_ctmc.Generator
 module Poisson = Mrm_ctmc.Poisson
+module Sparse = Mrm_linalg.Sparse
 module Vec = Mrm_linalg.Vec
 module Special = Mrm_util.Special
 module Pool = Mrm_engine.Pool
@@ -87,6 +88,37 @@ let sweep_context pool q' ~n_states =
 
 let pool_jobs = function None -> 1 | Some pool -> Pool.jobs pool
 
+(* Impulse coupling matrices (1/m!, P^(m)) for m = 1..order, with
+   P^(m)_ij = q_ij rho_ij^m / (q d^m) on the support of rho. *)
+let coupling_matrices generator rho ~q ~d ~order =
+  let n = Sparse.rows rho and qm = Generator.matrix generator in
+  Array.init order (fun k ->
+      let m = float_of_int (k + 1) in
+      let triplets = ref [] in
+      Sparse.iter rho (fun i j r ->
+          triplets := (i, j, Sparse.get qm i j *. (r ** m)) :: !triplets);
+      ( 1. /. Special.factorial (k + 1),
+        Sparse.scale (1. /. (q *. (d ** m)))
+          (Sparse.of_triplets ~rows:n ~cols:n !triplets) ))
+
+(* The impulse terms of one round on rows [lo, hi):
+   U^(j)(k+1) += sum_{m=1..j} (1/m!) P^(m) U^(j-m)(k), added after the
+   R' and S' terms. [scratch] is shared by all parties, each using only
+   its own rows. *)
+let add_coupling p scratch ~cur ~next ~order ~lo ~hi =
+  for j = order downto 1 do
+    let nj = next.(j) in
+    for m = 1 to j do
+      let c, pm = p.(m - 1) in
+      if Sparse.nnz pm > 0 then begin
+        Sparse.mv_into_range pm cur.(j - m) scratch ~lo ~hi;
+        for i = lo to hi - 1 do
+          nj.(i) <- nj.(i) +. (c *. scratch.(i))
+        done
+      end
+    done
+  done
+
 (* Run the whole recursion: G rounds, round k advancing U(k) -> U(k+1)
    and folding U(k+1) into the accumulators listed in [terms.(k+1)].
 
@@ -98,8 +130,9 @@ let pool_jobs = function None -> 1 | Some pool -> Pool.jobs pool
    in a single pass: the matrix row is walked once for all orders
    ([Kernel.mv_fused]), then the reward-vector terms are added in the
    original element-wise operation order (dot, then the R' term, then
-   the S' term, highest order first), then the step's Poisson terms
-   are folded into their accumulator blocks. The element-wise
+   the S' term, highest order first), then the impulse terms when the
+   model has impulse rewards ([add_coupling]), then the step's Poisson
+   terms are folded into their accumulator blocks. The element-wise
    operation sequence is exactly the one the historic
    advance/accumulate pair performed, so results are bit-for-bit
    unchanged — sequential or parallel, CSR or tridiagonal.
@@ -109,7 +142,7 @@ let pool_jobs = function None -> 1 | Some pool -> Pool.jobs pool
    caller. [terms.(0)] is never read: U^(j)(0) = 0 for j >= 1, and
    adding w * 0. to a +0. accumulator leaves +0. bit-for-bit, so the
    historic k = 0 accumulation was a no-op. *)
-let run_sweep ctx ~r' ~s' ~order ~n_states ~g ~terms =
+let run_sweep ctx ~r' ~s' ~coupling ~order ~n_states ~g ~terms =
   let ones = Vec.ones n_states in
   let make_u () =
     Array.init (order + 1) (fun j ->
@@ -137,6 +170,9 @@ let run_sweep ctx ~r' ~s' ~order ~n_states ~g ~terms =
         done
       end
     done;
+    (match coupling with
+    | None -> ()
+    | Some (p, scratch) -> add_coupling p scratch ~cur ~next ~order ~lo ~hi);
     List.iter
       (fun (w, acc) ->
         for j = 1 to order do
@@ -155,18 +191,33 @@ let run_sweep ctx ~r' ~s' ~order ~n_states ~g ~terms =
    shared sweep: the U^(n)(k) recursion does not depend on t, only the
    Poisson weights do, so one pass to the largest per-time G serves
    every point, each folding its own weights into its own accumulators.
-   R' keeps the sign of the drifts (see the .mli note on d). *)
-let solve ?pool model ~times ~order ~eps =
+   R' keeps the sign of the drifts (see the .mli note on d). A non-empty
+   impulse matrix [rho] raises d to dominate it, switches to the
+   impulse truncation rule and adds the coupling terms to the sweep; a
+   model with impulses never has a constant drift. *)
+let solve ?pool ?impulses model ~times ~order ~eps =
   Metrics.incr m_solves;
   let n_states = Model.dim model in
   let q = Generator.uniformization_rate model.Model.generator in
+  let rho =
+    Option.bind impulses (fun rho ->
+        if Sparse.nnz rho > 0 then Some rho else None)
+  in
   let d =
-    Mrm_check.Check.reward_scaling ~q ~rates:model.Model.rates
-      ~variances:model.Model.variances
+    let max_rho = ref 0. in
+    Option.iter
+      (fun rho ->
+        Sparse.iter rho (fun _ _ r -> max_rho := Float.max !max_rho r))
+      rho;
+    Float.max !max_rho
+      (Mrm_check.Check.reward_scaling ~q ~rates:model.Model.rates
+         ~variances:model.Model.variances)
   in
   let min_rate = Model.min_rate model in
   let constant_drift =
-    Model.is_first_order model && Float.equal min_rate (Model.max_rate model)
+    Option.is_none rho
+    && Model.is_first_order model
+    && Float.equal min_rate (Model.max_rate model)
   in
   let closed_form t =
     let closed path moments =
@@ -203,14 +254,15 @@ let solve ?pool model ~times ~order ~eps =
   if not (Array.exists Option.is_none closed) then
     Array.map (fun c -> snd (Option.get c)) closed
   else begin
-    let g_of_t, q', r', s' =
+    let impulses = Option.is_some rho in
+    let g_of_t, q', r', s', coupling =
       Trace.with_span "randomization.setup" (fun () ->
           let g_of_t =
             Array.mapi
               (fun i t ->
                 if swept i then
-                  Mrm_check.Check.truncation_point ~d ~lambda:(q *. t) ~order
-                    ~eps
+                  Mrm_check.Check.truncation_point ~impulses ~d
+                    ~lambda:(q *. t) ~order ~eps
                 else 0)
               times
           in
@@ -219,7 +271,14 @@ let solve ?pool model ~times ~order ~eps =
           let s' =
             Array.map (fun v -> v /. (q *. d *. d)) model.Model.variances
           in
-          (g_of_t, q', r', s'))
+          let coupling =
+            Option.map
+              (fun rho ->
+                ( coupling_matrices model.Model.generator rho ~q ~d ~order,
+                  Vec.zeros n_states ))
+              rho
+          in
+          (g_of_t, q', r', s', coupling))
     in
     let g = Array.fold_left max 0 g_of_t in
     record_truncation g;
@@ -253,7 +312,8 @@ let solve ?pool model ~times ~order ~eps =
                 times;
               !step_terms)
         in
-        if order >= 1 then run_sweep ctx ~r' ~s' ~order ~n_states ~g ~terms);
+        if order >= 1 then
+          run_sweep ctx ~r' ~s' ~coupling ~order ~n_states ~g ~terms);
     Trace.with_span "randomization.finalize" (fun () ->
         Array.mapi
           (fun i t ->
@@ -271,13 +331,8 @@ let solve ?pool model ~times ~order ~eps =
                           accumulators.(i).(n))
                 in
                 let log_error_bound =
-                  if order = 0 then neg_infinity
-                  else
-                    log 2.
-                    +. (float_of_int order *. log d)
-                    +. Special.log_factorial order
-                    +. (float_of_int order *. log lambda)
-                    +. Poisson.log_tail ~lambda (max 0 (g_t + 1 - order))
+                  Mrm_check.Check.log_error_bound ~impulses ~d ~lambda ~order
+                    ~g:g_t
                 in
                 {
                   moments;
@@ -298,7 +353,8 @@ let check_args fn ~times ~order ~eps =
   if order < 0 then fail "order >= 0";
   if not (eps > 0.) then fail "eps > 0"
 
-let moments ?(validate = false) ?(eps = 1e-9) ?pool model ~t ~order =
+let moments ?(validate = false) ?(eps = 1e-9) ?pool ?impulses model ~t
+    ~order =
   if validate then
     validate_model model ~t ~order ~eps ~jobs:(pool_jobs pool);
   check_args "moments" ~times:[| t |] ~order ~eps;
@@ -306,7 +362,7 @@ let moments ?(validate = false) ?(eps = 1e-9) ?pool model ~t ~order =
     ~attrs:
       [ ("t", Trace.Float t); ("order", Trace.Int order);
         ("eps", Trace.Float eps) ]
-  @@ fun () -> (solve ?pool model ~times:[| t |] ~order ~eps).(0)
+  @@ fun () -> (solve ?pool ?impulses model ~times:[| t |] ~order ~eps).(0)
 
 let moments_at_times ?(validate = false) ?(eps = 1e-9) ?pool model ~times
     ~order =

@@ -14,7 +14,9 @@
 type diagnostics = {
   q : float;  (** uniformization rate [max_i |q_ii|] *)
   d : float;  (** reward scaling constant (see note below) *)
-  iterations : int;  (** the truncation point [G] of Theorem 4 *)
+  iterations : int;
+      (** the truncation point [G] of Theorem 4 (or of the impulse rule,
+          see [impulses] below) *)
   eps : float;  (** requested precision *)
   log_error_bound : float;
       (** natural log of the guaranteed element-wise truncation error of
@@ -29,8 +31,8 @@ type result = {
 }
 
 val moments :
-  ?validate:bool -> ?eps:float -> ?pool:Mrm_engine.Pool.t -> Model.t ->
-  t:float -> order:int -> result
+  ?validate:bool -> ?eps:float -> ?pool:Mrm_engine.Pool.t ->
+  ?impulses:Mrm_linalg.Sparse.t -> Model.t -> t:float -> order:int -> result
 (** All per-state raw moments of [B(t)] up to [order].
 
     [validate] (default [false]) runs the full static-analysis pass of
@@ -67,6 +69,23 @@ val moments :
     A model whose states all share one drift [c] and have no variance
     short-circuits to [V^(n) = (c t)^n] (reported with [d = 0.] and
     [iterations = 0]).
+
+    [impulses] is model data, not a setting: the impulse-reward matrix
+    [rho_ij] of an {!Impulse.t}, as validated by {!Impulse.make}
+    (non-negative entries on the off-diagonal support of [Q]);
+    {!Impulse.moments} is the entry point that passes it. When [rho] has
+    any entry the same sweep adds the terms
+    [sum_{m=1..n} (1/m!) P^(m) U^(n-m)(k)] with
+    [P^(m)_ij = q_ij rho_ij^m / (q d^m)] to each row, after its [R'] and
+    [S'] terms (pool and bit-for-bit guarantees as above), and:
+    - [d = max(max_ij rho_ij, reward_scaling)], so every [P^(m)] stays
+      substochastic;
+    - [G] and [log_error_bound] follow the [(4d)^n] impulse rule of
+      {!Mrm_check.Check.truncation_point} ([~impulses:true]), with
+      [G >= 2 order];
+    - the constant-drift closed form is off: the impulses make [B(t)]
+      random even when every drift is the same.
+    An empty [rho] is the same solve as no [rho].
 
     [t = 0.] short-circuits to the exact answer — moment 0 is the ones
     vector, every higher moment is the zero vector — without touching

@@ -5,7 +5,6 @@
 module Model = Mrm_core.Model
 module Randomization = Mrm_core.Randomization
 module Check = Mrm_check.Check
-module First_order = Mrm_core.First_order
 module Moments_ode = Mrm_core.Moments_ode
 module Transform_moments = Mrm_core.Transform_moments
 module Simulate = Mrm_core.Simulate
@@ -294,7 +293,7 @@ let test_rand_mean_vs_transient_integral () =
   (* E B(t) = int_0^t p(u) r du, via Simpson on uniformization transients
      (an oracle independent of the moment recursion). *)
   let t = 1.7 in
-  let simpson = First_order.expected_reward_integral model2 ~t ~steps:200 in
+  let simpson = Oracles.expected_reward_integral model2 ~t ~steps:200 in
   check_close ~tol:1e-8 "mean = rate integral"
     simpson
     (Randomization.mean model2 ~t)
@@ -332,7 +331,7 @@ let test_rand_variance_decomposition () =
       ~variances:[| 0.; 0. |] ~initial:(model2 : Model.t).Model.initial
   in
   let brownian_contribution =
-    First_order.expected_reward_integral sigma_model ~t ~steps:400
+    Oracles.expected_reward_integral sigma_model ~t ~steps:400
   in
   check_close ~tol:1e-7 "variance decomposition"
     (first +. brownian_contribution)
@@ -388,18 +387,19 @@ let test_rand_truncation_point_degenerate () =
      search and return a poisoned truncation point. A zero uniformization
      rate means the Poisson mixture is concentrated at N = 0, so order
      terms suffice exactly. *)
+  let truncation_point = Check.truncation_point ~impulses:false ~d:1. in
   Alcotest.(check int) "lambda = 0, order 3" 3
-    (Check.truncation_point ~d:1. ~lambda:0. ~order:3 ~eps:1e-9);
+    (truncation_point ~lambda:0. ~order:3 ~eps:1e-9);
   Alcotest.(check int) "lambda = 0, order 0" 1
-    (Check.truncation_point ~d:1. ~lambda:0. ~order:0 ~eps:1e-9);
-  (match Check.truncation_point ~d:1. ~lambda:Float.nan ~order:2 ~eps:1e-9 with
+    (truncation_point ~lambda:0. ~order:0 ~eps:1e-9);
+  (match truncation_point ~lambda:Float.nan ~order:2 ~eps:1e-9 with
   | _ -> Alcotest.fail "nan lambda accepted"
   | exception Invalid_argument _ -> ());
-  (match Check.truncation_point ~d:1. ~lambda:(-1.) ~order:2 ~eps:1e-9 with
+  (match truncation_point ~lambda:(-1.) ~order:2 ~eps:1e-9 with
   | _ -> Alcotest.fail "negative lambda accepted"
   | exception Invalid_argument _ -> ());
   (* Sanity on a regular call: G grows with lambda and stays modest. *)
-  let g = Check.truncation_point ~d:1. ~lambda:10. ~order:2 ~eps:1e-9 in
+  let g = truncation_point ~lambda:10. ~order:2 ~eps:1e-9 in
   Alcotest.(check bool) "regular G sensible" true (g > 10 && g < 100)
 
 (* Golden values: [moments] on the Section-7 ON-OFF model must reproduce
@@ -461,31 +461,7 @@ let test_rand_higher_order_moments_positive () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* First_order                                                          *)
-
-let first_order_model =
-  Model.first_order ~generator:generator2 ~rates:[| 2.; -1. |]
-    ~initial:[| 0.7; 0.3 |]
-
-let test_first_order_rejects_second_order () =
-  match First_order.moments model2 ~t:1. ~order:2 with
-  | _ -> Alcotest.fail "expected rejection"
-  | exception Invalid_argument _ -> ()
-
-let test_first_order_matches_general_solver () =
-  let t = 1.3 in
-  let dedicated = First_order.moments first_order_model ~t ~order:3 in
-  let general =
-    Randomization.moments
-      (Model.with_variances model2 [| 0.; 0. |])
-      ~t ~order:3
-  in
-  for n = 0 to 3 do
-    check_close ~tol:1e-12
-      (Printf.sprintf "n=%d" n)
-      general.moments.(n).(0)
-      dedicated.moments.(n).(0)
-  done
+(* First-order models (sigma^2 = 0)                                     *)
 
 let test_first_order_two_state_mean_closed_form () =
   (* For a 2-state chain the mean reward has the closed form
@@ -503,7 +479,7 @@ let test_first_order_two_state_mean_closed_form () =
     (rho *. t) +. ((r0 -. rho) *. (1. -. exp (-.(a +. b) *. t)) /. (a +. b))
   in
   check_close ~tol:1e-10 "closed-form mean" expected
-    (First_order.mean m ~t)
+    (Randomization.mean m ~t)
 
 (* ------------------------------------------------------------------ *)
 (* Moments_ode                                                          *)
@@ -964,10 +940,6 @@ let () =
         ] );
       ( "first_order",
         [
-          Alcotest.test_case "rejects second-order model" `Quick
-            test_first_order_rejects_second_order;
-          Alcotest.test_case "matches general solver" `Quick
-            test_first_order_matches_general_solver;
           Alcotest.test_case "two-state closed-form mean" `Quick
             test_first_order_two_state_mean_closed_form;
         ] );

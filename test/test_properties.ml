@@ -241,9 +241,13 @@ let prop_truncation_point_monotone =
       let* order = int_range 0 6 in
       return (d, lambda, eps, order))
     (fun (d, lambda, eps, order) ->
-      let g o = Check.truncation_point ~d ~lambda ~order:o ~eps in
+      let g o =
+        Check.truncation_point ~impulses:false ~d ~lambda ~order:o ~eps
+      in
       let lambda_ok =
-        g order <= Check.truncation_point ~d ~lambda:(2. *. lambda) ~order ~eps
+        g order
+        <= Check.truncation_point ~impulses:false ~d ~lambda:(2. *. lambda)
+             ~order ~eps
       in
       let order_ok =
         (* Only claimed on the validated domain (see comment above). *)
