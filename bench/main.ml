@@ -25,6 +25,7 @@ module Moments_ode = Mrm_core.Moments_ode
 module Simulate = Mrm_core.Simulate
 module Moment_bounds = Mrm_core.Moment_bounds
 module Steady = Mrm_core.Steady
+module Mmbm = Mrm_mmbm.Mmbm
 module Onoff = Mrm_models.Onoff
 module Table = Mrm_util.Table
 module Vec = Mrm_linalg.Vec
@@ -623,27 +624,26 @@ let fluid () =
     Mrm_ctmc.Generator.of_triplets ~states:2 [ (0, 1, 1.); (1, 0, 2.) ]
   in
   let rates = [| 1.5; -6. |] and variances = [| 0.5; 1. |] in
-  let queue = Mrm_fluid.Fluid.make ~generator ~rates ~variances in
-  let s, fluid_time = wall_clock (fun () -> Mrm_fluid.Fluid.stationary queue) in
+  let reward_model =
+    Model.make ~generator ~rates ~variances ~initial:[| 1.; 0. |]
+  in
+  let r, fluid_time = wall_clock (fun () -> Mmbm.solve reward_model) in
   Printf.printf
     "fluid queue: mean drift %.3f, stationary mean level %.4f, tail decay \
-     %.4f (solved in %.4fs via a 4x4 quadratic eigenproblem)\n"
-    (Mrm_fluid.Fluid.mean_drift s)
-    (Mrm_fluid.Fluid.mean_level s)
-    (Mrm_fluid.Fluid.decay_rate s)
-    fluid_time;
+     %.4f (solved in %.4fs by cyclic reduction)\n"
+    r.Mmbm.reward_rate r.Mmbm.mean_level (Mmbm.decay_rate r) fluid_time;
   let rows =
     List.map
       (fun x ->
-        [ Table.float_cell x; Table.float_cell (Mrm_fluid.Fluid.ccdf s x) ])
+        [
+          Table.float_cell x;
+          Table.float_cell (1. -. Vec.sum (Mmbm.cdf r x));
+        ])
       [ 0.5; 1.; 2.; 4.; 8. ]
   in
   print_string (Table.render ~header:[ "x"; "P(level > x)" ] rows);
   (* The unbounded reward twin drifts to -infinity instead of sitting at
      a stationary level. *)
-  let reward_model =
-    Model.make ~generator ~rates ~variances ~initial:[| 1.; 0. |]
-  in
   let reward_rows =
     List.map
       (fun t ->

@@ -4,13 +4,13 @@
 
    An ON-OFF source feeds a link of capacity c: while ON the net buffer
    drift is (peak - c) with variance sigma2_on; while OFF it drains at -c.
-   The fluid solver gives the stationary buffer distribution; we read off
-   the buffer size needed for a target overflow probability and sweep the
-   link capacity.
+   The stationary solver (cyclic reduction, as in mrm2 stationary) gives
+   the stationary buffer distribution; we read off the buffer size needed
+   for a target overflow probability and sweep the link capacity.
 
    Run with: dune exec examples/link_dimensioning.exe *)
 
-module Fluid = Mrm_fluid.Fluid
+module Mmbm = Mrm_mmbm.Mmbm
 
 let () =
   let alpha = 1.0 (* ON -> OFF *) and beta = 0.5 (* OFF -> ON *) in
@@ -30,12 +30,14 @@ let () =
   List.iter
     (fun c ->
       let queue =
-        Fluid.make ~generator
+        Mrm_core.Model.make ~generator
           ~rates:[| -.c; peak -. c |]
           ~variances:[| 0.5; sigma2_on |]
+          ~initial:[| 1.; 0. |]
       in
-      let s = Fluid.stationary queue in
-      let eta = Fluid.decay_rate s in
+      let r = Mmbm.solve queue in
+      let eta = Mmbm.decay_rate r in
+      let ccdf x = 1. -. Mrm_linalg.Vec.sum (Mmbm.cdf r x) in
       (* Buffer size for overflow probability 1e-6 by bisection on the
          exact ccdf (the decay rate alone would ignore the prefactor). *)
       let target = 1e-6 in
@@ -43,13 +45,13 @@ let () =
         if iterations = 0 then hi
         else begin
           let mid = 0.5 *. (lo +. hi) in
-          if Fluid.ccdf s mid > target then bisect mid hi (iterations - 1)
+          if ccdf mid > target then bisect mid hi (iterations - 1)
           else bisect lo mid (iterations - 1)
         end
       in
       let buffer = bisect 0. (200. /. eta) 60 in
       Printf.printf "%8.1f %12.3f %12.4f %12.4f %14.2f\n" c
-        (mean_input /. c) (Fluid.mean_level s) eta buffer)
+        (mean_input /. c) r.Mmbm.mean_level eta buffer)
     [ 4.5; 5.; 6.; 7.; 8. ];
 
   print_endline

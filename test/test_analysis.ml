@@ -1,15 +1,11 @@
 (* Tests for the second wave of analysis features: shared-sweep
-   randomization, quantile bounds, inhomogeneous models, quadrature and
-   SVG/CSV rendering. *)
+   randomization, quantile bounds, quadrature and SVG/CSV rendering. *)
 
 module Model = Mrm_core.Model
 module Randomization = Mrm_core.Randomization
 module Moment_bounds = Mrm_core.Moment_bounds
-module Inhomogeneous = Mrm_core.Inhomogeneous
 module Generator = Mrm_ctmc.Generator
-module Transient = Mrm_ctmc.Transient
 module Vec = Mrm_linalg.Vec
-module Quadrature = Mrm_util.Quadrature
 module Svg_plot = Mrm_util.Svg_plot
 module Special = Mrm_util.Special
 
@@ -140,99 +136,6 @@ let test_radau_quadrature_at_gauss_node () =
   let b = Moment_bounds.prepare (Array.init 10 (fun k -> Special.factorial k)) in
   let gauss_nodes, _ = Moment_bounds.gauss_quadrature b in
   check_at (Array.init 10 (fun k -> Special.factorial k)) gauss_nodes.(0)
-
-(* ------------------------------------------------------------------ *)
-(* Inhomogeneous models                                                 *)
-
-let test_inhomogeneous_matches_homogeneous () =
-  let wrapped = Inhomogeneous.of_homogeneous model2 in
-  let t = 0.9 in
-  let inhom = Inhomogeneous.moments ~tol:1e-11 wrapped ~t ~order:3 in
-  let reference = Randomization.moments model2 ~t ~order:3 in
-  for n = 0 to 3 do
-    for i = 0 to 1 do
-      check_close ~tol:1e-7
-        (Printf.sprintf "n=%d i=%d" n i)
-        reference.Randomization.moments.(n).(i)
-        inhom.(n).(i)
-    done
-  done
-
-let test_inhomogeneous_time_scaled_rates () =
-  (* Single state, rate r(t) = 2t, no variance: B(t) = t^2 exactly. *)
-  let g = Generator.of_triplets ~states:1 [] in
-  let m =
-    Inhomogeneous.make ~states:1
-      ~generator:(fun _ -> g)
-      ~rates:(fun u -> [| 2. *. u |])
-      ~variances:(fun _ -> [| 0. |])
-      ~initial:[| 1. |]
-  in
-  check_close ~tol:1e-8 "quadratic mean" 2.25 (Inhomogeneous.mean m ~t:1.5);
-  (* Second moment of a deterministic quantity is its square. *)
-  check_close ~tol:1e-7 "m2 = mean^2" (2.25 ** 2.)
-    (Inhomogeneous.moment m ~t:1.5 ~order:2)
-
-let test_inhomogeneous_time_scaled_variance () =
-  (* Single state, r = 0, sigma^2(u) = 3u: Var B(t) = int 3u du = 1.5 t^2. *)
-  let g = Generator.of_triplets ~states:1 [] in
-  let m =
-    Inhomogeneous.make ~states:1
-      ~generator:(fun _ -> g)
-      ~rates:(fun _ -> [| 0. |])
-      ~variances:(fun u -> [| 3. *. u |])
-      ~initial:[| 1. |]
-  in
-  check_close ~tol:1e-7 "accumulated variance" (1.5 *. 4.)
-    (Inhomogeneous.moment m ~t:2. ~order:2)
-
-let test_inhomogeneous_switching_generator () =
-  (* Generator switches from "fast to state 1" to "fast to state 0" at
-     t = 1; compare the mean against a two-segment homogeneous
-     computation via the Markov property at the switch point. *)
-  let g_a = Generator.of_triplets ~states:2 [ (0, 1, 5.); (1, 0, 0.1) ] in
-  let g_b = Generator.of_triplets ~states:2 [ (0, 1, 0.1); (1, 0, 5.) ] in
-  let rates = [| 1.; 0. |] in
-  let m =
-    Inhomogeneous.make ~states:2
-      ~generator:(fun u -> if u < 1. then g_a else g_b)
-      ~rates:(fun _ -> rates)
-      ~variances:(fun _ -> [| 0.; 0. |])
-      ~initial:[| 1.; 0. |]
-  in
-  let t = 2. in
-  let inhom = Inhomogeneous.mean ~tol:1e-12 ~breakpoints:[| 1. |] m ~t in
-  (* Segment 1: homogeneous g_a over [0,1]. *)
-  let m_a =
-    Model.first_order ~generator:g_a ~rates ~initial:[| 1.; 0. |]
-  in
-  let mean_1 = Randomization.mean m_a ~t:1. in
-  let p_at_1 = Transient.probabilities g_a ~initial:[| 1.; 0. |] ~t:1. in
-  (* Segment 2: homogeneous g_b over [1,2] from the reached distribution. *)
-  let m_b = Model.first_order ~generator:g_b ~rates ~initial:p_at_1 in
-  let mean_2 = Randomization.mean m_b ~t:1. in
-  check_close ~tol:1e-6 "two-segment composition" (mean_1 +. mean_2) inhom
-
-let test_inhomogeneous_validation () =
-  let g = Generator.of_triplets ~states:2 [ (0, 1, 1.); (1, 0, 1.) ] in
-  (match
-     Inhomogeneous.make ~states:2
-       ~generator:(fun _ -> g)
-       ~rates:(fun _ -> [| 1. |])
-       ~variances:(fun _ -> [| 0.; 0. |])
-       ~initial:[| 1.; 0. |]
-   with
-  | _ -> Alcotest.fail "rates dimension"
-  | exception Invalid_argument _ -> ());
-  match
-    Inhomogeneous.make ~states:2
-      ~generator:(fun _ -> g)
-      ~rates:(fun _ -> [| 1.; 1. |])
-      ~variances:(fun _ -> [| -1.; 0. |])
-      ~initial:[| 1.; 0. |]
-  with
-  | _ -> Alcotest.fail "negative variance"
-  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Quadrature                                                           *)
@@ -475,19 +378,6 @@ let () =
             test_quantile_bounds_extreme_p_clamped;
           Alcotest.test_case "Radau rule at exact Gauss node" `Quick
             test_radau_quadrature_at_gauss_node;
-        ] );
-      ( "inhomogeneous",
-        [
-          Alcotest.test_case "homogeneous wrap" `Quick
-            test_inhomogeneous_matches_homogeneous;
-          Alcotest.test_case "time-scaled rates" `Quick
-            test_inhomogeneous_time_scaled_rates;
-          Alcotest.test_case "time-scaled variance" `Quick
-            test_inhomogeneous_time_scaled_variance;
-          Alcotest.test_case "switching generator" `Quick
-            test_inhomogeneous_switching_generator;
-          Alcotest.test_case "validation" `Quick
-            test_inhomogeneous_validation;
         ] );
       ( "quadrature",
         [

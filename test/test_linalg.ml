@@ -5,7 +5,6 @@ module Vec = Mrm_linalg.Vec
 module Dense = Mrm_linalg.Dense
 module Lu = Mrm_linalg.Lu
 module Sparse = Mrm_linalg.Sparse
-module Cmatrix = Mrm_linalg.Cmatrix
 module Tridiag = Mrm_linalg.Tridiag
 
 let check_close ?(tol = 1e-12) name expected actual =

@@ -431,70 +431,25 @@ let prop_fluid_cdf_valid =
       let pi = Stationary.gth g in
       let drift = Vec.dot pi raw_rates in
       let rates = Array.map (fun r -> r -. drift -. 0.5) raw_rates in
-      match Mrm_fluid.Fluid.make ~generator:g ~rates ~variances with
+      match Fluid.make ~generator:g ~rates ~variances with
       | exception Invalid_argument _ -> true (* e.g. all rates negative *)
       | queue -> begin
-          match Mrm_fluid.Fluid.stationary queue with
+          match Fluid.stationary queue with
           | exception Failure _ -> false
           | s ->
               let ok = ref true in
-              if Mrm_fluid.Fluid.cdf s 0. > 1e-6 then ok := false;
+              if Fluid.cdf s 0. > 1e-6 then ok := false;
               let previous = ref (-1e-9) in
               for k = 0 to 30 do
-                let c = Mrm_fluid.Fluid.cdf s (0.5 *. float_of_int k) in
+                let c = Fluid.cdf s (0.5 *. float_of_int k) in
                 if c < !previous -. 1e-7 then ok := false;
                 previous := c
               done;
-              if abs_float (Mrm_fluid.Fluid.cdf s 400. -. 1.) > 1e-3 then
+              if abs_float (Fluid.cdf s 400. -. 1.) > 1e-3 then
                 ok := false;
-              if Mrm_fluid.Fluid.mean_level s <= 0. then ok := false;
+              if Fluid.mean_level s <= 0. then ok := false;
               !ok
         end)
-
-let prop_completion_duality =
-  (* First-order positive-rate models: E T_x from the dual matches the
-     level-crossing identity d/dx E T_x = E[1/r at the crossing] ... use
-     the simpler consistency E T_x is increasing and superadditive-ish;
-     plus the strong check via the dual of the dual being the original. *)
-  let gen =
-    QCheck2.Gen.(
-      let* g = random_generator_gen in
-      let n = Generator.dim g in
-      let* rates = list_repeat n (float_range 0.3 3.) in
-      let* start = int_range 0 (n - 1) in
-      return (g, Array.of_list rates, start))
-  in
-  QCheck2.Test.make ~count:30 ~name:"completion-time dual is an involution"
-    ~print:(fun (g, _, _) -> Printf.sprintf "dim %d" (Generator.dim g))
-    gen
-    (fun (g, rates, start) ->
-      let n = Generator.dim g in
-      let initial = Array.init n (fun i -> if i = start then 1. else 0.) in
-      let model = Model.first_order ~generator:g ~rates ~initial in
-      let dual = Mrm_core.Completion_time.dual_model model in
-      let double_dual = Mrm_core.Completion_time.dual_model dual in
-      (* Rates recover exactly; generators agree entrywise. *)
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        if
-          abs_float
-            ((double_dual : Model.t).Model.rates.(i) -. rates.(i))
-          > 1e-12 *. (1. +. rates.(i))
-        then ok := false
-      done;
-      Sparse.iter (Generator.matrix g) (fun i j v ->
-          let v' =
-            Sparse.get
-              (Generator.matrix (double_dual : Model.t).Model.generator)
-              i j
-          in
-          if abs_float (v -. v') > 1e-9 *. (1. +. abs_float v) then
-            ok := false);
-      (* Mean completion time is increasing in the level. *)
-      let m1 = Mrm_core.Completion_time.mean model ~x:0.5 in
-      let m2 = Mrm_core.Completion_time.mean model ~x:1.5 in
-      if not (m2 > m1 && m1 > 0.) then ok := false;
-      !ok)
 
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
@@ -531,6 +486,5 @@ let () =
         [
           to_alcotest prop_eigen_transpose_invariant;
           to_alcotest prop_fluid_cdf_valid;
-          to_alcotest prop_completion_duality;
         ] );
     ]
