@@ -133,6 +133,32 @@ let parse_raw_exn text =
       check_state line "impulse" i;
       check_state line "impulse" j)
     !impulses;
+  (* Impulse lines are validated here, once, so lint reports a bad one at
+     its line and every loader refuses it. [Impulse.make] repeats these
+     checks for library callers. *)
+  let can_fire = Hashtbl.create 16 and seen = Hashtbl.create 16 in
+  List.iter
+    (fun (_, (i, j, rate)) ->
+      if rate > 0. then Hashtbl.replace can_fire (i, j) ())
+    !transitions;
+  List.iter
+    (fun (line, (i, j, rho)) ->
+      let field = "impulse" in
+      if Int.equal i j then
+        err ~line ~field "impulse on (%d,%d): impulses live on transitions"
+          i j;
+      if not (Float.is_finite rho && rho >= 0.) then
+        err ~line ~field "impulse %g on (%d,%d) must be finite and >= 0" rho
+          i j;
+      if not (Hashtbl.mem can_fire (i, j)) then
+        err ~line ~field
+          "impulse on (%d,%d) but no transition %d -> %d with a positive \
+           rate"
+          i j i j;
+      if Hashtbl.mem seen (i, j) then
+        err ~line ~field "duplicate impulse on (%d,%d)" i j;
+      Hashtbl.add seen (i, j) ())
+    (List.rev !impulses);
   let strip entries = List.rev_map snd entries in
   {
     declared_states = n;

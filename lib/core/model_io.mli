@@ -48,14 +48,19 @@ type raw = {
   raw_initial : (int * float) list;
   raw_impulses : (int * int * float) list;
 }
-(** Syntactic content of a model file, before any semantic validation:
-    negative rates, negative variances and non-normalized initial
-    distributions are all representable. [mrm2 lint] analyzes this form
-    so it can report {e all} violations with state indices, rather than
-    stopping at the first exception from the validating constructors. *)
+(** Syntactic content of a model file, before the semantic validation of
+    the model itself: negative rates, negative variances and
+    non-normalized initial distributions are all representable. [mrm2
+    lint] analyzes this form so it can report {e all} violations with
+    state indices, rather than stopping at the first exception from the
+    validating constructors. Impulse lines are the exception: they are
+    validated here (see {!parse_raw}). *)
 
 val parse_raw : string -> (raw, error) result
-(** Syntax and state-index-range checking only. *)
+(** Syntax and state-index-range checking, plus the impulse lines: each
+    reward must be finite and [>= 0], sit on a pair [i <> j] declared by
+    a [transition] line with a positive rate, and appear once per pair.
+    A failure has [field = "impulse"] and the line. *)
 
 val parse_string_result : string -> (parsed, error) result
 (** Full pipeline: {!parse_raw}, then generator and model construction
