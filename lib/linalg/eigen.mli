@@ -2,11 +2,10 @@
     Householder reduction to upper Hessenberg form followed by the
     Francis implicit double-shift QR iteration.
 
-    Needed by the second-order fluid-queue comparator, whose stationary
-    solution is a spectral decomposition of a quadratic eigenproblem.
-    Eigenvalues only — eigenvectors are recovered separately by inverse
-    iteration on the (nearly singular) shifted matrix, which composes
-    better with the quadratic problem. *)
+    Needed by [Mrm_mmbm.Mmbm.decay_rate], the tail decay rate of the
+    stationary level: minus the largest real part among the eigenvalues
+    of the density exponent [H]. The spectral fluid-queue oracle of the
+    test suite uses it too. Eigenvalues only. *)
 
 val eigenvalues : Dense.t -> Complex.t array
 (** All [n] eigenvalues (with multiplicity), in unspecified order.
