@@ -54,9 +54,10 @@ let load path =
 
 let header =
   [
-    "# mrm2 lint-src baseline: pre-existing findings waived per (code, file).";
+    "# lint-src baseline: pre-existing findings waived per (code, file).";
     "# One entry per line: CODE FILE COUNT. New findings beyond COUNT fail.";
-    "# Regenerate with: mrm2 lint-src --baseline <this file> --update-baseline";
+    "# Regenerate with: dune exec lint/lint_src.exe -- --baseline <this file> \
+     --update-baseline";
   ]
 
 let to_string t =

@@ -100,7 +100,7 @@ let rule_table =
   ]
 
 (* One paragraph + a minimal firing example per rule, behind
-   [mrm2 lint-src --list-rules] / [--explain]. The SRC02x examples are
+   [lint-src --list-rules] / [--explain]. The SRC02x examples are
    verbatim lines of their defective fixtures under test/fixtures/src/
    (asserted by test_absint), so the documentation cannot drift from
    the code that demonstrates it. *)

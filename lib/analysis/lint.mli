@@ -96,7 +96,7 @@ val rule_table : (string * Mrm_check.Diagnostics.severity * string) list
 
 val rule_docs : (string * string * string) list
 (** (code, one-paragraph explanation, minimal firing example) for
-    every code in {!rule_table} — behind [mrm2 lint-src --list-rules]
+    every code in {!rule_table} — behind [lint-src --list-rules]
     and [--explain]. The SRC020–SRC024 examples are verbatim lines of
     their defective fixtures under [test/fixtures/src/] (tested), so
     the documentation cannot drift from the code it demonstrates. *)
