@@ -236,28 +236,6 @@ let meth_of_string = function
   | "gaver" -> Some Gaver
   | _ -> None
 
-let builtin_model json name =
-  let* sigma2 = field_or json "sigma2" ~default:1.0 Json.to_float in
-  let* size = field_or json "size" ~default:32 Json.to_int in
-  match name with
-  | "onoff" ->
-      Ok
-        (Mrm_models.Onoff.model
-           {
-             (Mrm_models.Onoff.table1 ~sigma2) with
-             sources = size;
-             capacity = float_of_int size;
-           })
-  | "repair" ->
-      Ok
-        Mrm_models.Machine_repair.(
-          model { default with machines = size })
-  | "multi" ->
-      Ok
-        Mrm_models.Multiprocessor.(
-          model { default with processors = size })
-  | other -> Error (Printf.sprintf "unknown built-in model %S" other)
-
 let model_of_spec json =
   match (Json.member "file" json, Json.member "model" json) with
   | Some _, Some _ -> Error "give either \"file\" or \"model\", not both"
@@ -278,7 +256,10 @@ let model_of_spec json =
   | None, Some m -> (
       match Json.to_str m with
       | None -> Error "field \"model\": expected a built-in name"
-      | Some name -> builtin_model json name)
+      | Some name ->
+          let* sigma2 = field_or json "sigma2" ~default:1.0 Json.to_float in
+          let* size = field_or json "size" ~default:32 Json.to_int in
+          Mrm_models.Builtin.model name ~sigma2 ~size)
 
 let times_of_spec json =
   match (Json.member "times" json, Json.member "t" json) with

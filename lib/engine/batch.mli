@@ -98,8 +98,10 @@ val job_of_json :
     ["moments"] (default) or ["stationary"] (with optional [drain] and
     [regularize] numbers; [times] may then be omitted). An unrecognised
     [kind] is rejected with an [MRM069] message that names the offending
-    value and the supported set. Files declaring impulse rewards are
-    rejected — route those through [mrm2 moments]. *)
+    value and the supported set. A built-in out of its domain
+    ({!Mrm_models.Builtin.model}) is an [Error] with the constructor's
+    message. Files declaring impulse rewards are rejected — route those
+    through [mrm2 moments]. *)
 
 val outcome_to_json : outcome -> Mrm_util.Json.t
 (** [{"id", "digest", "duplicate_of", "elapsed", "status": "ok" |

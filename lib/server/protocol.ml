@@ -30,10 +30,6 @@ let request_of_json ?default_eps ~now ~default_id json =
   | Error e -> Error e
   | Ok deadline -> (
       match Batch.job_of_json ~default_id ?default_eps json with
-      (* Model builders reject out-of-domain specs (negative variance,
-         bad dimensions) by raising — at the service boundary that is a
-         malformed request, not a dead handler thread. *)
-      | exception Invalid_argument msg -> Error msg
       | Error e -> Error e
       | Ok job ->
           Ok

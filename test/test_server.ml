@@ -215,9 +215,8 @@ let test_protocol_deadline_parsing () =
       | Error e ->
           if not (String.length e > 0) then Alcotest.fail "empty error")
     [ "0"; "-1"; "\"soon\"" ];
-  (* model builders raise on out-of-domain specs (negative variance);
-     the service boundary must answer SRV001, not lose the handler
-     thread to the exception *)
+  (* an out-of-domain built-in (negative variance) is SRV001 material,
+     returned as an error rather than raised into the handler thread *)
   match
     Protocol.parse_request ~now ~default_id:"d"
       "{\"id\":\"bad\",\"model\":\"onoff\",\"sigma2\":-5,\"size\":8,\"t\":0.5}"
@@ -436,6 +435,32 @@ let test_server_malformed_line_keeps_connection () =
       Alcotest.(check (option string)) "connection survives" (Some "ok")
         (Protocol.response_status good)
   | _ -> Alcotest.fail "expected 2 responses"
+
+(* A built-in out of its domain is SRV001 carrying the constructor's
+   message, and the connection stays open. *)
+let test_server_out_of_domain_builtin () =
+  let config = Server.default_config (`Tcp ("127.0.0.1", 0)) in
+  with_server config @@ fun handle ->
+  let responses = ref [] in
+  let _summary =
+    with_input_lines
+      [
+        {|{"model":"onoff","size":0,"t":1}|};
+        {|{"model":"onoff","sigma2":1e308,"t":1}|};
+      ]
+      (fun ic ->
+        Client.call (tcp_endpoint handle) ~input:ic ~on_response:(fun l ->
+            responses := l :: !responses))
+  in
+  Alcotest.(check (list string))
+    "SRV001 responses"
+    [
+      Protocol.error_response ~id:"req-1" ~code:"SRV001"
+        "Onoff: sources must be positive";
+      Protocol.error_response ~id:"req-2" ~code:"SRV001"
+        "Model.make: variance inf at state 2";
+    ]
+    (List.rev !responses)
 
 let test_server_unix_socket_lifecycle () =
   let path = Filename.temp_file "mrm2_serve" ".sock" in
@@ -1044,6 +1069,8 @@ let () =
             test_server_cache_and_deadline_tcp;
           Alcotest.test_case "malformed line keeps connection" `Quick
             test_server_malformed_line_keeps_connection;
+          Alcotest.test_case "out-of-domain built-in is SRV001" `Quick
+            test_server_out_of_domain_builtin;
           Alcotest.test_case "unix socket lifecycle" `Quick
             test_server_unix_socket_lifecycle;
           Alcotest.test_case "concurrent clients" `Quick
