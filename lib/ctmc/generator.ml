@@ -8,6 +8,10 @@ let validate m =
     invalid_arg "Generator.of_sparse: generator must be square";
   let q = ref 0. in
   Sparse.iter m (fun i j v ->
+      if not (Float.is_finite v) then
+        invalid_arg
+          (Printf.sprintf "Generator.of_sparse: non-finite entry %g at (%d,%d)"
+             v i j);
       if i = j then begin
         if v > 0. then
           invalid_arg
@@ -46,6 +50,10 @@ let of_triplets ~states triplets =
           invalid_arg
             (Printf.sprintf
                "Generator.of_triplets: negative rate %g at (%d, %d)" v i j);
+        if i <> j && not (Float.is_finite v) then
+          invalid_arg
+            (Printf.sprintf
+               "Generator.of_triplets: non-finite rate %g at (%d, %d)" v i j);
         i <> j && v <> 0.)
       triplets
   in

@@ -5,15 +5,17 @@ type t
     zero row sums. *)
 
 val of_sparse : Mrm_linalg.Sparse.t -> t
-(** @raise Invalid_argument if the matrix is not square, has a negative
-    off-diagonal or positive diagonal entry, or a row sum exceeding
-    [1e-9 * max |q_ii|] in magnitude. *)
+(** @raise Invalid_argument if the matrix is not square, has a
+    non-finite entry, a negative off-diagonal or positive diagonal entry,
+    or a row sum exceeding [1e-9 * max |q_ii|] in magnitude. *)
 
 val of_dense : Mrm_linalg.Dense.t -> t
 
 val of_triplets : states:int -> (int * int * float) list -> t
 (** Build from off-diagonal rate triplets; the diagonal is filled in as
-    the negated row sums (any diagonal entries supplied are ignored). *)
+    the negated row sums (any diagonal entries supplied are ignored).
+    @raise Invalid_argument on an index out of range or a negative or
+    non-finite rate, then as {!of_sparse}. *)
 
 val birth_death :
   states:int -> birth:(int -> float) -> death:(int -> float) -> t

@@ -114,6 +114,26 @@ let test_generator_validation () =
    with
   | _ -> Alcotest.fail "expected row-sum rejection"
   | exception Invalid_argument _ -> ());
+  (* Non-finite entries pass the sign and row-sum checks (an inf - inf
+     row sum is NaN), so they are rejected on their own. *)
+  List.iter
+    (fun v ->
+      Alcotest.check_raises
+        (Printf.sprintf "non-finite entry %g" v)
+        (Invalid_argument
+           (Printf.sprintf "Generator.of_sparse: non-finite entry %g at (0,0)"
+              (-.v)))
+        (fun () ->
+          ignore
+            (Generator.of_sparse
+               (Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 0, -.v); (0, 1, v) ])));
+      Alcotest.check_raises
+        (Printf.sprintf "non-finite rate %g" v)
+        (Invalid_argument
+           (Printf.sprintf
+              "Generator.of_triplets: non-finite rate %g at (0, 1)" v))
+        (fun () -> ignore (Generator.of_triplets ~states:2 [ (0, 1, v) ])))
+    [ infinity; nan ];
   (* Non-square rejected. *)
   match Generator.of_sparse (Sparse.of_triplets ~rows:2 ~cols:3 []) with
   | _ -> Alcotest.fail "expected square rejection"
