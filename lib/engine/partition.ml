@@ -65,11 +65,6 @@ let record_imbalance partition matrix =
   end;
   partition
 
-let of_pool_for ~jobs matrix =
-  let rows = Sparse.rows matrix in
-  let parts = max 1 (min (max 1 rows) (4 * jobs)) in
-  record_imbalance (by_nnz ~parts matrix) matrix
-
 let pinned ~jobs matrix =
   if jobs < 1 then invalid_arg "Partition.pinned: jobs must be >= 1";
   (* Exactly one range per party — the barrier protocol of

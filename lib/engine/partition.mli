@@ -35,12 +35,6 @@ val of_ranges : rows:int -> (int * int) array -> t
     ({!Racecheck.check_ranges}); without the checker, overlapping
     ranges silently race. @raise Invalid_argument when [rows < 0]. *)
 
-val of_pool_for : jobs:int -> Mrm_linalg.Sparse.t -> t
-(** The partition the dynamically scheduled kernels use: {!by_nnz}
-    with [4 * jobs] parts (capped at the row count) — enough slack for
-    the dynamic scheduler to absorb load imbalance without measurable
-    dispatch overhead. *)
-
 val pinned : jobs:int -> Mrm_linalg.Sparse.t -> t
 (** The partition the persistent-chunk sweep uses: {!by_nnz} with
     {e exactly} [jobs] parts, one per pool party, even when

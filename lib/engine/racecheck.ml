@@ -19,14 +19,6 @@ let () =
 
 let m_sweeps = Mrm_obs.Metrics.counter "racecheck.sweeps"
 
-(* Sites whose write-disjointness the static pass (SRC020) proved;
-   recorded next to the dynamic sweep counter so a coverage report can
-   say "N sweeps checked at runtime, M kernel bodies proven for free". *)
-let m_statically_proven = Mrm_obs.Metrics.counter "racecheck.statically_proven"
-
-let note_statically_proven ?(count = 1) () =
-  Mrm_obs.Metrics.incr ~by:count m_statically_proven
-
 (* Enabled by MRM2_RACECHECK (1/true/on/yes), read once at startup —
    eagerly, not as a lazy value: kernels query it from several domains
    at once, and racing forces of one lazy raise

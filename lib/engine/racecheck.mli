@@ -26,13 +26,6 @@ val set_enabled : bool option -> unit
 (** Test hook: [Some b] forces the checker on/off, [None] returns to
     the environment setting. *)
 
-val note_statically_proven : ?count:int -> unit -> unit
-(** Record [count] (default 1) kernel sites whose write-disjointness
-    was proven statically by [Mrm_analysis]'s SRC020 pass; bumps the
-    [racecheck.statically_proven] counter so metrics reports can show
-    static proofs alongside the dynamically validated sweep count
-    ([racecheck.sweeps]). *)
-
 val check_ranges : what:string -> rows:int -> (int * int) array -> unit
 (** [check_ranges ~what ~rows ranges] validates that the per-job
     [[lo, hi)] write ranges are within bounds ([RACE003]), pairwise

@@ -35,11 +35,6 @@ let add_inplace dst src =
     dst.(i) <- dst.(i) +. src.(i)
   done
 
-let scale_inplace alpha a =
-  for i = 0 to Array.length a - 1 do
-    a.(i) <- alpha *. a.(i)
-  done
-
 let dot a b =
   check_same_dim "dot" a b;
   let acc = ref 0. in

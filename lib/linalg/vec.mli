@@ -19,8 +19,6 @@ val axpy : alpha:float -> x:t -> y:t -> unit
 val add_inplace : t -> t -> unit
 (** [add_inplace dst src] is [dst := dst + src]. *)
 
-val scale_inplace : float -> t -> unit
-
 val dot : t -> t -> float
 
 val norm_inf : t -> float

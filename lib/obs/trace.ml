@@ -68,7 +68,6 @@ let set_sink s =
           end
       | Null | Stderr -> ())
 
-let current_sink () = !sink_state
 let enabled () = !sink_state <> Null
 
 let sink_of_spec = function

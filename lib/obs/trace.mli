@@ -58,8 +58,6 @@ val set_sink : sink -> unit
 (** Select the sink. Replacing a {!Jsonl} sink flushes and closes its
     file. *)
 
-val current_sink : unit -> sink
-
 val enabled : unit -> bool
 (** [true] iff the sink is not {!Null}. *)
 

@@ -1,5 +1,4 @@
 let log1p = Float.log1p
-let expm1 = Float.expm1
 
 (* In log space, neg_infinity is the exact encoding of zero mass — the
    sentinel comparisons below are representation checks, not numeric

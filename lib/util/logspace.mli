@@ -17,5 +17,3 @@ val log_sum_exp : float array -> float
 val log1p : float -> float
 (** Accurate [log (1. +. x)] for small [x]. *)
 
-val expm1 : float -> float
-(** Accurate [exp x -. 1.] for small [x]. *)

@@ -370,14 +370,7 @@ let test_repo_kernels_proven () =
           Alcotest.(check bool) "at least the 5 known sites proven" true
             (by Absint.Proven >= 5);
           Alcotest.(check int) "no flagged site in lib" 0 (by Absint.Flagged);
-          Alcotest.(check int) "no unknown site in lib" 0 (by Absint.Unknown);
-          (* record the proofs next to the dynamic checker's counters *)
-          let m = Mrm_obs.Metrics.counter "racecheck.statically_proven" in
-          let before = Mrm_obs.Metrics.count m in
-          Racecheck.note_statically_proven ~count:(by Absint.Proven) ();
-          Alcotest.(check int) "statically_proven counter"
-            (before + by Absint.Proven)
-            (Mrm_obs.Metrics.count m))
+          Alcotest.(check int) "no unknown site in lib" 0 (by Absint.Unknown))
 
 (* ------------------------------------------------------------------ *)
 (* Cross-check: proven kernel shapes vs the dynamic race checker        *)
