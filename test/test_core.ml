@@ -402,24 +402,27 @@ let test_rand_truncation_point_degenerate () =
   let g = truncation_point ~lambda:10. ~order:2 ~eps:1e-9 in
   Alcotest.(check bool) "regular G sensible" true (g > 10 && g < 100)
 
+(* Golden fixtures hold one record per line; blank and '#' lines are
+   comments. Values are compared by their bits. *)
+let fixture_records path =
+  let ic = open_in path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      let rec read acc =
+        match input_line ic with
+        | line -> read (if line = "" || line.[0] = '#' then acc else line :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      read [])
+
+let check_bits name expected actual =
+  if Int64.bits_of_float expected <> Int64.bits_of_float actual then
+    Alcotest.failf "%s: expected %h, got %h" name expected actual
+
 (* Golden values: [moments] on the Section-7 ON-OFF model must reproduce
    the recorded hex floats bit for bit (values, G and the error bound),
    so a restructuring of the solver cannot drift the numbers silently. *)
 let test_rand_golden_hex () =
-  let ic = open_in "fixtures/moments_golden.txt" in
-  let lines =
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        let rec read acc =
-          match input_line ic with
-          | line -> read (if line = "" || line.[0] = '#' then acc else line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        read [])
-  in
-  let bits name expected actual =
-    if Int64.bits_of_float expected <> Int64.bits_of_float actual then
-      Alcotest.failf "%s: expected %h, got %h" name expected actual
-  in
+  let lines = fixture_records "fixtures/moments_golden.txt" in
   let rec cases = function
     | [] -> ()
     | header :: rest ->
@@ -428,12 +431,12 @@ let test_rand_golden_hex () =
             let model = Mrm_models.Onoff.model (Mrm_models.Onoff.table1 ~sigma2) in
             let r = Randomization.moments model ~t ~order in
             Alcotest.(check int) (name ^ ": G") g r.diagnostics.iterations;
-            bits (name ^ ": bound") bound r.diagnostics.log_error_bound;
+            check_bits (name ^ ": bound") bound r.diagnostics.log_error_bound;
             List.iteri
               (fun n row ->
                 List.iteri
                   (fun i hex ->
-                    bits
+                    check_bits
                       (Printf.sprintf "%s: V^(%d)_%d" name n i)
                       (float_of_string hex) r.moments.(n).(i))
                   (String.split_on_char ' ' row))
@@ -441,6 +444,81 @@ let test_rand_golden_hex () =
             cases (List.filteri (fun n _ -> n > order) rest))
   in
   cases lines
+
+(* The sweep paths moments_golden.txt leaves open: the CSR kernel (the
+   multiprocessor model at orders 3 and 5), a five-point shared sweep on
+   the Table-2 shape at orders 2 and 3, and a first-order model at
+   order 1. Each case is solved without a pool and on a 2-job pool; both
+   must reproduce the recorded bits. *)
+let sweep_golden_model = function
+  | "multi20" ->
+      Mrm_models.Multiprocessor.(model { default with processors = 20 })
+  | "scaled400" -> Mrm_models.Onoff.(model (scaled_table2 ~sources:400))
+  | "onoff-sigma0" -> Mrm_models.Onoff.(model (table1 ~sigma2:0.))
+  | name -> Alcotest.failf "sweep_golden.txt: unknown model %s" name
+
+let test_rand_sweep_golden_hex () =
+  let rec take k acc rest =
+    if k = 0 then (List.rev acc, rest)
+    else
+      match rest with
+      | x :: rest -> take (k - 1) (x :: acc) rest
+      | [] -> Alcotest.fail "sweep_golden.txt: truncated case"
+  in
+  let check_case pool ~name ~order ~stride points =
+    let model = sweep_golden_model name in
+    let times = Array.of_list (List.map (fun (t, _, _, _) -> t) points) in
+    let results =
+      Randomization.moments_at_times ?pool model ~times ~order
+    in
+    List.iteri
+      (fun k (t, g, bound, rows) ->
+        let r = results.(k) in
+        let what =
+          Printf.sprintf "%s order %d t=%h (%s)" name order t
+            (if pool = None then "no pool" else "2 jobs")
+        in
+        Alcotest.(check int) (what ^ ": G") g r.diagnostics.iterations;
+        check_bits (what ^ ": bound") bound r.diagnostics.log_error_bound;
+        List.iteri
+          (fun n row ->
+            List.iteri
+              (fun k hex ->
+                let i = k * stride in
+                check_bits
+                  (Printf.sprintf "%s: V^(%d)_%d" what n i)
+                  (float_of_string hex) r.moments.(n).(i))
+              (String.split_on_char ' ' row))
+          rows)
+      points
+  in
+  let rec cases pool = function
+    | [] -> ()
+    | header :: rest ->
+        let name, order, stride, count =
+          Scanf.sscanf header "case model=%s order=%d stride=%d times=%d"
+            (fun name order stride count -> (name, order, stride, count))
+        in
+        let rec points k acc rest =
+          if k = 0 then (List.rev acc, rest)
+          else
+            match rest with
+            | point :: rest ->
+                let t, g, bound =
+                  Scanf.sscanf point "t=%h G=%d bound=%h" (fun t g b ->
+                      (t, g, b))
+                in
+                let rows, rest = take (order + 1) [] rest in
+                points (k - 1) ((t, g, bound, rows) :: acc) rest
+            | [] -> Alcotest.fail "sweep_golden.txt: truncated case"
+        in
+        let pts, rest = points count [] rest in
+        check_case pool ~name ~order ~stride pts;
+        cases pool rest
+  in
+  let lines = fixture_records "fixtures/sweep_golden.txt" in
+  cases None lines;
+  Mrm_engine.Pool.with_pool ~jobs:2 (fun pool -> cases (Some pool) lines)
 
 let test_rand_higher_order_moments_positive () =
   (* Non-negative rates + nonneg support start: all raw moments of the
@@ -937,6 +1015,8 @@ let () =
           Alcotest.test_case "high orders monotone in t" `Quick
             test_rand_higher_order_moments_positive;
           Alcotest.test_case "golden hex floats" `Quick test_rand_golden_hex;
+          Alcotest.test_case "sweep golden hex floats" `Quick
+            test_rand_sweep_golden_hex;
         ] );
       ( "first_order",
         [
