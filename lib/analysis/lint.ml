@@ -78,7 +78,9 @@ let rule_table =
     ( "SRC020",
       Diagnostics.Error,
       "write to a shared array inside a partitioned-kernel body not \
-       provably within the job's [lo,hi) range (abstract interpretation)" );
+       provably within the job's [lo,hi) range (or [s*lo,s*hi) at a \
+       row-interleaved stride s), or one array written at two strides \
+       (abstract interpretation)" );
     ( "SRC021",
       Diagnostics.Warning,
       "division by a possibly-zero value, or log/sqrt/** applied to an \
@@ -181,8 +183,11 @@ let rule_docs =
        slice — that disjointness is the engine's whole memory-safety \
        argument. The abstract interpreter re-analyzes each body under \
        symbolic bounds and flags any store it cannot place inside the \
-       range; proven bodies are counted in the --strict summary and \
-       exempt the dynamic race checker.",
+       range. A row-interleaved array of s entries per row may be \
+       written at s*i + j (0 <= j < s) inside [s*lo, s*hi), as long as \
+       every store to that array keeps the one stride s; proven bodies \
+       are counted in the --strict summary and exempt the dynamic race \
+       checker.",
       "for i = lo to hi do acc.(i) <- 0. done" );
     ( "SRC021",
       "The divisor (or the argument of log/sqrt/**) carries an \

@@ -189,6 +189,12 @@ let test_src020_range_write () =
   check_pair ~path:"lib/util/fake.ml" ~code:"SRC020" ~lines:[ 5 ]
     "src_absint_range.ml" "src_absint_range_ok.ml"
 
+(* A row-interleaved write s i + j (0 <= j < s) is proven inside
+   [s lo, s hi - 1]; one array written at two strides is not. *)
+let test_src020_strided_write () =
+  check_pair ~path:"lib/util/fake.ml" ~code:"SRC020" ~lines:[ 7 ]
+    "src_absint_stride.ml" "src_absint_stride_ok.ml"
+
 let test_src021_division () =
   check_pair ~path:"lib/util/fake.ml" ~code:"SRC021" ~lines:[ 5 ]
     "src_absint_div.ml" "src_absint_div_ok.ml"
@@ -442,6 +448,8 @@ let () =
         [
           Alcotest.test_case "SRC020 kernel write range" `Quick
             test_src020_range_write;
+          Alcotest.test_case "SRC020 strided write" `Quick
+            test_src020_strided_write;
           Alcotest.test_case "SRC021 division" `Quick test_src021_division;
           Alcotest.test_case "SRC022 bounds" `Quick test_src022_bounds;
           Alcotest.test_case "SRC023 NaN compare" `Quick test_src023_nan_compare;
