@@ -101,87 +101,37 @@ let coupling_matrices generator rho ~q ~d ~order =
         Sparse.scale (1. /. (q *. (d ** m)))
           (Sparse.of_triplets ~rows:n ~cols:n !triplets) ))
 
-(* The impulse terms of one round on rows [lo, hi):
-   U^(j)(k+1) += sum_{m=1..j} (1/m!) P^(m) U^(j-m)(k), added after the
-   R' and S' terms. [scratch] is shared by all parties, each using only
-   its own rows. *)
-let add_coupling p scratch ~cur ~next ~order ~lo ~hi =
-  for j = order downto 1 do
-    let nj = next.(j) in
-    for m = 1 to j do
-      let c, pm = p.(m - 1) in
-      if Sparse.nnz pm > 0 then begin
-        Sparse.mv_into_range pm cur.(j - m) scratch ~lo ~hi;
-        for i = lo to hi - 1 do
-          nj.(i) <- nj.(i) +. (c *. scratch.(i))
-        done
-      end
-    done
-  done
-
 (* Run the whole recursion: G rounds, round k advancing U(k) -> U(k+1)
-   and folding U(k+1) into the accumulators listed in [terms.(k+1)].
+   and folding U(k+1) into the accumulator blocks listed in
+   [terms.(k+1)].
 
-   U^(j)(k+1) = Q' U^(j)(k) + R' U^(j-1)(k) + (1/2) S' U^(j-2)(k);
-   U^(0)(k) = h always (the generator is conservative), kept implicit
-   as the shared, never-written [ones] vector at index 0 of both
-   buffers. Reads go to the current buffer, writes to the next, so one
-   barrier per round suffices and every per-row quantity is computed
-   in a single pass: the matrix row is walked once for all orders
-   ([Kernel.mv_fused]), then the reward-vector terms are added in the
-   original element-wise operation order (dot, then the R' term, then
-   the S' term, highest order first), then the impulse terms when the
-   model has impulse rewards ([add_coupling]), then the step's Poisson
-   terms are folded into their accumulator blocks. The element-wise
-   operation sequence is exactly the one the historic
-   advance/accumulate pair performed, so results are bit-for-bit
-   unchanged — sequential or parallel, CSR or tridiagonal.
+   U^(j)(k+1) = Q' U^(j)(k) + R' U^(j-1)(k) + (1/2) S' U^(j-2)(k)
+   (plus the impulse terms when the model has impulse rewards);
+   U^(0)(k) = h always (the generator is conservative), so it is never
+   stored. Reads go to the current buffer, writes to the next, so one
+   barrier per round suffices, and each round is one pass per row
+   ([Kernel.round]): the matrix row walked once for all orders, the
+   reward and impulse terms, then the step's Poisson terms. The
+   element-wise operation sequence is exactly the one the historic
+   multi-pass body performed (a fused mat-vec, then element-wise R',
+   S', impulse and accumulator passes; kept as the test oracle), so
+   results are bit-for-bit unchanged — sequential or parallel, CSR or
+   tridiagonal.
 
-   [terms.(k)] lists the (weight, accumulator-block) pairs step k
+   [terms.(k)] holds the weights and accumulator blocks step k
    contributes to; zero-weight terms were dropped (and counted) by the
    caller. [terms.(0)] is never read: U^(j)(0) = 0 for j >= 1, and
    adding w * 0. to a +0. accumulator leaves +0. bit-for-bit, so the
    historic k = 0 accumulation was a no-op. *)
-let run_sweep ctx ~r' ~s' ~coupling ~order ~n_states ~g ~terms =
-  let ones = Vec.ones n_states in
-  let make_u () =
-    Array.init (order + 1) (fun j ->
-        if j = 0 then ones else Vec.zeros n_states)
-  in
-  let buf_a = make_u () and buf_b = make_u () in
-  (* Kernel views, highest order first, mirroring the historic loop. *)
-  let heads buf = Array.init order (fun idx -> buf.(order - idx)) in
-  let heads_a = heads buf_a and heads_b = heads buf_b in
+let run_sweep ctx rewards ~order ~n_states ~g ~terms =
+  let buf_a = Sparse.block ~order ~dim:n_states
+  and buf_b = Sparse.block ~order ~dim:n_states in
   let body ~round ~lo ~hi =
-    let cur, next, xs, ys =
-      if round land 1 = 0 then (buf_a, buf_b, heads_a, heads_b)
-      else (buf_b, buf_a, heads_b, heads_a)
+    let cur, next =
+      if round land 1 = 0 then (buf_a, buf_b) else (buf_b, buf_a)
     in
-    Kernel.mv_fused ctx.sw_structure xs ys ~lo ~hi;
-    for j = order downto 1 do
-      let nj = next.(j) and cj1 = cur.(j - 1) in
-      for i = lo to hi - 1 do
-        nj.(i) <- nj.(i) +. (r'.(i) *. cj1.(i))
-      done;
-      if j >= 2 then begin
-        let cj2 = cur.(j - 2) in
-        for i = lo to hi - 1 do
-          nj.(i) <- nj.(i) +. (0.5 *. s'.(i) *. cj2.(i))
-        done
-      end
-    done;
-    (match coupling with
-    | None -> ()
-    | Some (p, scratch) -> add_coupling p scratch ~cur ~next ~order ~lo ~hi);
-    List.iter
-      (fun (w, acc) ->
-        for j = 1 to order do
-          let accj = acc.(j) and nj = next.(j) in
-          for i = lo to hi - 1 do
-            accj.(i) <- accj.(i) +. (w *. nj.(i))
-          done
-        done)
-      terms.(round + 1)
+    let weights, accs = terms.(round + 1) in
+    Kernel.round ctx.sw_structure rewards ~cur ~next ~weights ~accs ~lo ~hi
   in
   Kernel.sweep ctx.sw_pool ctx.sw_partition ~rounds:g body
 
@@ -255,7 +205,7 @@ let solve ?pool ?impulses model ~times ~order ~eps =
     Array.map (fun c -> snd (Option.get c)) closed
   else begin
     let impulses = Option.is_some rho in
-    let g_of_t, q', r', s', coupling =
+    let g_of_t, q', rewards =
       Trace.with_span "randomization.setup" (fun () ->
           let g_of_t =
             Array.mapi
@@ -272,27 +222,24 @@ let solve ?pool ?impulses model ~times ~order ~eps =
             Array.map (fun v -> v /. (q *. d *. d)) model.Model.variances
           in
           let coupling =
-            Option.map
-              (fun rho ->
-                ( coupling_matrices model.Model.generator rho ~q ~d ~order,
-                  Vec.zeros n_states ))
-              rho
+            match rho with
+            | Some rho ->
+                coupling_matrices model.Model.generator rho ~q ~d ~order
+            | None -> [||]
           in
-          (g_of_t, q', r', s', coupling))
+          (g_of_t, q', { Sparse.r'; s'; coupling }))
     in
     let g = Array.fold_left max 0 g_of_t in
     record_truncation g;
     Trace.add_attr "q" (Trace.Float q);
     Trace.add_attr "d" (Trace.Float d);
-    (* Accumulators acc.(j) build sum_k Pois(lambda;k) U^(j)(k), one
-       block per swept time point. U^(0)(k) = h for every k because the
-       generator is conservative (Q' h = h), so order 0 is kept implicit
-       and costs nothing. *)
+    (* Accumulator blocks build sum_k Pois(lambda;k) U^(j)(k) for
+       j = 1 .. order, one per swept time point. U^(0)(k) = h for every k
+       because the generator is conservative (Q' h = h), so V^(0) = h
+       needs no accumulator. *)
     let accumulators =
       Array.mapi
-        (fun i _ ->
-          if swept i then Array.init (order + 1) (fun _ -> Vec.zeros n_states)
-          else [||])
+        (fun i _ -> Sparse.block ~order ~dim:(if swept i then n_states else 0))
         times
     in
     let ctx = sweep_context pool q' ~n_states in
@@ -310,10 +257,10 @@ let solve ?pool ?impulses model ~times ~order ~eps =
                     else Metrics.incr m_terms_skipped
                   end)
                 times;
-              !step_terms)
+              ( Array.of_list (List.map fst !step_terms),
+                Array.of_list (List.map snd !step_terms) ))
         in
-        if order >= 1 then
-          run_sweep ctx ~r' ~s' ~coupling ~order ~n_states ~g ~terms);
+        if order >= 1 then run_sweep ctx rewards ~order ~n_states ~g ~terms);
     Trace.with_span "randomization.finalize" (fun () ->
         Array.mapi
           (fun i t ->
@@ -326,9 +273,9 @@ let solve ?pool ?impulses model ~times ~order ~eps =
                   Array.init (order + 1) (fun n ->
                       if n = 0 then Vec.ones n_states
                       else
-                        Vec.scale
+                        Sparse.block_scaled
                           (Special.factorial n *. (d ** float_of_int n))
-                          accumulators.(i).(n))
+                          accumulators.(i) n)
                 in
                 let log_error_bound =
                   Mrm_check.Check.log_error_bound ~impulses ~d ~lambda ~order

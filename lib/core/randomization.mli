@@ -52,9 +52,9 @@ val moments :
     row-partitioned across the pool's domains (partition balanced by the
     nnz of the uniformized generator, see {!Mrm_engine.Partition}).
     Bit-for-bit identical to the sequential result — ranges write
-    disjoint row slices and each row's dot product keeps its summation
-    order. Omitted (or with a 1-job pool) the original sequential loops
-    run untouched.
+    disjoint row slices and each row keeps its operation order. Omitted
+    (or with a 1-job pool) the same per-row round runs in the caller
+    over all rows.
 
     Note on [d]: the paper prescribes [d = max_i {r_i, sigma_i} / q], but
     that choice leaves [S' = S/(q d^2)] super-stochastic whenever [q > 1],

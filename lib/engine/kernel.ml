@@ -1,11 +1,10 @@
 module Sparse = Mrm_linalg.Sparse
 
 (* ------------------------------------------------------------------ *)
-(* Structure-specialized mat-vec dispatch. Detection runs once per
-   solve; the per-range fused product then goes through the
-   tridiagonal band kernel when the matrix is a birth-death/ON-OFF
-   generator and the generic CSR kernel otherwise. Both sides are
-   bit-for-bit equal to repeated [Sparse.mv_into_range] (see
+(* Structure-specialized dispatch. Detection runs once per solve; each
+   randomization round then goes through the tridiagonal band kernel
+   when the matrix is a birth-death/ON-OFF generator and the generic
+   CSR kernel otherwise. The two are bit-for-bit equal (see
    Mrm_linalg.Sparse). *)
 
 type structure =
@@ -25,6 +24,15 @@ let mv_fused structure xs ys ~lo ~hi =
   match structure with
   | Csr matrix -> Sparse.mv_multi_into_range matrix xs ys ~lo ~hi
   | Tridiagonal td -> Sparse.tridiag_mv_multi_into_range td xs ys ~lo ~hi
+
+let round structure rewards ~cur ~next ~weights ~accs ~lo ~hi =
+  match structure with
+  | Csr matrix ->
+      Sparse.round_into_range matrix rewards ~cur ~next ~weights ~accs ~lo
+        ~hi
+  | Tridiagonal td ->
+      Sparse.tridiag_round_into_range td rewards ~cur ~next ~weights ~accs
+        ~lo ~hi
 
 let for_ranges pool partition f =
   let ranges = Partition.ranges partition in

@@ -78,6 +78,63 @@ val tridiag_mv_multi_into_range :
     increasing-column order, absent entries skipped exactly as the CSR
     walk skips them). Same distinctness contract. *)
 
+(** {1 One randomization round per row}
+
+    Round [k] of the randomization recursion (paper eq. 9, Appendix B)
+    advances [U(k)] to [U(k+1)],
+    [U^(j)(k+1) = Q' U^(j)(k) + R' U^(j-1)(k) + (1/2) S' U^(j-2)(k)],
+    plus [sum_{m=1..j} (1/m!) P^(m) U^(j-m)(k)] when the model has
+    impulse rewards, with [U^(0) = 1], and adds [w U(k+1)] to the
+    accumulator block of each Poisson term the round contributes. The
+    row kernels do all of that in one pass per row, in the operation
+    order of a fused mat-vec followed by element-wise passes, so they
+    equal that multi-pass form bit for bit over any row range. *)
+
+type block
+(** The order-[1 .. n] vectors of one quantity (a [U] buffer or an
+    accumulator): row-interleaved at stride 3 when [n = 3], so a row's
+    three orders share a cache line, and one vector per order
+    otherwise. [U^(0) = 1] is never stored. *)
+
+val block : order:int -> dim:int -> block
+(** Zeros. @raise Invalid_argument on a negative size. *)
+
+val block_of_vectors : Vec.t array -> block
+(** [block_of_vectors vs] copies [vs.(j-1)] in as order [j]. *)
+
+val block_get : block -> int -> int -> float
+(** [block_get b j i] is order [j] at row [i]. *)
+
+val block_scaled : float -> block -> int -> Vec.t
+(** [block_scaled c b j] is a fresh [Vec.scale c] of order [j]. *)
+
+type rewards = {
+  r' : Vec.t;  (** [R'], the signed drift diagonal *)
+  s' : Vec.t;  (** [S'], the variance diagonal *)
+  coupling : (float * t) array;
+      (** [(1/m!, P^(m))] for [m = 1 .. order]; empty without impulse
+          rewards. A matrix with no entries adds nothing. *)
+}
+(** The per-row terms of a round besides the matrix. *)
+
+val round_into_range :
+  t -> rewards -> cur:block -> next:block -> weights:float array ->
+  accs:block array -> lo:int -> hi:int -> unit
+(** [round_into_range q' rw ~cur ~next ~weights ~accs ~lo ~hi] writes
+    rows [lo .. hi-1] of [U(k+1)] into [next] from [U(k)] in [cur] and
+    adds [weights.(t) U(k+1)] to those rows of [accs.(t)], walking each
+    CSR row of [q'] once for every order. Other rows are untouched, so
+    disjoint ranges may run in parallel. @raise Invalid_argument unless
+    the blocks share one order and [q']'s dimension, [cur], [next] and
+    the accumulators are distinct, and [0 <= lo <= hi <= rows]. *)
+
+val tridiag_round_into_range :
+  tridiag -> rewards -> cur:block -> next:block -> weights:float array ->
+  accs:block array -> lo:int -> hi:int -> unit
+(** {!round_into_range} on the band form: three streaming reads per row
+    and order. Bit-for-bit equal to {!round_into_range} on the
+    originating matrix. *)
+
 val vm : Vec.t -> t -> Vec.t
 (** [vm x a] is [x^T A]. *)
 

@@ -1094,6 +1094,121 @@ let prop_mv_fused_matches_mv_into_range =
         (Partition.ranges partition);
       got = expected)
 
+(* The one-pass round kernels against the multi-pass round they
+   replaced ([Oracles.multipass_round]), bitwise: random band and CSR
+   matrices, orders 1-8 and 23, 0-5 accumulator blocks, with and without
+   impulse coupling, over a random partition into row ranges. U(k) and
+   the accumulators start from random values with exact zeros of both
+   signs mixed in, so the +0/-0 cases of every addition are exercised.
+   Both the detected structure ([Kernel.round]) and the CSR kernel on
+   the same matrix are checked. *)
+let prop_round_matches_multipass =
+  QCheck2.Test.make ~count:200
+    ~name:"Kernel.round over any partition = multi-pass round (bitwise)"
+    ~print:(fun (n, banded, order, blocks, impulses, _, cuts) ->
+      Printf.sprintf "n=%d banded=%b order=%d blocks=%d impulses=%b cuts=[%s]"
+        n banded order blocks impulses
+        (String.concat ";" (List.map string_of_int cuts)))
+    QCheck2.Gen.(
+      let* n = int_range 1 30 in
+      let* banded = bool in
+      let* order = oneof [ int_range 1 8; return 23 ] in
+      let* blocks = int_range 0 5 in
+      let* impulses = frequencyl [ (2, false); (1, true) ] in
+      let* seed = int_bound 1_000_000 in
+      let* cuts = list_size (int_range 0 5) (int_range 0 n) in
+      return (n, banded, order, blocks, impulses, seed, cuts))
+    (fun (n, banded, order, blocks, impulses, seed, cuts) ->
+      let rng = Random.State.make [| seed |] in
+      let value () =
+        match Random.State.int rng 8 with
+        | 0 -> 0.
+        | 1 -> -0.
+        | _ -> Random.State.float rng 4. -. 2.
+      in
+      let vector () = Array.init n (fun _ -> value ()) in
+      let matrix ~band =
+        Sparse.of_triplets ~rows:n ~cols:n
+          (List.init (3 * n) (fun _ ->
+               let i = Random.State.int rng n in
+               let j =
+                 if band then
+                   max 0 (min (n - 1) (i + Random.State.int rng 3 - 1))
+                 else Random.State.int rng n
+               in
+               (i, j, Random.State.float rng 2. -. 1.)))
+      in
+      let m = matrix ~band:banded in
+      let r' = vector () in
+      let s' = Array.map Float.abs (vector ()) in
+      let coupling =
+        if impulses then
+          Array.init order (fun k ->
+              ( Random.State.float rng 1.,
+                if k mod 3 = 2 then Sparse.of_triplets ~rows:n ~cols:n []
+                else matrix ~band:false ))
+        else [||]
+      in
+      let ones = Vec.ones n in
+      let u0 =
+        Array.init (order + 1) (fun j -> if j = 0 then ones else vector ())
+      in
+      let acc0 =
+        Array.init blocks (fun _ ->
+            Array.init (order + 1) (fun j -> if j = 0 then [||] else vector ()))
+      in
+      let weights = Array.init blocks (fun _ -> Random.State.float rng 1.) in
+      let ranges =
+        let bounds = List.sort_uniq compare ((0 :: cuts) @ [ n ]) in
+        let rec pairs = function
+          | a :: (b :: _ as rest) -> (a, b) :: pairs rest
+          | _ -> []
+        in
+        Array.of_list (pairs bounds)
+      in
+      let structure = Kernel.detect m in
+      let next_o =
+        Array.init (order + 1) (fun j -> if j = 0 then ones else Vec.zeros n)
+      in
+      let acc_o = Array.map (Array.map Array.copy) acc0 in
+      let terms = List.init blocks (fun b -> (weights.(b), acc_o.(b))) in
+      Array.iter
+        (fun (lo, hi) ->
+          Oracles.multipass_round structure ~r' ~s' ~coupling ~order ~cur:u0
+            ~next:next_o ~terms ~lo ~hi)
+        ranges;
+      let rewards = { Sparse.r'; s'; coupling } in
+      let run round =
+        let cur = Sparse.block_of_vectors (Array.sub u0 1 order) in
+        let next = Sparse.block ~order ~dim:n in
+        let accs =
+          Array.map
+            (fun a -> Sparse.block_of_vectors (Array.sub a 1 order))
+            acc0
+        in
+        Array.iter
+          (fun (lo, hi) -> round rewards ~cur ~next ~weights ~accs ~lo ~hi)
+          ranges;
+        (next, accs)
+      in
+      let same b expected =
+        let ok = ref true in
+        for j = 1 to order do
+          for i = 0 to n - 1 do
+            if
+              Int64.bits_of_float (Sparse.block_get b j i)
+              <> Int64.bits_of_float expected.(j).(i)
+            then ok := false
+          done
+        done;
+        !ok
+      in
+      List.for_all
+        (fun (next, accs) ->
+          same next next_o
+          && Array.for_all2 (fun a e -> same a e) accs acc_o)
+        [ run (Kernel.round structure); run (Sparse.round_into_range m) ])
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -1133,6 +1248,7 @@ let () =
             test_sweep_exception_propagates;
           Alcotest.test_case "racecheck coverage" `Quick test_sweep_racecheck;
           to_alcotest prop_mv_fused_matches_mv_into_range;
+          to_alcotest prop_round_matches_multipass;
         ] );
       ( "racecheck",
         [
