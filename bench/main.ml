@@ -374,6 +374,21 @@ let agree () =
 (* ------------------------------------------------------------------ *)
 (* Table 2 / Figure 8: the large model                                  *)
 
+(* The "model name" line of /proc/cpuinfo, for the bench record. *)
+let cpu_model () =
+  let field line =
+    match String.index_opt line ':' with
+    | Some k when String.trim (String.sub line 0 k) = "model name" ->
+        let rest = String.sub line (k + 1) (String.length line - k - 1) in
+        Some (String.trim rest)
+    | _ -> None
+  in
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | text ->
+      Option.value ~default:"unknown"
+        (List.find_map field (String.split_on_char '\n' text))
+  | exception Sys_error _ -> "unknown"
+
 let fig8 () =
   let full = Sys.getenv_opt "MRM2_FULL" = Some "1" in
   let params =
@@ -390,53 +405,56 @@ let fig8 () =
   Printf.printf "states = %d, q = %g (paper: q = 800,000 at full scale)\n"
     (Model.dim model) q;
   let times = [| 0.01; 0.02; 0.03; 0.04; 0.05 |] in
+  (* Table 2 the way a user runs it: the five points in one shared
+     sweep (one moments_at_times call, max G iterations). *)
   let sweep ?pool () =
-    Array.map
-      (fun t ->
-        let result, elapsed =
-          wall_clock (fun () ->
-              Randomization.moments ~eps:1e-9 ?pool model ~t ~order:3)
-        in
-        (t, result, elapsed))
-      times
+    wall_clock (fun () ->
+        Randomization.moments_at_times ~eps:1e-9 ?pool model ~times ~order:3)
   in
-  let measured = sweep () in
-  (* Parallel leg: same sweep on a domain pool (MRM2_JOBS or every
-     core), reported against the sequential one. On a single-core box
-     the speedup hovers around 1; the engine tests assert the values
-     match regardless. *)
+  let measured, seq_seconds = sweep () in
+  let iterations =
+    Array.map (fun r -> r.Randomization.diagnostics.iterations) measured
+  in
+  let g = Array.fold_left max 0 iterations in
+  let states = Model.dim model in
+  let ns_per_state_iter =
+    seq_seconds *. 1e9 /. (float_of_int states *. float_of_int g)
+  in
+  (* Parallel leg: the same sweep on a domain pool (MRM2_JOBS or every
+     core), reported against the sequential one and checked bit for
+     bit. On a single-core box the speedup hovers around 1. *)
   let jobs = Mrm_engine.Pool.default_jobs () in
   let parallel =
     if jobs <= 1 then None
     else
-      Some
-        (Mrm_engine.Pool.with_pool ~jobs (fun pool -> sweep ~pool ()))
+      Some (Mrm_engine.Pool.with_pool ~jobs (fun pool -> sweep ~pool ()))
   in
   let rows =
     Array.to_list
-      (Array.map
-         (fun (t, result, elapsed) ->
+      (Array.mapi
+         (fun k result ->
            let m n = unconditional model result.Randomization.moments n in
            [
-             Table.float_cell t;
+             Table.float_cell times.(k);
              Table.float_cell (m 1);
              Table.float_cell (m 2);
              Table.float_cell (m 3);
-             string_of_int result.Randomization.diagnostics.iterations;
-             Table.float_cell (q *. t);
-             Printf.sprintf "%.2f" elapsed;
+             string_of_int iterations.(k);
+             Table.float_cell (q *. times.(k));
            ])
          measured)
   in
   print_string
-    (Table.render
-       ~header:[ "t"; "m1"; "m2"; "m3"; "G"; "qt"; "seconds" ]
-       rows);
+    (Table.render ~header:[ "t"; "m1"; "m2"; "m3"; "G"; "qt" ] rows);
+  Printf.printf
+    "one shared sweep: %.2fs for G = %d iterations over %d states (%.1f ns \
+     per state-iteration)\n"
+    seq_seconds g states ns_per_state_iter;
   let series n =
     Array.to_list
-      (Array.map
-         (fun (t, result, _) ->
-           (t, unconditional model result.Randomization.moments n))
+      (Array.mapi
+         (fun k result ->
+           (times.(k), unconditional model result.Randomization.moments n))
          measured)
   in
   emit_figure ~name:"fig8"
@@ -447,22 +465,13 @@ let fig8 () =
       { label = "m2"; points = series 2; style = `Dashed };
       { label = "m3"; points = series 3; style = `Points };
     ]
-    [ "t"; "m1"; "m2"; "m3"; "G"; "seconds" ]
+    [ "t"; "m1"; "m2"; "m3"; "G" ]
     (Array.to_list
-       (Array.map
-          (fun (t, result, elapsed) ->
+       (Array.mapi
+          (fun k result ->
             let m n = unconditional model result.Randomization.moments n in
-            [
-              t; m 1; m 2; m 3;
-              float_of_int result.Randomization.diagnostics.iterations;
-              elapsed;
-            ])
+            [ times.(k); m 1; m 2; m 3; float_of_int iterations.(k) ])
           measured));
-  let states = Model.dim model in
-  let seq_seconds =
-    Array.to_list (Array.map (fun (_, _, s) -> s) measured)
-  in
-  let seq_total = List.fold_left ( +. ) 0. seq_seconds in
   let parallel_fields =
     match parallel with
     | None ->
@@ -490,34 +499,37 @@ let fig8 () =
           exit 2
         end;
         []
-    | Some par_measured ->
-        let par_seconds =
-          Array.to_list (Array.map (fun (_, _, s) -> s) par_measured)
-        in
-        let par_total = List.fold_left ( +. ) 0. par_seconds in
-        let max_rel_diff = ref 0. in
+    | Some (par_measured, par_seconds) ->
+        let max_rel_diff = ref 0. and bit_identical = ref true in
         Array.iteri
-          (fun k (_, seq_result, _) ->
-            let _, par_result, _ = par_measured.(k) in
+          (fun k seq_result ->
+            let par_result = par_measured.(k) in
             for n = 0 to 3 do
               let a = unconditional model seq_result.Randomization.moments n in
               let b = unconditional model par_result.Randomization.moments n in
               max_rel_diff :=
                 Float.max !max_rel_diff
-                  (abs_float (a -. b) /. (1. +. abs_float b))
+                  (abs_float (a -. b) /. (1. +. abs_float b));
+              Array.iteri
+                (fun i x ->
+                  if
+                    Int64.bits_of_float x
+                    <> Int64.bits_of_float
+                         par_result.Randomization.moments.(n).(i)
+                  then bit_identical := false)
+                seq_result.Randomization.moments.(n)
             done)
           measured;
+        let speedup = seq_seconds /. Float.max par_seconds 1e-9 in
         Printf.printf
           "parallel leg (jobs = %d): %.2fs vs %.2fs sequential (speedup \
-           %.2fx); max relative difference %.2e\n"
-          jobs par_total seq_total
-          (seq_total /. Float.max par_total 1e-9)
-          !max_rel_diff;
+           %.2fx); max relative difference %.2e, bit-identical: %b\n"
+          jobs par_seconds seq_seconds speedup !max_rel_diff !bit_identical;
         [
-          ("parallel_seconds", num_list par_seconds);
-          ("parallel_total_seconds", num par_total);
-          ("speedup", num (seq_total /. Float.max par_total 1e-9));
+          ("parallel_seconds", num par_seconds);
+          ("speedup", num speedup);
           ("max_rel_diff", num !max_rel_diff);
+          ("bit_identical", Mrm_util.Json.Bool !bit_identical);
         ]
   in
   let structure =
@@ -532,17 +544,15 @@ let fig8 () =
        ("eps", num 1e-9);
        ("q", num q);
        ("structure", Mrm_util.Json.Str structure);
+       ("sweep", Mrm_util.Json.Str "moments_at_times");
        ("jobs", num (float_of_int jobs));
+       ("nproc", num (float_of_int (Mrm_engine.Pool.recommended_jobs ())));
+       ("cpu_model", Mrm_util.Json.Str (cpu_model ()));
        ("times", num_list (Array.to_list times));
        ( "iterations",
-         num_list
-           (Array.to_list
-              (Array.map
-                 (fun (_, r, _) ->
-                   float_of_int r.Randomization.diagnostics.iterations)
-                 measured)) );
-       ("sequential_seconds", num_list seq_seconds);
-       ("sequential_total_seconds", num seq_total);
+         num_list (Array.to_list (Array.map float_of_int iterations)) );
+       ("sequential_seconds", num seq_seconds);
+       ("ns_per_state_iter", num ns_per_state_iter);
      ]
     @ parallel_fields);
   Printf.printf
