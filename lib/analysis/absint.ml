@@ -277,32 +277,6 @@ let const_ident = function
   | "min_int" -> Some (Vint (N.iv_const min_int))
   | _ -> None
 
-(* ---------- runner recognition ---------- *)
-
-type runner_kind = Range_runner | Party_runner
-
-(* Which closure-argument convention a recognized runner uses:
-   Range_runner bodies take a [lo, hi) range (possibly labelled),
-   Party_runner bodies take one party/index int. *)
-let runner_kind ctx name =
-  let q, lc =
-    match String.rindex_opt name '.' with
-    | Some i ->
-        (* the last qualifier component only, so the fully qualified
-           [Mrm_engine.Kernel.for_ranges] is recognized too *)
-        ( Callgraph.last_components 1 (String.sub name 0 i),
-          String.sub name (i + 1) (String.length name - i - 1) )
-    | None -> ("", name)
-  in
-  let in_module m = q = m || (q = "" && ctx.modname = m) in
-  match lc with
-  | "for_ranges" when q = "Kernel" || q = "" -> Some ("Kernel.for_ranges", Range_runner)
-  | "sweep" when q = "Kernel" || q = "" -> Some ("Kernel.sweep", Range_runner)
-  | "run" when in_module "Pool" -> Some ("Pool.run", Party_runner)
-  | "run_pinned" when in_module "Pool" -> Some ("Pool.run_pinned", Party_runner)
-  | "parallel_for" when in_module "Pool" -> Some ("Pool.parallel_for", Party_runner)
-  | _ -> None
-
 let split_name name =
   let n2 = Callgraph.last_components 2 name in
   match String.index_opt n2 '.' with
@@ -743,9 +717,13 @@ and eval_apply ctx env loc f args =
           | _, Vbool (Some true) -> Vbool (Some true)
           | _ -> Vbool None))
   | Some name, _ -> (
-      match runner_kind ctx name with
-      | Some (runner, kind) -> analyze_site ctx env loc runner kind args
-      | None ->
+      (* an element body (map_array) has no index to prove against *)
+      match Runner.find ~current_module:ctx.modname name with
+      | Some (runner, Runner.Range) ->
+          analyze_site ctx env loc runner ~range:true args
+      | Some (runner, Runner.Party) ->
+          analyze_site ctx env loc runner ~range:false args
+      | Some (_, Runner.Element) | None ->
           if (not (String.contains name '.')) && SMap.mem name env then
             let fv = SMap.find name env in
             apply_value ctx fv (eval_args ctx env args)
@@ -845,12 +823,6 @@ and walk_once ctx loc cl =
            { ctx with stack = cl.f_name :: ctx.stack }
            ~havoc_opt:true cl.f_env cl.f_body [])
   end
-
-and param_labels (e : expression) =
-  match e.pexp_desc with
-  | Pexp_fun (l, _, _, rest) -> l :: param_labels rest
-  | Pexp_constraint (e, _) | Pexp_newtype (_, e) -> param_labels e
-  | _ -> []
 
 (* Apply a [fun p1 ... -> body] chain to abstract arguments. Missing
    arguments bind havoc; [havoc_opt] additionally havocs optional
@@ -1505,7 +1477,7 @@ and check_range_write ?wkey ctx ~loc target pos len =
 
 (* ---------- kernel sites ---------- *)
 
-and analyze_site ctx env loc runner kind args =
+and analyze_site ctx env loc runner ~range args =
   let vargs = eval_args ctx env args in
   if ctx.depth > 0 then Vtop
   else begin
@@ -1540,52 +1512,47 @@ and analyze_site ctx env loc runner kind args =
           record Unknown 0;
           Vtop
       | Some cl ->
-          let labels = param_labels cl.f_body in
           let kc, site_args, assume =
-            match kind with
-            | Range_runner ->
-                let slo = fresh_sym ctx.g "lo" and shi = fresh_sym ctx.g "hi" in
-                let lo_l = N.lin_sym slo and hi_l = N.lin_sym shi in
-                let kc =
-                  {
-                    ob_lo = N.Lin lo_l;
-                    ob_hi = N.Lin (N.lin_add_const (-1) hi_l);
-                    k_sym = None;
-                    k_writes = 0;
-                    k_flagged = 0;
-                    k_escaped = false;
-                    k_pending = [];
-                    k_all = None;
-                    k_strides = [];
-                  }
-                in
-                let lo_v = Vint (N.iv_of_sym slo)
-                and hi_v = Vint (N.iv_of_sym shi) in
-                let site_args =
-                  if
-                    List.mem (Labelled "lo") labels
-                    && List.mem (Labelled "hi") labels
-                  then [ (Labelled "lo", lo_v); (Labelled "hi", hi_v) ]
-                  else [ (Nolabel, lo_v); (Nolabel, hi_v) ]
-                in
-                (kc, site_args, [ N.lin_sub hi_l lo_l; lo_l ])
-            | Party_runner ->
-                let sk = fresh_sym ctx.g "party" in
-                let kl = N.lin_sym sk in
-                let kc =
-                  {
-                    ob_lo = N.Lin kl;
-                    ob_hi = N.Lin kl;
-                    k_sym = Some sk;
-                    k_writes = 0;
-                    k_flagged = 0;
-                    k_escaped = false;
-                    k_pending = [];
-                    k_all = None;
-                    k_strides = [];
-                  }
-                in
-                (kc, [ (Nolabel, Vint (N.iv_of_sym sk)) ], [ kl ])
+            if range then begin
+              let slo = fresh_sym ctx.g "lo" and shi = fresh_sym ctx.g "hi" in
+              let lo_l = N.lin_sym slo and hi_l = N.lin_sym shi in
+              let kc =
+                {
+                  ob_lo = N.Lin lo_l;
+                  ob_hi = N.Lin (N.lin_add_const (-1) hi_l);
+                  k_sym = None;
+                  k_writes = 0;
+                  k_flagged = 0;
+                  k_escaped = false;
+                  k_pending = [];
+                  k_all = None;
+                  k_strides = [];
+                }
+              in
+              let site_args =
+                [ (Labelled "lo", Vint (N.iv_of_sym slo));
+                  (Labelled "hi", Vint (N.iv_of_sym shi)) ]
+              in
+              (kc, site_args, [ N.lin_sub hi_l lo_l; lo_l ])
+            end
+            else begin
+              let sk = fresh_sym ctx.g "party" in
+              let kl = N.lin_sym sk in
+              let kc =
+                {
+                  ob_lo = N.Lin kl;
+                  ob_hi = N.Lin kl;
+                  k_sym = Some sk;
+                  k_writes = 0;
+                  k_flagged = 0;
+                  k_escaped = false;
+                  k_pending = [];
+                  k_all = None;
+                  k_strides = [];
+                }
+              in
+              (kc, [ (Nolabel, Vint (N.iv_of_sym sk)) ], [ kl ])
+            end
           in
           let ctx' =
             {

@@ -16,8 +16,9 @@ let default_blocking =
     "Unix.sleep"; "Thread.delay"; "Thread.join"; "Thread.wait_signal";
     "Condition.wait"; "Randomization.moments";
     "Randomization.moments_at_times"; "Randomization.moment_series";
-    "Batch.run"; "Pool.run"; "Pool.parallel_for"; "Pool.map_array";
+    "Batch.run";
   ]
+  @ Runner.names
 
 let build cfgs =
   let by_name = Hashtbl.create 64 in

@@ -12,7 +12,8 @@ val default_blocking : string list
 (** Calls considered blocking: [Unix.read]/[write]/[select]/[accept]/
     [sleepf], [Thread.delay]/[join]/[wait_signal], [Condition.wait],
     the solver entry points ([Randomization.moments*], [Batch.run])
-    and the pool barriers. *)
+    and the parallel runners ({!Runner.names}), which wait for every
+    job. *)
 
 val build : Cfg.t list -> t
 

@@ -305,9 +305,6 @@ let raise_like = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 
 let spawn_heads = [ "Thread.create"; "Domain.spawn" ]
 
-(* matched by unqualified name, like SRC005 does *)
-let pool_runners = [ "run"; "parallel_for"; "map_array"; "for_ranges" ]
-
 type builder = {
   module_name : string;
   facts : facts;
@@ -661,7 +658,7 @@ and walk_apply b env preds e f args =
   | Some lid
     when List.mem (path_string lid) spawn_heads
          || (match last_component lid with
-            | Some n -> List.mem n pool_runners
+            | Some n -> Runner.has_function n
             | None -> false) ->
       (* closures become separate thread-root graphs *)
       let preds =

@@ -16,9 +16,10 @@
     [let locked t f = Mutex.lock t.mutex; Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f]
     (detected by {!scan_module} and expanded at call sites whose
     critical section is a function literal). Closures handed to
-    [Thread.create], [Domain.spawn] or a pool runner ([run],
-    [parallel_for], [map_array], [for_ranges]) become separate graphs
-    with [is_thread_root = true].
+    [Thread.create], [Domain.spawn] or a parallel runner ({!Runner}:
+    [Kernel.sweep], [Pool.run]/[run_pinned]/[map_array], matched by
+    the function's name) become separate graphs with
+    [is_thread_root = true].
 
     Everything is syntactic — no typing pass. Locks are named
     ["Module.ident"] / ["Module.field"], so aliased mutexes are not

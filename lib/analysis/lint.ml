@@ -134,8 +134,8 @@ let rule_docs =
        expression. Match the exceptions the code can actually raise.",
       "try parse s with _ -> default" );
     ( "SRC005",
-      "A closure handed to a parallel runner (Pool.run, parallel_for, \
-       map_array, Kernel.for_ranges) must not write state shared with \
+      "A closure handed to a parallel runner (Kernel.sweep, Pool.run, \
+       run_pinned, map_array) must not write state shared with \
        other jobs unless the store index is provably job-private (the \
        range-disjoint convention). Non-atomic cross-job writes are \
        data races under OCaml 5's memory model.",
@@ -177,8 +177,8 @@ let rule_docs =
        wait.",
       "if not !ready then Condition.wait c m" );
     ( "SRC020",
-      "Inside a partitioned-kernel body (Kernel.for_ranges/sweep, \
-       Pool.run/run_pinned/parallel_for) every write to an \
+      "Inside a partitioned-kernel body (Kernel.sweep, \
+       Pool.run/run_pinned) every write to an \
        array that outlives the job must land in the job's own [lo,hi) \
        slice — that disjointness is the engine's whole memory-safety \
        argument. The abstract interpreter re-analyzes each body under \
@@ -455,16 +455,11 @@ let free_names (e : expression) =
   it.expr it e;
   Hashtbl.fold (fun k () l -> k :: l) acc []
 
-(* Calls that hand closures to the domain pool. Matched by name so the
-   rule survives aliasing like [let run = Pool.run]: any application of
-   [run] / [parallel_for] / [map_array] / [for_ranges] (bare or
-   module-qualified) whose trailing argument is a function literal. *)
-let parallel_runners = [ "run"; "parallel_for"; "map_array"; "for_ranges" ]
-
+(* Calls that hand closures to a parallel runner ({!Runner}), matched
+   by the function's name (bare or module-qualified). *)
 let is_parallel_runner (f : expression) =
   match ident_path f with
-  | Some (Lident n) -> List.mem n parallel_runners
-  | Some (Ldot (_, n)) -> List.mem n parallel_runners
+  | Some (Lident n | Ldot (_, n)) -> Runner.has_function n
   | _ -> false
 
 let local st name =

@@ -21,7 +21,7 @@
     - [SRC004] (warning) — [try ... with _ ->]: swallows
       [Out_of_memory], [Stack_overflow], and every bug.
     - [SRC005] (error) — inside a closure passed to a parallel runner
-      ([run], [parallel_for], [map_array], [for_ranges]) in
+      ({!Runner}: [sweep], [run], [run_pinned], [map_array]) in
       [lib/engine]/[lib/obs]/[lib/server]/[lib/cluster]: a write
       ([:=], [incr], field mutation, array store) to state not bound
       inside the job, unless the array index mentions only job-bound
@@ -48,8 +48,8 @@
       loop ([while]/recursive), or [Condition.signal]/[broadcast]
       without the associated mutex held.
     - [SRC020] (error) — a write to a shared array inside a
-      partitioned-kernel body ([Kernel.for_ranges]/[sweep],
-      [Pool.run]/[run_pinned]/[parallel_for]) that is not provably
+      partitioned-kernel body ([Kernel.sweep] range bodies,
+      [Pool.run]/[run_pinned] party bodies) that is not provably
       within the job's [[lo, hi)] range; bodies proven safe are
       counted per site ({!Absint.stats}).
     - [SRC021] (warning) — division by a possibly-zero value, or

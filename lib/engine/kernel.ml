@@ -34,15 +34,6 @@ let round structure rewards ~cur ~next ~weights ~accs ~lo ~hi =
       Sparse.tridiag_round_into_range td rewards ~cur ~next ~weights ~accs
         ~lo ~hi
 
-let for_ranges pool partition f =
-  let ranges = Partition.ranges partition in
-  if Racecheck.enabled () then
-    Racecheck.check_ranges ~what:"Kernel.for_ranges"
-      ~rows:(Partition.rows partition) ranges;
-  Pool.run pool (Array.length ranges) (fun k ->
-      let lo, hi = ranges.(k) in
-      if hi > lo then f lo hi)
-
 let sweep pool partition ~rounds body =
   if rounds > 0 then begin
     let ranges = Partition.ranges partition in

@@ -61,8 +61,3 @@ val sweep :
     Empty ranges are skipped (their parties still meet every barrier).
     Under [MRM2_RACECHECK=1] the ranges are validated once per sweep
     with {!Racecheck.check_ranges}. *)
-
-val for_ranges : Pool.t -> Partition.t -> (int -> int -> unit) -> unit
-(** [for_ranges pool partition f] runs [f lo hi] for every non-empty
-    range, once; the one-shot counterpart of {!sweep}. Same exception
-    guarantees as {!Pool.run}. *)

@@ -45,23 +45,6 @@ let with_pool ?jobs f =
   let pool = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
-let parallel_for pool ?chunk ~n f =
-  if n > 0 then begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some c -> invalid_arg (Printf.sprintf "Pool.parallel_for: chunk %d" c)
-      | None -> max 1 (n / (8 * jobs pool))
-    in
-    let n_chunks = (n + chunk - 1) / chunk in
-    run pool n_chunks (fun c ->
-        let lo = c * chunk in
-        let hi = min n (lo + chunk) in
-        for i = lo to hi - 1 do
-          f i
-        done)
-  end
-
 let map_array pool f xs =
   let n = Array.length xs in
   if n = 0 then [||]

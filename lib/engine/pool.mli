@@ -1,6 +1,6 @@
-(** Fixed-size domain pool with a chunked parallel-for scheduler — the
-    execution layer every parallel kernel and the batch front-end run
-    on.
+(** Fixed-size domain pool — the execution layer the randomization
+    sweep ({!Kernel.sweep} over {!run_pinned}) and the batch front-end
+    ({!map_array}) run on.
 
     On OCaml 5 a pool owns [jobs - 1] worker domains plus the calling
     domain; work is handed out dynamically (an atomic index counter),
@@ -52,7 +52,7 @@ val run : t -> int -> (int -> unit) -> unit
     to disjoint state (distinct array slices, distinct result slots).
     Every task runs even if some raise; the first exception is
     re-raised afterwards and the pool survives. Re-entrant use —
-    [body] calling [run]/[parallel_for] on the same pool — degrades to
+    [body] calling [run] on the same pool — degrades to
     sequential execution instead of deadlocking. *)
 
 val run_pinned :
@@ -66,12 +66,6 @@ val run_pinned :
     backend); callers fall back to an in-caller loop, which computes
     bit-for-bit the same result when round bodies write disjoint
     slices. *)
-
-val parallel_for : t -> ?chunk:int -> n:int -> (int -> unit) -> unit
-(** [parallel_for pool ~n f] applies [f] to [0 .. n-1], grouping
-    indices into contiguous chunks of size [chunk] (default:
-    [n / (8 * jobs)], at least 1) that are scheduled dynamically.
-    Same exception and re-entrancy guarantees as {!run}. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]; the independent-jobs primitive behind the

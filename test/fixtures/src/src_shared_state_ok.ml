@@ -11,3 +11,7 @@ let start n =
       Atomic.incr total;
       Mutex.protect m (fun () -> if n > !peak then peak := n))
     ()
+
+let count_rows pool part =
+  Kernel.sweep pool part ~rounds:1 (fun ~round:_ ~lo ~hi ->
+      ignore (Atomic.fetch_and_add total (hi - lo)))

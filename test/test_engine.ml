@@ -84,26 +84,6 @@ let test_pool_shutdown_idempotent () =
   Pool.run pool 5 (fun i -> sum := !sum + i);
   Alcotest.(check int) "run after shutdown" 10 !sum
 
-let test_parallel_for_chunks () =
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          List.iter
-            (fun chunk ->
-              let n = 23 in
-              let hits = Array.make n 0 in
-              Pool.parallel_for pool ?chunk ~n (fun i ->
-                  hits.(i) <- hits.(i) + 1);
-              Alcotest.(check (array int))
-                (Printf.sprintf "chunk %s on %d jobs"
-                   (match chunk with
-                   | None -> "default"
-                   | Some c -> string_of_int c)
-                   jobs)
-                (Array.make n 1) hits)
-            [ None; Some 1; Some 4; Some 100 ]))
-    job_counts
-
 let test_map_array () =
   Pool.with_pool ~jobs:3 (fun pool ->
       let input = Array.init 17 (fun i -> i) in
@@ -193,7 +173,7 @@ let prop_partition_covers_random =
 
 let prop_kernel_matches_sequential =
   QCheck2.Test.make ~count:60
-    ~name:"Kernel sweep/for_ranges = Sparse.mv"
+    ~name:"Kernel sweep = Sparse.mv"
     QCheck2.Gen.(
       let* n = int_range 1 24 in
       let* entries = list_repeat (3 * n) (float_range (-2.) 2.) in
@@ -213,10 +193,10 @@ let prop_kernel_matches_sequential =
       let once = Array.map (Sparse.mv m) xs in
       let twice = Array.map (Sparse.mv m) once in
       Pool.with_pool ~jobs (fun pool ->
-          (* one product per range through the pool... *)
+          (* one product per range as a one-round sweep... *)
           let got = fresh () in
-          Kernel.for_ranges pool (Partition.by_nnz ~parts m) (fun lo hi ->
-              Kernel.mv_fused structure xs got ~lo ~hi);
+          Kernel.sweep (Some pool) (Partition.by_nnz ~parts m) ~rounds:1
+            (fun ~round:_ ~lo ~hi -> Kernel.mv_fused structure xs got ~lo ~hi);
           (* ...and two dependent products as a pinned two-round sweep *)
           let ys = fresh () and zs = fresh () in
           Kernel.sweep (Some pool) (Partition.pinned ~jobs:(Pool.jobs pool) m)
@@ -319,7 +299,7 @@ let test_moment_series_projection () =
      moments_at_times, and stays within eps of pointwise solves. *)
   let model = Onoff.model (Onoff.table1 ~sigma2:10.) in
   let times = [| 0.; 0.25; 1.; 2. |] in
-  let series = Randomization.moment_series ~validate:true model ~times ~order:3 in
+  let series = Randomization.moment_series model ~times ~order:3 in
   let swept = Randomization.moments_at_times model ~times ~order:3 in
   Array.iteri
     (fun k (t, values) ->
@@ -830,7 +810,8 @@ let expect_race name expected_code f =
 
 (* A partitioned copy: each range blits its own slice. *)
 let copy_ranges pool partition x y =
-  Kernel.for_ranges pool partition (fun lo hi -> Array.blit x lo y lo (hi - lo))
+  Kernel.sweep (Some pool) partition ~rounds:1 (fun ~round:_ ~lo ~hi ->
+      Array.blit x lo y lo (hi - lo))
 
 let test_racecheck_overlap_rejected () =
   with_racecheck true (fun () ->
@@ -1225,8 +1206,6 @@ let () =
           Alcotest.test_case "re-entrant run" `Quick test_pool_reentrant_run;
           Alcotest.test_case "shutdown idempotent" `Quick
             test_pool_shutdown_idempotent;
-          Alcotest.test_case "parallel_for chunking" `Quick
-            test_parallel_for_chunks;
           Alcotest.test_case "map_array" `Quick test_map_array;
         ] );
       ( "partition",
