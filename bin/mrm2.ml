@@ -1023,16 +1023,7 @@ let serve_cmd =
       & info [ "cache-mb" ] ~docv:"MB"
           ~doc:"Result-cache size cap in MiB of stored response bytes.")
   in
-  let no_validate =
-    Arg.(
-      value & flag
-      & info [ "no-validate" ]
-          ~doc:
-            "Skip the server-side $(b,mrm2 lint) pass (MRM0xx diagnostics \
-             over the wire) before solving each request.")
-  in
-  let run socket listen queue cache_entries cache_mb no_validate eps jobs
-      obs =
+  let run socket listen queue cache_entries cache_mb eps jobs obs =
     obs @@ fun () ->
     match endpoint_of ~tcp_flag:"listen" socket listen with
     | Error msg ->
@@ -1047,7 +1038,6 @@ let serve_cmd =
             cache_bytes = cache_mb * 1024 * 1024;
             pool_jobs = jobs;
             default_eps = eps;
-            validate = not no_validate;
           }
         in
         (* The "listening" line is printed only once the socket is bound
@@ -1077,7 +1067,7 @@ let serve_cmd =
   let term =
     Term.(
       const run $ socket_arg $ listen $ queue $ cache_entries $ cache_mb
-      $ no_validate $ eps_arg
+      $ eps_arg
       $ jobs_arg ~default:Mrm_engine.Pool.default_jobs
       $ obs_term)
   in

@@ -57,17 +57,7 @@ let check_args ~t ~order =
     invalid_arg "Moments_ode: requires finite t >= 0";
   if order < 0 then invalid_arg "Moments_ode: requires order >= 0"
 
-(* Pre-solve static verification (the ?validate flag); eps is not
-   meaningful for the ODE comparators, so the checker runs with its
-   default truncation precision. *)
-let validate_model model ~t ~order =
-  Mrm_check.Check.validate_exn
-    ~config:
-      { Mrm_check.Check.default_config with Mrm_check.Check.t; order }
-    (Model.check_data model)
-
-let moments ?(validate = false) ?(method_ = Ode.Heun) ?steps model ~t ~order =
-  if validate then validate_model model ~t ~order;
+let moments ?(method_ = Ode.Heun) ?steps model ~t ~order =
   check_args ~t ~order;
   let steps = Option.value steps ~default:(default_steps model ~t) in
   Trace.with_span "ode.moments"
@@ -90,8 +80,7 @@ let moment ?method_ ?steps model ~t ~order =
   let m = moments ?method_ ?steps model ~t ~order in
   Vec.dot model.Model.initial m.(order)
 
-let moments_adaptive ?(validate = false) ?(tol = 1e-10) model ~t ~order =
-  if validate then validate_model model ~t ~order;
+let moments_adaptive ?(tol = 1e-10) model ~t ~order =
   check_args ~t ~order;
   Trace.with_span "ode.moments_adaptive"
     ~attrs:

@@ -13,16 +13,12 @@ val default_steps : Model.t -> t:float -> int
     steppers on a model with uniformization rate [q]. *)
 
 val moments :
-  ?validate:bool -> ?method_:Mrm_ode.Ode.method_ -> ?steps:int -> Model.t ->
-  t:float -> order:int -> float array array
+  ?method_:Mrm_ode.Ode.method_ -> ?steps:int -> Model.t -> t:float ->
+  order:int -> float array array
 (** [moments m ~t ~order] with the same layout as
     {!Randomization.moments}: result [.(n).(i) = V_i^(n)(t)].
     Default method is [Heun] (the paper's trapezoid comparator) with
     {!default_steps}.
-
-    [validate] (default [false]) runs {!Mrm_check.Check} on the model
-    and configuration first and raises {!Mrm_check.Check.Failed} on any
-    error-severity finding (see {!Randomization.moments}).
 
     [t = 0.] returns the exact initial condition without stepping.
     @raise Invalid_argument if [t] is NaN, infinite or negative (the
@@ -35,7 +31,5 @@ val moment :
 (** Unconditional moment [pi . V^(order)(t)]. *)
 
 val moments_adaptive :
-  ?validate:bool -> ?tol:float -> Model.t -> t:float -> order:int ->
-  float array array
-(** Same system integrated with adaptive RKF45 (default [tol = 1e-10]).
-    [validate] as in {!moments}. *)
+  ?tol:float -> Model.t -> t:float -> order:int -> float array array
+(** Same system integrated with adaptive RKF45 (default [tol = 1e-10]). *)

@@ -42,14 +42,6 @@ let moments_no_transitions model ~t ~order =
             (Model.brownian_of_state model i)
             ~t k))
 
-(* Pre-solve static verification (the ?validate flag): all of Check's
-   passes with this solve's configuration; raises Check.Failed listing
-   the violated MRM codes. *)
-let validate_model model ~t ~order ~eps ~jobs =
-  Mrm_check.Check.validate_exn
-    ~config:{ Mrm_check.Check.t; order; eps; q = None; d = None; jobs }
-    (Model.check_data model)
-
 (* ------------------------------------------------------------------ *)
 (* The fused, double-buffered uniformization sweep shared by the
    sequential and parallel paths.
@@ -85,8 +77,6 @@ let sweep_context pool q' ~n_states =
         sw_partition = Partition.uniform ~parts:1 ~rows:n_states;
         sw_structure = structure;
       }
-
-let pool_jobs = function None -> 1 | Some pool -> Pool.jobs pool
 
 (* Impulse coupling matrices (1/m!, P^(m)) for m = 1..order, with
    P^(m)_ij = q_ij rho_ij^m / (q d^m) on the support of rho. *)
@@ -300,10 +290,7 @@ let check_args fn ~times ~order ~eps =
   if order < 0 then fail "order >= 0";
   if not (eps > 0.) then fail "eps > 0"
 
-let moments ?(validate = false) ?(eps = 1e-9) ?pool ?impulses model ~t
-    ~order =
-  if validate then
-    validate_model model ~t ~order ~eps ~jobs:(pool_jobs pool);
+let moments ?(eps = 1e-9) ?pool ?impulses model ~t ~order =
   check_args "moments" ~times:[| t |] ~order ~eps;
   Trace.with_span "randomization.moments"
     ~attrs:
@@ -311,12 +298,7 @@ let moments ?(validate = false) ?(eps = 1e-9) ?pool ?impulses model ~t
         ("eps", Trace.Float eps) ]
   @@ fun () -> (solve ?pool ?impulses model ~times:[| t |] ~order ~eps).(0)
 
-let moments_at_times ?(validate = false) ?(eps = 1e-9) ?pool model ~times
-    ~order =
-  if validate then begin
-    let horizon = Array.fold_left Float.max 0. times in
-    validate_model model ~t:horizon ~order ~eps ~jobs:(pool_jobs pool)
-  end;
+let moments_at_times ?(eps = 1e-9) ?pool model ~times ~order =
   check_args "moments_at_times" ~times ~order ~eps;
   Trace.with_span "randomization.moments_at_times"
     ~attrs:
@@ -328,14 +310,14 @@ let moment ?eps model ~t ~order =
   let { moments = m; _ } = moments ?eps model ~t ~order in
   Vec.dot model.Model.initial m.(order)
 
-let moment_series ?(validate = false) ?eps ?pool model ~times ~order =
+let moment_series ?eps ?pool model ~times ~order =
   (* One multi-time sweep instead of restarting the recursion per time
      point — G(t_max) matrix products total rather than sum_i G(t_i). *)
   Trace.with_span "randomization.moment_series"
     ~attrs:
       [ ("times", Trace.Int (Array.length times)); ("order", Trace.Int order) ]
   @@ fun () ->
-  let results = moments_at_times ~validate ?eps ?pool model ~times ~order in
+  let results = moments_at_times ?eps ?pool model ~times ~order in
   Array.mapi
     (fun k { moments = m; _ } ->
       ( times.(k),

@@ -31,17 +31,15 @@ type result = {
 }
 
 val moments :
-  ?validate:bool -> ?eps:float -> ?pool:Mrm_engine.Pool.t ->
-  ?impulses:Mrm_linalg.Sparse.t -> Model.t -> t:float -> order:int -> result
+  ?eps:float -> ?pool:Mrm_engine.Pool.t -> ?impulses:Mrm_linalg.Sparse.t ->
+  Model.t -> t:float -> order:int -> result
 (** All per-state raw moments of [B(t)] up to [order].
 
-    [validate] (default [false]) runs the full static-analysis pass of
-    {!Mrm_check.Check} on the model and this solve's configuration
-    before touching the solver, raising {!Mrm_check.Check.Failed} (whose
-    printer lists the violated [MRM] codes) on any error-severity
-    finding. Models built through {!Model.make} are structurally valid
-    by construction; the flag additionally guards against post-hoc array
-    mutation and flags conditioning hazards of the configuration itself.
+    The solver does not run {!Mrm_check.Check}: models built through
+    {!Model.make} are structurally valid by construction, and a caller
+    that wants the static-analysis pass (post-hoc array mutation,
+    conditioning hazards of the configuration) calls
+    [Mrm_check.Check.validate_exn (Model.check_data m)] first.
 
     [eps] (default 1e-9, the paper's setting for the large example) bounds
     the truncation error of each element of the highest-order moment
@@ -101,17 +99,16 @@ val moment : ?eps:float -> Model.t -> t:float -> order:int -> float
 (** [pi . V^(order)(t)] — the unconditional raw moment. *)
 
 val moment_series :
-  ?validate:bool -> ?eps:float -> ?pool:Mrm_engine.Pool.t -> Model.t ->
-  times:float array -> order:int -> (float * float array) array
+  ?eps:float -> ?pool:Mrm_engine.Pool.t -> Model.t -> times:float array ->
+  order:int -> (float * float array) array
 (** For each [t] in [times]: [(t, [| m_0; ...; m_order |])] unconditional
     raw moments — a thin projection of {!moments_at_times}, so the whole
     ramp is computed in one shared randomization sweep ([max_j G(t_j)]
-    iterations, not [sum_j G(t_j)]). [validate] and [pool] as in
-    {!moments}. *)
+    iterations, not [sum_j G(t_j)]). [pool] as in {!moments}. *)
 
 val moments_at_times :
-  ?validate:bool -> ?eps:float -> ?pool:Mrm_engine.Pool.t -> Model.t ->
-  times:float array -> order:int -> result array
+  ?eps:float -> ?pool:Mrm_engine.Pool.t -> Model.t -> times:float array ->
+  order:int -> result array
 (** Same results as calling {!moments} per time point, but in a single
     randomization sweep: the [U^(n)(k)] recursion does not depend on [t]
     (only the Poisson weights do), so one pass to

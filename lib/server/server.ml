@@ -13,7 +13,6 @@ type config = {
   cache_bytes : int;
   pool_jobs : int;
   default_eps : float;
-  validate : bool;
 }
 
 let default_config endpoint =
@@ -24,7 +23,6 @@ let default_config endpoint =
     cache_bytes = 64 * 1024 * 1024;
     pool_jobs = 1;
     default_eps = 1e-9;
-    validate = true;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -141,9 +139,9 @@ let serve_request ~cache slot (request : Protocol.request) =
 
 (* Every request that is not a cache hit: validate, wait for the solve
    slot, then serve it on this connection thread. *)
-let solve_miss cfg ~cache slot (request : Protocol.request) =
+let solve_miss ~cache slot (request : Protocol.request) =
   let id = request.Protocol.job.Batch.id in
-  match if cfg.validate then Protocol.validate request.Protocol.job else [] with
+  match Protocol.validate request.Protocol.job with
   | _ :: _ as report ->
       Metrics.incr m_validation_failures;
       Protocol.error_response ~id ~code:"SRV005" ~diagnostics:report
@@ -189,7 +187,7 @@ let process cfg ~cache slot ~lineno line =
               [ ("id", Trace.Str id); ("digest", Trace.Str digest);
                 ("cached", Trace.Bool true) ]
             (fun () -> answer_hit ~id body)
-      | None -> solve_miss cfg ~cache slot request)
+      | None -> solve_miss ~cache slot request)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle *)

@@ -63,12 +63,11 @@ type config = {
   cache_bytes : int;  (** LRU result-cache cap on the stored response bytes *)
   pool_jobs : int;  (** domains of the shared solve pool (1 = sequential) *)
   default_eps : float;  (** [eps] for jobs that do not set one *)
-  validate : bool;  (** run {!Protocol.validate} before solving *)
 }
 
 val default_config : endpoint -> config
 (** [queue_capacity = 64], [cache_entries = 256], [cache_bytes =
-    64 MiB], [pool_jobs = 1], [default_eps = 1e-9], [validate = true]. *)
+    64 MiB], [pool_jobs = 1], [default_eps = 1e-9]. *)
 
 type handle
 

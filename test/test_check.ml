@@ -1,22 +1,15 @@
 (* Tests for the static verification layer (mrm_check): structured
-   diagnostics, Tarjan SCC, the model checks themselves, the solvers'
-   ?validate wiring, and the mrm2 lint CLI on the committed fixtures. *)
+   diagnostics, Tarjan SCC, the model checks themselves, validate_exn,
+   and the mrm2 lint CLI on the committed fixtures. *)
 
 module Check = Mrm_check.Check
 module Diagnostics = Mrm_check.Diagnostics
 module Scc = Mrm_check.Scc
 module Model = Mrm_core.Model
 module Model_io = Mrm_core.Model_io
-module Randomization = Mrm_core.Randomization
-module Moments_ode = Mrm_core.Moments_ode
 module Onoff = Mrm_models.Onoff
 module Generator = Mrm_ctmc.Generator
 module Sparse = Mrm_linalg.Sparse
-
-let check_close ?(tol = 1e-12) name expected actual =
-  let scale = 1. +. Float.max (abs_float expected) (abs_float actual) in
-  if abs_float (expected -. actual) > tol *. scale then
-    Alcotest.failf "%s: expected %.17g, got %.17g" name expected actual
 
 let codes report = Diagnostics.codes report
 let has code report = List.mem code (codes report)
@@ -266,7 +259,7 @@ let test_check_conditioning_codes () =
       (String.concat "; " (codes report))
 
 (* ------------------------------------------------------------------ *)
-(* validate_exn and the solver ?validate flag                           *)
+(* validate_exn                                                         *)
 
 let test_validate_exn () =
   Check.validate_exn (Model.check_data (valid_model ()));
@@ -291,38 +284,16 @@ let test_validate_exn () =
           else if String.sub text i 6 = "MRM011" then true
           else contains (i + 1)
         in
-        contains 0))
-
-let test_solver_validate_flag () =
-  let m = valid_model () in
-  let plain = Randomization.moments m ~t:0.5 ~order:2 in
-  let validated = Randomization.moments ~validate:true m ~t:0.5 ~order:2 in
-  Array.iteri
-    (fun n row ->
-      Array.iteri
-        (fun i v ->
-          check_close
-            (Printf.sprintf "validated = plain (%d, %d)" n i)
-            v
-            validated.Randomization.moments.(n).(i))
-        row)
-    plain.Randomization.moments;
-  (* Post-construction mutation is exactly what ?validate catches: the
-     arrays inside the (private) model record are still mutable. *)
+        contains 0));
+  (* Post-construction mutation is what a caller validates for: the
+     arrays inside the (private) model record are still mutable, and
+     check_data reads them. *)
   let mutated = valid_model () in
   (mutated : Model.t).Model.variances.(3) <- -5.;
-  (match Randomization.moments ~validate:true mutated ~t:0.5 ~order:2 with
-  | _ -> Alcotest.fail "randomization: expected Check.Failed"
-  | exception Check.Failed report -> expect_code "codes" "MRM011" report);
-  (match Moments_ode.moments ~validate:true mutated ~t:0.5 ~order:2 with
-  | _ -> Alcotest.fail "ode: expected Check.Failed"
-  | exception Check.Failed report -> expect_code "codes" "MRM011" report);
-  match
-    Randomization.moments_at_times ~validate:true mutated
-      ~times:[| 0.1; 0.5 |] ~order:2
-  with
-  | _ -> Alcotest.fail "moments_at_times: expected Check.Failed"
-  | exception Check.Failed _ -> ()
+  match Check.validate_exn (Model.check_data mutated) with
+  | () -> Alcotest.fail "mutated model: expected Check.Failed"
+  | exception Check.Failed report ->
+      expect_code "mutated model" "MRM011" report
 
 (* ------------------------------------------------------------------ *)
 (* Property tests: random birth-death models pass; mutants trigger      *)
@@ -361,8 +332,8 @@ let prop_mutated_row_sum_flagged =
       let n = data.Check.states in
       let row = n / 2 in
       let q_matrix =
-        Sparse.map_values Fun.id data.Check.q_matrix |> fun m ->
-        Sparse.add m (Sparse.of_triplets ~rows:n ~cols:n [ (row, row, 0.5) ])
+        Sparse.add data.Check.q_matrix
+          (Sparse.of_triplets ~rows:n ~cols:n [ (row, row, 0.5) ])
       in
       let report = Check.check { data with Check.q_matrix } in
       has "MRM004" report && Diagnostics.has_errors report)
@@ -528,8 +499,6 @@ let () =
       ( "validate",
         [
           Alcotest.test_case "validate_exn" `Quick test_validate_exn;
-          Alcotest.test_case "solver ?validate flag" `Quick
-            test_solver_validate_flag;
         ] );
       ( "properties",
         [
