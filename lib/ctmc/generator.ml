@@ -100,12 +100,7 @@ let uniformized g ~rate =
          "Generator.uniformized: rate %g below uniformization rate %g" rate
          g.q);
   if rate = 0. then Sparse.identity g.dim
-  else begin
-    let scaled = Sparse.scale (1. /. rate) g.matrix in
-    let shifted = Sparse.add_scaled_identity 1. scaled in
-    (* Clamp diagonal round-off like (-q/q + 1) = -1e-17. *)
-    Sparse.map_values (fun v -> if v < 0. then 0. else v) shifted
-  end
+  else Sparse.uniformize (1. /. rate) g.matrix
 
 let exit_rates g =
   let exits = Array.make g.dim 0. in
@@ -115,11 +110,11 @@ let exit_rates g =
 let embedded_jump_distribution g i =
   if i < 0 || i >= g.dim then
     invalid_arg "Generator.embedded_jump_distribution: state out of range";
-  let exit = (exit_rates g).(i) in
+  let exit = -.Sparse.get g.matrix i i in
   if exit <= 0. then [||]
   else begin
     let acc = ref [] in
-    Sparse.iter g.matrix (fun row j v ->
-        if row = i && j <> i && v > 0. then acc := (j, v /. exit) :: !acc);
+    Sparse.iter_row g.matrix i (fun j v ->
+        if j <> i && v > 0. then acc := (j, v /. exit) :: !acc);
     Array.of_list (List.rev !acc)
   end

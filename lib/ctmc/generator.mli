@@ -31,12 +31,14 @@ val uniformization_rate : t -> float
 
 val uniformized : t -> rate:float -> Mrm_linalg.Sparse.t
 (** [Q' = Q/rate + I]; requires [rate >= uniformization_rate t] so the
-    result is (sub)stochastic. Tiny negative diagonal round-off is clamped
-    to 0. *)
+    result is (sub)stochastic. Built in one pass over [Q]'s rows
+    ({!Mrm_linalg.Sparse.uniformize}); a diagonal that rounds to [<= 0]
+    is dropped. *)
 
 val exit_rates : t -> float array
 (** [-q_ii] per state. *)
 
 val embedded_jump_distribution : t -> int -> (int * float) array
 (** For state [i], the (target, probability) rows of the embedded jump
-    chain; the empty array for absorbing states. *)
+    chain, in increasing target order; the empty array for absorbing
+    states. O(nnz of row [i]). *)

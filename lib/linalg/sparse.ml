@@ -722,17 +722,6 @@ let vm x m =
   done;
   y
 
-let map_values f m =
-  (* [f 0.] is not required to be 0; rebuild through triplets to stay
-     canonical when f introduces zeros. *)
-  let triplets = ref [] in
-  for i = m.rows - 1 downto 0 do
-    for k = m.row_start.(i + 1) - 1 downto m.row_start.(i) do
-      triplets := (i, m.col_index.(k), f m.values.(k)) :: !triplets
-    done
-  done;
-  of_triplets ~rows:m.rows ~cols:m.cols !triplets
-
 let scale alpha m =
   (* mrm:ignore SRC001 -- sentinel: scaling by exactly zero empties the
      structure *)
@@ -746,6 +735,12 @@ let iter m f =
     done
   done
 
+let iter_row m i f =
+  if i < 0 || i >= m.rows then invalid_arg "Sparse.iter_row: row out of range";
+  for k = m.row_start.(i) to m.row_start.(i + 1) - 1 do
+    f m.col_index.(k) m.values.(k)
+  done
+
 let triplets_of m =
   let acc = ref [] in
   iter m (fun i j v -> acc := (i, j, v) :: !acc);
@@ -756,11 +751,47 @@ let add a b =
     invalid_arg "Sparse.add: shape mismatch";
   of_triplets ~rows:a.rows ~cols:a.cols (triplets_of a @ triplets_of b)
 
-let add_scaled_identity c a =
+let uniformize c a =
   if not (Int.equal a.rows a.cols) then
-    invalid_arg "Sparse.add_scaled_identity: non-square matrix";
-  let diag = List.init a.rows (fun i -> (i, i, c)) in
-  of_triplets ~rows:a.rows ~cols:a.cols (diag @ triplets_of a)
+    invalid_arg "Sparse.uniformize: non-square matrix";
+  (* each row gains at most the diagonal [a] does not store *)
+  let room = nnz a + a.rows in
+  let row_start = Array.make (a.rows + 1) 0 in
+  let col_index = Array.make room 0 and values = Array.make room 0. in
+  let count = ref 0 in
+  let push j v =
+    if v > 0. then begin
+      col_index.(!count) <- j;
+      values.(!count) <- v;
+      incr count
+    end
+  in
+  for i = 0 to a.rows - 1 do
+    let diagonal = ref false in
+    for k = a.row_start.(i) to a.row_start.(i + 1) - 1 do
+      let j = a.col_index.(k) and v = c *. a.values.(k) in
+      if Int.equal j i then begin
+        push i (1. +. v);
+        diagonal := true
+      end
+      else begin
+        if j > i && not !diagonal then begin
+          push i 1.;
+          diagonal := true
+        end;
+        push j v
+      end
+    done;
+    if not !diagonal then push i 1.;
+    row_start.(i + 1) <- !count
+  done;
+  {
+    rows = a.rows;
+    cols = a.cols;
+    row_start;
+    col_index = Array.sub col_index 0 !count;
+    values = Array.sub values 0 !count;
+  }
 
 let transpose a =
   of_triplets ~rows:a.cols ~cols:a.rows

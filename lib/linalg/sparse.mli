@@ -140,12 +140,23 @@ val vm : Vec.t -> t -> Vec.t
 
 val scale : float -> t -> t
 val add : t -> t -> t
-val add_scaled_identity : float -> t -> t
-(** [add_scaled_identity c a] is [A + cI] (square only). *)
+val uniformize : float -> t -> t
+(** [uniformize c a] is the positive part of [I + cA] (square only),
+    built in one pass over [a]'s rows: entries [c *. a_ij] off the
+    diagonal and [1. +. c *. a_ii] on it ([1.] where [a] stores no
+    diagonal), and every entry [<= 0] dropped. For a generator [Q] and
+    [c = 1/rate] with [rate >= max_i |q_ii|] this is the uniformized
+    matrix [Q'] with the diagonal round-off ([1 - q/q = -1e-17])
+    clamped away. *)
 
 val transpose : t -> t
 val row_sums : t -> Vec.t
-val map_values : (float -> float) -> t -> t
 val iter : t -> (int -> int -> float -> unit) -> unit
+
+val iter_row : t -> int -> (int -> float -> unit) -> unit
+(** [iter_row a i f] applies [f j a_ij] to row [i]'s stored entries in
+    increasing column order, in O(nnz of the row).
+    @raise Invalid_argument if [i] is out of range. *)
+
 val mean_nnz_per_row : t -> float
 val pp : Format.formatter -> t -> unit

@@ -75,3 +75,40 @@ let multipass_round structure ~r' ~s' ~coupling ~order ~cur ~next ~terms ~lo
         done
       done)
     terms
+
+(* The uniformized generator Q' = I + Q/rate (rate > 0) as
+   Generator.uniformized built it before its one-pass construction:
+   scale Q, add the identity through triplets (the 1 sorts before Q's
+   diagonal, so the sum is 1 + q_ii/rate), then clamp negatives to 0
+   through triplets again; of_triplets drops the exact zeros on both
+   trips. *)
+let uniformized_three_step g ~rate =
+  let module Sparse = Mrm_linalg.Sparse in
+  let n = Mrm_ctmc.Generator.dim g in
+  let triplets m =
+    let acc = ref [] in
+    Sparse.iter m (fun i j v -> acc := (i, j, v) :: !acc);
+    List.rev !acc
+  in
+  let scaled = Sparse.scale (1. /. rate) (Mrm_ctmc.Generator.matrix g) in
+  let shifted =
+    Sparse.of_triplets ~rows:n ~cols:n
+      (List.init n (fun i -> (i, i, 1.)) @ triplets scaled)
+  in
+  Sparse.of_triplets ~rows:n ~cols:n
+    (List.map
+       (fun (i, j, v) -> (i, j, if v < 0. then 0. else v))
+       (triplets shifted))
+
+(* The embedded jump distribution of state [i] as it was computed
+   before it walked one row: the exit rate from the whole exit_rates
+   vector, the row collected by a scan of every matrix entry. *)
+let embedded_jump_distribution_scan g i =
+  let exit = (Mrm_ctmc.Generator.exit_rates g).(i) in
+  if exit <= 0. then [||]
+  else begin
+    let acc = ref [] in
+    Mrm_linalg.Sparse.iter (Mrm_ctmc.Generator.matrix g) (fun row j v ->
+        if row = i && j <> i && v > 0. then acc := (j, v /. exit) :: !acc);
+    Array.of_list (List.rev !acc)
+  end

@@ -182,6 +182,38 @@ let test_generator_ignores_supplied_diagonal () =
   in
   check_close "diagonal recomputed" (-1.) (Sparse.get (Generator.matrix g) 0 0)
 
+(* Random generators whose fastest state leaves at exactly [q] (integer
+   rates, so the exit sum is exact), with absorbing states and real
+   rates below q/3 elsewhere. *)
+let random_generators ~q ~count =
+  let rng = Random.State.make [| int_of_float q |] in
+  List.init count (fun _ ->
+      let states = 2 + Random.State.int rng 9 in
+      let fastest = Random.State.int rng states in
+      let target i = (i + 1 + Random.State.int rng (states - 1)) mod states in
+      let triplets = ref [] in
+      for i = 0 to states - 1 do
+        if i = fastest then begin
+          let rest = ref (int_of_float q) in
+          while !rest > 0 do
+            let part = 1 + Random.State.int rng !rest in
+            triplets := (i, target i, float_of_int part) :: !triplets;
+            rest := !rest - part
+          done
+        end
+        else if Random.State.int rng 4 > 0 then
+          for _ = 1 to 1 + Random.State.int rng 3 do
+            triplets :=
+              (i, target i, Random.State.float rng (q /. 3.)) :: !triplets
+          done
+      done;
+      Generator.of_triplets ~states !triplets)
+
+let bits m =
+  let acc = ref [] in
+  Sparse.iter m (fun i j v -> acc := (i, j, Int64.bits_of_float v) :: !acc);
+  List.rev !acc
+
 let test_uniformized_stochastic () =
   let q = Generator.uniformization_rate two_state in
   let p = Generator.uniformized two_state ~rate:q in
@@ -193,7 +225,34 @@ let test_uniformized_stochastic () =
   Alcotest.check_raises "rate too small"
     (Invalid_argument
        "Generator.uniformized: rate 1 below uniformization rate 3")
-    (fun () -> ignore (Generator.uniformized two_state ~rate:1.))
+    (fun () -> ignore (Generator.uniformized two_state ~rate:1.));
+  (* Q' entry for entry and bit for bit against the three-step
+     composition it replaced. At rate q the fastest state's diagonal
+     1 - q fl(1/q) is exactly 0 for q = 4 (dropped) and about 1.1e-16
+     for q = 49 (kept). *)
+  List.iter
+    (fun q ->
+      List.iteri
+        (fun k g ->
+          List.iter
+            (fun rate ->
+              Alcotest.(check (list (triple int int int64)))
+                (Printf.sprintf "q = %g, generator %d, rate %g" q k rate)
+                (bits (Oracles.uniformized_three_step g ~rate))
+                (bits (Generator.uniformized g ~rate)))
+            [ q; q +. 1. ])
+        (random_generators ~q ~count:100))
+    [ 4.; 49. ];
+  let fastest_diagonal q =
+    Sparse.get
+      (Generator.uniformized (Generator.of_triplets ~states:2 [ (0, 1, q) ])
+         ~rate:q)
+      0 0
+  in
+  check_close ~tol:0. "q = 4 diagonal dropped" 0. (fastest_diagonal 4.);
+  Alcotest.(check bool)
+    "q = 49 diagonal kept" true
+    (fastest_diagonal 49. > 0. && fastest_diagonal 49. < 1e-15)
 
 let test_birth_death_structure () =
   let g =
@@ -218,7 +277,18 @@ let test_exit_rates_and_jumps () =
   (* Absorbing state. *)
   let absorbing = Generator.of_triplets ~states:2 [ (0, 1, 1.) ] in
   Alcotest.(check int) "absorbing has no jumps" 0
-    (Array.length (Generator.embedded_jump_distribution absorbing 1))
+    (Array.length (Generator.embedded_jump_distribution absorbing 1));
+  (* bit for bit against the whole-matrix scan it replaced *)
+  let bits jumps = Array.map (fun (j, p) -> (j, Int64.bits_of_float p)) jumps in
+  List.iteri
+    (fun k g ->
+      for i = 0 to Generator.dim g - 1 do
+        Alcotest.(check (array (pair int int64)))
+          (Printf.sprintf "generator %d, state %d" k i)
+          (bits (Oracles.embedded_jump_distribution_scan g i))
+          (bits (Generator.embedded_jump_distribution g i))
+      done)
+    (random_generators ~q:4. ~count:100 @ random_generators ~q:49. ~count:100)
 
 (* ------------------------------------------------------------------ *)
 (* Transient                                                            *)

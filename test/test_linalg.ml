@@ -208,12 +208,6 @@ let test_sparse_add_scale () =
   Alcotest.(check int) "scale by zero empties" 0
     (Sparse.nnz (Sparse.scale 0. a))
 
-let test_sparse_add_scaled_identity () =
-  let a = Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 1, 3.) ] in
-  let b = Sparse.add_scaled_identity 5. a in
-  check_close "diag added" 5. (Sparse.get b 0 0);
-  check_close "offdiag kept" 3. (Sparse.get b 0 1)
-
 let test_sparse_transpose_row_sums () =
   let a = Sparse.of_triplets ~rows:2 ~cols:3 [ (0, 2, 7.); (1, 0, 1.) ] in
   let at = Sparse.transpose a in
@@ -227,12 +221,6 @@ let test_sparse_identity_diagonal () =
   check_vec "identity mv" [| 1.; 2.; 3. |] (Sparse.mv i3 [| 1.; 2.; 3. |]);
   let d = Sparse.diagonal [| 1.; 0.; 3. |] in
   Alcotest.(check int) "diagonal drops zero" 2 (Sparse.nnz d)
-
-let test_sparse_map_values () =
-  let a = Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 0, -2.); (1, 1, 3.) ] in
-  let b = Sparse.map_values (fun v -> Float.max 0. v) a in
-  Alcotest.(check int) "clamped entry dropped" 1 (Sparse.nnz b);
-  check_close "kept value" 3. (Sparse.get b 1 1)
 
 (* ------------------------------------------------------------------ *)
 
@@ -554,13 +542,10 @@ let () =
             test_sparse_mv_matches_dense;
           Alcotest.test_case "mv_into" `Quick test_sparse_mv_into;
           Alcotest.test_case "add/scale" `Quick test_sparse_add_scale;
-          Alcotest.test_case "add scaled identity" `Quick
-            test_sparse_add_scaled_identity;
           Alcotest.test_case "transpose/row sums" `Quick
             test_sparse_transpose_row_sums;
           Alcotest.test_case "identity/diagonal" `Quick
             test_sparse_identity_diagonal;
-          Alcotest.test_case "map_values" `Quick test_sparse_map_values;
         ] );
       ( "cmatrix",
         [
