@@ -556,13 +556,7 @@ let lint_cmd =
     else 0
   in
   let run path t order eps format strict stationary jobs =
-    let text =
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Model_io.parse_raw text with
+    match Model_io.load_raw path with
     | Error e ->
         let context =
           List.concat
@@ -585,19 +579,9 @@ let lint_cmd =
         print_report ~file:path format report;
         1
     | Ok raw ->
-        let n = raw.Model_io.declared_states in
-        let rates = Array.make n 0. and variances = Array.make n 0. in
-        List.iter
-          (fun (state, drift, variance) ->
-            rates.(state) <- drift;
-            variances.(state) <- variance)
-          raw.Model_io.raw_rewards;
-        let initial = Array.make n 0. in
-        List.iter
-          (fun (state, p) -> initial.(state) <- p)
-          raw.Model_io.raw_initial;
+        let rates, variances, initial = Model_io.raw_vectors raw in
         let data =
-          Check.of_triplets ~states:n
+          Check.of_triplets ~states:raw.Model_io.declared_states
             ~transitions:raw.Model_io.raw_transitions ~rates ~variances
             ~initial
         in

@@ -173,13 +173,8 @@ let parse_raw text =
   | raw -> Ok raw
   | exception Err e -> Error e
 
-let model_of_raw raw =
+let raw_vectors raw =
   let n = raw.declared_states in
-  let generator =
-    try Generator.of_triplets ~states:n raw.raw_transitions
-    with Invalid_argument message ->
-      raise (Err { line = None; field = Some "transition"; message })
-  in
   let rates = Array.make n 0. and variances = Array.make n 0. in
   List.iter
     (fun (state, drift, variance) ->
@@ -188,6 +183,15 @@ let model_of_raw raw =
     raw.raw_rewards;
   let initial = Array.make n 0. in
   List.iter (fun (state, p) -> initial.(state) <- p) raw.raw_initial;
+  (rates, variances, initial)
+
+let model_of_raw raw =
+  let generator =
+    try Generator.of_triplets ~states:raw.declared_states raw.raw_transitions
+    with Invalid_argument message ->
+      raise (Err { line = None; field = Some "transition"; message })
+  in
+  let rates, variances, initial = raw_vectors raw in
   let model =
     try Model.make ~generator ~rates ~variances ~initial
     with Invalid_argument message ->
@@ -213,6 +217,7 @@ let read_file path =
       let size = in_channel_length ic in
       really_input_string ic size)
 
+let load_raw path = parse_raw (read_file path)
 let load_result path = parse_string_result (read_file path)
 let load path = parse_string (read_file path)
 

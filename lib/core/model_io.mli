@@ -62,6 +62,14 @@ val parse_raw : string -> (raw, error) result
     a [transition] line with a positive rate, and appear once per pair.
     A failure has [field = "impulse"] and the line. *)
 
+val raw_vectors : raw -> float array * float array * float array
+(** [(rates, variances, initial)] of a raw model, one entry per declared
+    state; states a file does not list are [0.]. *)
+
+val load_raw : string -> (raw, error) result
+(** {!parse_raw} on a file's contents. @raise Sys_error on I/O
+    failure. *)
+
 val parse_string_result : string -> (parsed, error) result
 (** Full pipeline: {!parse_raw}, then generator and model construction
     (validation failures are reported with [field = "transition"] or

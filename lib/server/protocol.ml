@@ -2,7 +2,6 @@ module Json = Mrm_util.Json
 module Batch = Mrm_batch.Batch
 module Check = Mrm_check.Check
 module Diagnostics = Mrm_check.Diagnostics
-module Generator = Mrm_ctmc.Generator
 module Model = Mrm_core.Model
 
 type request = { job : Batch.job; digest : string; expires : float option }
@@ -43,13 +42,6 @@ let parse_request ?default_eps ~now ~default_id line =
   Result.bind (Json.parse line) (request_of_json ?default_eps ~now ~default_id)
 
 let validate (job : Batch.job) =
-  let model = job.Batch.model in
-  let data =
-    Check.data
-      ~q_matrix:(Generator.matrix model.Model.generator)
-      ~rates:model.Model.rates ~variances:model.Model.variances
-      ~initial:model.Model.initial
-  in
   let t =
     if Array.length job.Batch.times = 0 then 1. else job.Batch.times.(0)
   in
@@ -61,7 +53,7 @@ let validate (job : Batch.job) =
       eps = job.Batch.eps;
     }
   in
-  Diagnostics.errors (Check.check ~config data)
+  Diagnostics.errors (Check.check ~config (Model.check_data job.Batch.model))
 
 (* ------------------------------------------------------------------ *)
 (* Responses *)
