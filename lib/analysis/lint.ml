@@ -166,7 +166,8 @@ let rule_docs =
     ( "SRC013",
       "Module-level mutable state (ref, Hashtbl, Queue, Buffer) is \
        written from a thread-root closure (Thread.create, \
-       Domain.spawn, pool runners) — directly or one call deep — \
+       Domain.spawn, Kernel.sweep, Pool.run/run_pinned/map_array) — \
+       directly or one call deep — \
        without an Atomic or a held lock. This is SRC005 generalized \
        across function boundaries.",
       "let hits = ref 0  ... Domain.spawn (fun () -> incr hits)" );

@@ -41,7 +41,7 @@
       acquisition graph: deadlock potential.
     - [SRC013] (error) — module-level mutable state ([ref],
       [Hashtbl], [Queue], [Buffer]) written from a thread-root
-      closure ([Thread.create], [Domain.spawn], pool runners) — or a
+      closure ([Thread.create], [Domain.spawn], a {!Runner}) — or a
       function it calls directly — without an Atomic or a held lock;
       the interprocedural generalization of SRC005.
     - [SRC014] (warning) — [Condition.wait] not wrapped in a re-check

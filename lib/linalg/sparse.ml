@@ -770,17 +770,15 @@ let uniformize c a =
     let diagonal = ref false in
     for k = a.row_start.(i) to a.row_start.(i + 1) - 1 do
       let j = a.col_index.(k) and v = c *. a.values.(k) in
+      if j > i && not !diagonal then begin
+        push i 1.;
+        diagonal := true
+      end;
       if Int.equal j i then begin
         push i (1. +. v);
         diagonal := true
       end
-      else begin
-        if j > i && not !diagonal then begin
-          push i 1.;
-          diagonal := true
-        end;
-        push j v
-      end
+      else push j v
     done;
     if not !diagonal then push i 1.;
     row_start.(i + 1) <- !count
