@@ -50,7 +50,7 @@ let rule_table =
     ( "SRC005",
       Diagnostics.Error,
       "non-atomic write to shared mutable state inside a parallel job \
-       (lib/engine, lib/obs)" );
+       (lib/engine, lib/obs, lib/server, lib/cluster)" );
     ( "SRC006",
       Diagnostics.Warning,
       "direct terminal output from library code (everything goes through \
