@@ -217,7 +217,7 @@ let faint =
     (Sparse.of_triplets ~rows:3 ~cols:3
        [ (0, 2, 1e-12); (1, 0, 2.); (1, 1, -2.); (2, 1, 1e-12) ])
 
-let bits m =
+let entry_bits m =
   let acc = ref [] in
   Sparse.iter m (fun i j v -> acc := (i, j, Int64.bits_of_float v) :: !acc);
   List.rev !acc
@@ -246,8 +246,8 @@ let test_uniformized_stochastic () =
             (fun rate ->
               Alcotest.(check (list (triple int int int64)))
                 (Printf.sprintf "q = %g, generator %d, rate %g" q k rate)
-                (bits (Oracles.uniformized_three_step g ~rate))
-                (bits (Generator.uniformized g ~rate)))
+                (entry_bits (Oracles.uniformized_three_step g ~rate))
+                (entry_bits (Generator.uniformized g ~rate)))
             [ q; q +. 1. ])
         (faint :: random_generators ~q ~count:100))
     [ 4.; 49. ];
@@ -287,14 +287,16 @@ let test_exit_rates_and_jumps () =
   Alcotest.(check int) "absorbing has no jumps" 0
     (Array.length (Generator.embedded_jump_distribution absorbing 1));
   (* bit for bit against the whole-matrix scan it replaced *)
-  let bits jumps = Array.map (fun (j, p) -> (j, Int64.bits_of_float p)) jumps in
+  let jump_bits jumps =
+    Array.map (fun (j, p) -> (j, Int64.bits_of_float p)) jumps
+  in
   List.iteri
     (fun k g ->
       for i = 0 to Generator.dim g - 1 do
         Alcotest.(check (array (pair int int64)))
           (Printf.sprintf "generator %d, state %d" k i)
-          (bits (Oracles.embedded_jump_distribution_scan g i))
-          (bits (Generator.embedded_jump_distribution g i))
+          (jump_bits (Oracles.embedded_jump_distribution_scan g i))
+          (jump_bits (Generator.embedded_jump_distribution g i))
       done)
     ((faint :: random_generators ~q:4. ~count:100)
     @ random_generators ~q:49. ~count:100)
