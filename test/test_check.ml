@@ -284,10 +284,12 @@ let test_validate_exn () =
           else if String.sub text i 6 = "MRM011" then true
           else contains (i + 1)
         in
-        contains 0));
-  (* Post-construction mutation is what a caller validates for: the
-     arrays inside the (private) model record are still mutable, and
-     check_data reads them. *)
+        contains 0))
+
+(* Post-construction mutation is what a caller validates for: the
+   arrays inside the (private) model record are still mutable, and
+   check_data reads them. *)
+let test_validate_exn_mutated () =
   let mutated = valid_model () in
   (mutated : Model.t).Model.variances.(3) <- -5.;
   match Check.validate_exn (Model.check_data mutated) with
@@ -499,6 +501,8 @@ let () =
       ( "validate",
         [
           Alcotest.test_case "validate_exn" `Quick test_validate_exn;
+          Alcotest.test_case "validate_exn on a mutated model" `Quick
+            test_validate_exn_mutated;
         ] );
       ( "properties",
         [
