@@ -11,6 +11,18 @@
    closure under fresh symbolic lo/hi (or party index) and check every
    shared-array write against the party's range.
 
+   A value the function did not build (a parameter, a record field, an
+   element of an unknown array, an unknown call's result) is a fresh
+   symbol: as an int it is that symbol, as an array its length is a
+   second symbol. A comparison on the path adds a linear fact over
+   those symbols to the environment ([if Array.length x < 3 * hi then
+   raise ...] leaves [len x - 3 hi >= 0]); the facts flow into inlined
+   callees and every entailment below uses them. That is how SRC022
+   proves an [Array.unsafe_get]/[unsafe_set] against a guard in its
+   own function; each unchecked access is recorded proven or not, and
+   the per-file SRC003 finding on it is dropped only when proven
+   ({!Lint}).
+
    Known unsoundness is documented in DESIGN 9.2: aliasing through
    refs/records, first-class functions trusted at construction,
    fuel exhaustion -> Unknown (no finding). *)
@@ -39,10 +51,18 @@ type kernel_site = {
   ks_writes : int;
 }
 
+type unchecked = {
+  uc_file : string;
+  uc_line : int;
+  uc_col : int;
+  uc_proven : bool;
+}
+
 type stats = {
   st_sites : kernel_site list;
   st_functions : int;
   st_fuel_exhausted : int;
+  st_unchecked : unchecked list;
 }
 
 let default_fuel = 100_000
@@ -55,6 +75,8 @@ let max_inline_depth = 5
 
 type value =
   | Vtop
+  | Vsym of int  (** an unknown the function did not build; see [fresh] *)
+  | Vfacts of N.lin list  (** the path facts, only under [facts_key] *)
   | Vint of N.iv
   | Vflt of N.fv
   | Vbool of bool option
@@ -90,6 +112,11 @@ type glob = {
   fuel_budget : int;
   mutable functions : int;
   mutable exhausted : int;
+  lens : (int, int) Hashtbl.t;  (** unknown's symbol -> its length's *)
+  unchecked : (string * int * int, bool) Hashtbl.t;
+      (** unchecked access -> proven at every depth-0 visit *)
+  mutable touched : (string * int * int) list;
+      (** unchecked accesses visited by the function under analysis *)
 }
 
 type kctx = {
@@ -134,6 +161,43 @@ let fresh_sym g name =
 let sym_name g id =
   match Hashtbl.find_opt g.syms id with Some s -> s | None -> "s" ^ string_of_int id
 
+let fresh ?(name = "v") ctx = Vsym (fresh_sym ctx.g name)
+
+(* The length of the unknown [s], one symbol per unknown. *)
+let len_of g s =
+  let l =
+    match Hashtbl.find_opt g.lens s with
+    | Some l -> l
+    | None ->
+        let l = fresh_sym g ("len " ^ sym_name g s) in
+        Hashtbl.replace g.lens s l;
+        l
+  in
+  { (N.iv_of_sym l) with N.iknown = false }
+
+(* Path facts: linear expressions known [>= 0] where the environment
+   is used, kept in the environment under a name no binding can have,
+   so branches and sequences scope them like variables. *)
+let facts_key = "%facts"
+
+let facts env =
+  match SMap.find_opt facts_key env with Some (Vfacts l) -> l | _ -> []
+
+let add_fact env (l : N.lin) =
+  let have = facts env in
+  if l.N.terms = [] || List.exists (N.lin_equal l) have then env
+  else SMap.add facts_key (Vfacts (l :: have)) env
+
+(* [ctx] deciding under the facts of [env] as well. *)
+let with_facts ctx env =
+  match facts env with
+  | [] -> ctx
+  | fs ->
+      let extra =
+        List.filter (fun f -> not (List.exists (N.lin_equal f) ctx.assume)) fs
+      in
+      if extra = [] then ctx else { ctx with assume = extra @ ctx.assume }
+
 let step ctx =
   decr ctx.fuel;
   if !(ctx.fuel) < 0 then raise Fuel
@@ -163,13 +227,18 @@ let emit ctx ~code ~loc ~msg ~context =
 
 (* ---------- value helpers ---------- *)
 
-let iv_of = function Vint iv -> iv | _ -> N.iv_top
+let iv_of = function
+  | Vint iv -> iv
+  | Vsym s -> { (N.iv_of_sym s) with N.iknown = false }
+  | _ -> N.iv_top
 let fv_of = function Vflt fv -> fv | Vint iv -> N.fv_of_iv iv | _ -> N.fv_top
 
 let rec join a b =
   match (a, b) with
   | Vint x, Vint y -> Vint (N.iv_join x y)
   | Vflt x, Vflt y -> Vflt (N.fv_join x y)
+  | Vsym x, Vsym y when x = y -> a
+  | (Vint _ | Vsym _), (Vint _ | Vsym _) -> Vint (N.iv_join (iv_of a) (iv_of b))
   | (Vint _ | Vflt _), (Vint _ | Vflt _) -> Vflt (N.fv_join (fv_of a) (fv_of b))
   | Vbool x, Vbool y -> Vbool (if x = y then x else None)
   | Vtup xs, Vtup ys when List.length xs = List.length ys ->
@@ -431,9 +500,9 @@ let rec eval ctx env (e : expression) : value =
       Option.iter (fun b -> ignore (eval ctx env b)) base;
       List.iter (fun (_, fe) -> ignore (eval ctx env fe)) fields;
       Vtop
-  | Pexp_field (r, _) ->
+  | Pexp_field (r, { txt; _ }) ->
       ignore (eval ctx env r);
-      Vtop
+      fresh ~name:(String.concat "." (Longident.flatten txt)) ctx
   | Pexp_setfield (r, _, v) ->
       ignore (eval ctx env r);
       ignore (eval ctx env v);
@@ -515,7 +584,7 @@ and bind_pat ctx env (p : pattern) v =
       match v with
       | Vtup vs when List.length vs = List.length ps ->
           List.fold_left2 (bind_pat ctx) env ps vs
-      | _ -> List.fold_left (fun acc p' -> bind_pat ctx acc p' Vtop) env ps)
+      | _ -> List.fold_left (fun acc p' -> bind_pat ctx acc p' (fresh ctx)) env ps)
   | Ppat_construct ({ txt; _ }, arg) -> (
       let cname =
         match List.rev (Longident.flatten txt) with c :: _ -> c | [] -> "?"
@@ -524,10 +593,10 @@ and bind_pat ctx env (p : pattern) v =
       | Some (_, p') -> (
           match v with
           | Vcon (c, Some v') when c = cname -> bind_pat ctx env p' v'
-          | _ -> bind_pat ctx env p' Vtop)
+          | _ -> bind_pat ctx env p' (fresh ctx))
       | None -> env)
   | Ppat_record (fields, _) ->
-      List.fold_left (fun acc (_, fp) -> bind_pat ctx acc fp Vtop) env fields
+      List.fold_left (fun acc (_, fp) -> bind_pat ctx acc fp (fresh ctx)) env fields
   | Ppat_or (a, b) -> bind_pat ctx (bind_pat ctx env a v) b v
   | _ -> env
 
@@ -689,11 +758,30 @@ and refine_cmp ctx env op a b branch =
     | o -> o
   in
   let env = upd env a vb op in
-  upd env b va (flip op)
+  let env = upd env b va (flip op) in
+  (* the relation itself, as facts over the operands' symbols *)
+  let int_like = function Vint _ | Vsym _ -> true | _ -> false in
+  if not (int_like va && int_like vb) then env
+  else
+    let x = iv_of va and y = iv_of vb in
+    (* [hi - lo - k >= 0] from [lo <= p <= q - k... <= hi] *)
+    let fact env hi lo k =
+      match (hi, lo) with
+      | N.Lin h, N.Lin l -> add_fact env (N.lin_add_const (-k) (N.lin_sub h l))
+      | _ -> env
+    in
+    match op with
+    | "<" -> fact env y.N.ihi x.N.ilo 1
+    | "<=" -> fact env y.N.ihi x.N.ilo 0
+    | ">" -> fact env x.N.ihi y.N.ilo 1
+    | ">=" -> fact env x.N.ihi y.N.ilo 0
+    | "=" | "==" -> fact (fact env y.N.ihi x.N.ilo 0) x.N.ihi y.N.ilo 0
+    | _ -> env
 
 and eval_args ctx env args = List.map (fun (l, a) -> (l, eval ctx env a)) args
 
 and eval_apply ctx env loc f args =
+  let ctx = with_facts ctx env in
   let fname = ident_name f in
   match (fname, args) with
   | Some n, [ (_, a); (_, b) ] when bare_name n = Some "&&" -> (
@@ -729,7 +817,10 @@ and eval_apply ctx env loc f args =
             apply_value ctx fv (eval_args ctx env args)
           else
             let vargs = eval_args ctx env args in
-            (match prim ?wkey:(write_key ctx name args) ctx loc name vargs with
+            (match
+               prim ?wkey:(write_key ctx name args) ~head:f.pexp_loc ctx loc
+                 name vargs
+             with
             | Some v -> v
             | None -> (
                 match
@@ -783,7 +874,7 @@ and fallback ctx ~pure vargs =
       if (not pure) && List.exists (fun (_, v) -> contains_shared v) vargs then
         k.k_escaped <- true
   | None -> ());
-  Vtop
+  fresh ctx
 
 and fallback_call ctx name vargs =
   let q, _ = split_name name in
@@ -849,16 +940,19 @@ and apply_fn ctx ~havoc_opt env (e : expression) args =
         in
         go [] args
       in
+      let missing () =
+        fresh ~name:(Option.value (pat_var pat) ~default:"v") ctx
+      in
       let v, args =
         match lbl with
         | Nolabel -> (
             match take_nolabel args with
             | Some (v, rest_args) -> (v, rest_args)
-            | None -> (Vtop, args))
+            | None -> (missing (), args))
         | Labelled l -> (
             match take_labelled l args with
             | Some (v, rest_args) -> (v, rest_args)
-            | None -> (Vtop, args))
+            | None -> (missing (), args))
         | Optional l -> (
             match take_labelled l args with
             | Some (v, rest_args) ->
@@ -867,7 +961,7 @@ and apply_fn ctx ~havoc_opt env (e : expression) args =
                   | None -> Vcon ("Some", Some v)),
                   rest_args )
             | None ->
-                ( (if havoc_opt then Vtop
+                ( (if havoc_opt then missing ()
                    else
                      match default with
                      | Some d -> eval ctx env d
@@ -951,7 +1045,7 @@ and write_key ctx name args =
                ])
       | None -> None)
 
-and prim ?wkey ctx loc name vargs =
+and prim ?wkey ?head ctx loc name vargs =
   let q, lc = split_name name in
   let k = if q = "" || q = "Stdlib" then lc else q ^ "." ^ lc in
   let nol = List.filter_map (fun (l, v) -> if l = Nolabel then Some v else None) vargs in
@@ -1186,20 +1280,26 @@ and prim ?wkey ctx loc name vargs =
   | "Array.length" | "Bytes.length" | "String.length" | "Array1.dim" -> (
       match nol with
       | [ Varr a ] -> Some (Vint a.a_len)
+      | [ Vsym s ] -> Some (Vint (len_of ctx.g s))
       | [ _ ] -> Some (Vint { N.iv_top with N.ilo = N.Lin (N.lin_const 0) })
       | _ -> None)
   | "Array.get" | "Array.unsafe_get" | "Array1.get" | "Array1.unsafe_get" -> (
       match nol with
       | [ tgt; idx ] ->
           let unsafe = lc = "unsafe_get" in
-          check_access ctx ~loc ~write:false ~unsafe tgt (iv_of idx);
-          Some (match tgt with Varr a -> a.a_elem | _ -> Vtop)
+          check_access ?head ctx ~loc ~write:false ~unsafe tgt (iv_of idx);
+          (* an element nobody stored is an unknown of its own *)
+          Some
+            (match tgt with
+            | Varr { a_elem = Vtop; _ } | Vtop | Vsym _ | Vint _ -> fresh ctx
+            | Varr a -> a.a_elem
+            | _ -> Vtop)
       | _ -> Some Vtop)
   | "Array.set" | "Array.unsafe_set" | "Array1.set" | "Array1.unsafe_set" -> (
       match nol with
       | [ tgt; idx; v ] ->
           let unsafe = lc = "unsafe_set" in
-          check_access ctx ~loc ~write:true ~unsafe ?wkey tgt (iv_of idx);
+          check_access ?head ctx ~loc ~write:true ~unsafe ?wkey tgt (iv_of idx);
           (match tgt with
           | Varr a -> a.a_elem <- merge_cell ctx a.a_elem v
           | _ -> ());
@@ -1334,7 +1434,7 @@ and decide_cmp ctx op a b =
 
 (* ---------- access checks: SRC020 (kernel writes) and SRC022 ---------- *)
 
-and check_access ?wkey ctx ~loc ~write ~unsafe target idxi =
+and check_access ?wkey ?head ctx ~loc ~write ~unsafe target idxi =
   match ctx.kernel with
   | Some kc when write ->
       let local = match target with Varr a -> a.a_local | _ -> false in
@@ -1403,15 +1503,21 @@ and check_access ?wkey ctx ~loc ~write ~unsafe target idxi =
   | None ->
       if ctx.depth = 0 && ctx.hot then begin
         let names = sym_name ctx.g in
-        let len = match target with Varr a -> Some a.a_len | _ -> None in
+        let len =
+          match target with
+          | Varr a -> Some a.a_len
+          | Vsym s -> Some (len_of ctx.g s)
+          | _ -> None
+        in
         let proven =
           match len with
-          | Some l when l.N.iknown ->
+          | Some l ->
               N.iv_subset ~assume:ctx.assume idxi
                 ~lo:(N.Lin (N.lin_const 0))
                 ~hi:(N.bound_add_const (-1) l.N.ilo)
-          | _ -> false
+          | None -> false
         in
+        if unsafe then record_unchecked ctx.g ctx.file (Option.value head ~default:loc) proven;
         if unsafe && not proven then
           emit ctx ~code:"SRC022" ~loc
             ~msg:
@@ -1447,6 +1553,15 @@ and check_access ?wkey ctx ~loc ~write ~unsafe target idxi =
               ~context:[ ("index", N.iv_to_string ~names idxi) ]
         end
       end
+
+(* An unchecked access counts as proven only if every depth-0 visit
+   proved it; [touched] lets a fuel abort take the proof back. *)
+and record_unchecked g file loc proven =
+  let p = loc.Location.loc_start in
+  let key = (file, p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol) in
+  let before = Option.value (Hashtbl.find_opt g.unchecked key) ~default:true in
+  Hashtbl.replace g.unchecked key (before && proven);
+  g.touched <- key :: g.touched
 
 (* The stride a shared kernel write provably keeps to: 1 when the index
    lies in the party's rows [lo, hi-1]; at a range site, s >= 2 when it
@@ -1596,6 +1711,11 @@ and analyze_site ctx env loc runner ~range args =
 
 (* ---------- driver ---------- *)
 
+(* A fuel abort leaves the function's proofs unfinished: every unchecked
+   access it visited goes back to unproven. *)
+let take_back g =
+  List.iter (fun key -> Hashtbl.replace g.unchecked key false) g.touched
+
 let mk_ctx g file modname hot =
   {
     g;
@@ -1637,10 +1757,12 @@ and module_item g queue file hot modname env (st : structure_item) =
               SMap.add n v env
           | _ ->
               let ctx = mk_ctx g file modname hot in
+              g.touched <- [];
               let v =
                 try eval ctx env vb.pvb_expr
                 with Fuel ->
                   g.exhausted <- g.exhausted + 1;
+                  take_back g;
                   Vtop
               in
               let env = bind_pat ctx env vb.pvb_pat v in
@@ -1661,8 +1783,11 @@ and module_item g queue file hot modname env (st : structure_item) =
       env
   | Pstr_eval (e, _) ->
       let ctx = mk_ctx g file modname hot in
+      g.touched <- [];
       (try ignore (eval ctx env e)
-       with Fuel -> g.exhausted <- g.exhausted + 1);
+       with Fuel ->
+         g.exhausted <- g.exhausted + 1;
+         take_back g);
       env
   | _ -> env
 
@@ -1671,8 +1796,11 @@ let analyze_function g cl =
   let ctx =
     { (mk_ctx g cl.f_file cl.f_module cl.f_hot) with stack = [ cl.f_name ] }
   in
+  g.touched <- [];
   try ignore (apply_fn ctx ~havoc_opt:true cl.f_env cl.f_body [])
-  with Fuel -> g.exhausted <- g.exhausted + 1
+  with Fuel ->
+    g.exhausted <- g.exhausted + 1;
+    take_back g
 
 let analyze ?(fuel = default_fuel) files =
   let g =
@@ -1688,6 +1816,9 @@ let analyze ?(fuel = default_fuel) files =
       fuel_budget = fuel;
       functions = 0;
       exhausted = 0;
+      lens = Hashtbl.create 64;
+      unchecked = Hashtbl.create 64;
+      touched = [];
     }
   in
   let queue = Queue.create () in
@@ -1697,9 +1828,17 @@ let analyze ?(fuel = default_fuel) files =
         (module_items g queue path hot (Cfg.module_of_path path) SMap.empty ast))
     files;
   Queue.iter (fun cl -> analyze_function g cl) queue;
+  let unchecked =
+    Hashtbl.fold
+      (fun (uc_file, uc_line, uc_col) uc_proven acc ->
+        { uc_file; uc_line; uc_col; uc_proven } :: acc)
+      g.unchecked []
+    |> List.sort compare
+  in
   ( List.rev g.findings,
     {
       st_sites = List.rev g.sites;
       st_functions = g.functions;
       st_fuel_exhausted = g.exhausted;
+      st_unchecked = unchecked;
     } )

@@ -16,10 +16,22 @@
     provably within the party's range or SRC020 fires; each site is
     reported as proven / flagged / unknown in {!stats}.
 
+    An array the function did not allocate (a parameter, a record
+    field, an element of another array, an unknown call's result) has
+    a symbolic length. A comparison on the path — typically a guard
+    [if Array.length x < 3 * hi then raise ...] — adds a linear fact
+    over these symbols, and the fact holds in the rest of the path and
+    in the callees inlined there. SRC022 proves each
+    [Array.unsafe_get]/[unsafe_set] in a hot-path file against the
+    facts and lengths and records the verdict in
+    {!stats.st_unchecked}; {!Lint} keeps the SRC003 finding on an
+    unchecked access only where the verdict is unproven.
+
     Known unsoundness (see DESIGN 9.2): aliasing through refs and
     records is not tracked, first-class functions received as
     arguments are trusted at their construction site, and fuel
-    exhaustion aborts the enclosing function without a finding. *)
+    exhaustion aborts the enclosing function without a finding (its
+    unchecked accesses count as unproven). *)
 
 type finding = {
   af_code : string;
@@ -40,10 +52,22 @@ type kernel_site = {
   ks_writes : int;  (** shared-array writes checked inside the body *)
 }
 
+type unchecked = {
+  uc_file : string;
+  uc_line : int;
+  uc_col : int;  (** of the [Array.unsafe_get]/[unsafe_set] identifier *)
+  uc_proven : bool;
+      (** SRC022 proved the index inside the array's length at every
+          depth-0 visit, and no visit ran out of fuel *)
+}
+(** An [Array.unsafe_get]/[unsafe_set] in a hot-path file. *)
+
 type stats = {
   st_sites : kernel_site list;  (** in traversal order *)
   st_functions : int;  (** top-level functions analyzed *)
   st_fuel_exhausted : int;  (** functions aborted by the step budget *)
+  st_unchecked : unchecked list;
+      (** every unchecked access visited, sorted by file and position *)
 }
 
 val default_fuel : int

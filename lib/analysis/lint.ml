@@ -877,11 +877,33 @@ let absint ?fuel parsed =
   in
   (findings, stats)
 
+(* SRC003 on an [Array.unsafe_get]/[unsafe_set] in a hot-path file
+   stands only where SRC022 did not prove the access. *)
+let discharge_unchecked (stats : Absint.stats) findings =
+  let proven = Hashtbl.create 64 in
+  List.iter
+    (fun (u : Absint.unchecked) ->
+      if u.Absint.uc_proven then
+        Hashtbl.replace proven (u.Absint.uc_file, u.Absint.uc_line, u.Absint.uc_col) ())
+    stats.Absint.st_unchecked;
+  List.filter
+    (fun f ->
+      not
+        (f.code = "SRC003"
+        && (classify f.file).hot
+        && (match List.assoc_opt "ident" f.context with
+           | Some ("Array.unsafe_get" | "Array.unsafe_set") -> true
+           | _ -> false)
+        && Hashtbl.mem proven (f.file, f.line, f.col)))
+    findings
+
 let lint_parsed ?extra_blocking parsed =
+  let ai_findings, stats = absint parsed in
   List.sort compare_finding
-    (List.concat_map analyze_parsed parsed
-    @ interprocedural ?extra_blocking parsed
-    @ fst (absint parsed))
+    (discharge_unchecked stats
+       (List.concat_map analyze_parsed parsed
+       @ interprocedural ?extra_blocking parsed
+       @ ai_findings))
 
 let lint_source ~path contents =
   lint_parsed [ parse_source ~path contents ]

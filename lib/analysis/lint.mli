@@ -139,9 +139,15 @@ val absint : ?fuel:int -> parsed list -> finding list * Absint.stats
     function without a finding and is counted in
     {!Absint.stats.st_fuel_exhausted}. *)
 
+val discharge_unchecked : Absint.stats -> finding list -> finding list
+(** Drops each SRC003 finding on an [Array.unsafe_get]/[unsafe_set] in
+    a hot-path file whose access {!absint} proved
+    ({!Absint.stats.st_unchecked}); every other finding passes. *)
+
 val lint_parsed : ?extra_blocking:string list -> parsed list -> finding list
 (** [analyze_parsed] on each file plus [interprocedural] and {!absint}
-    over the program, merged and sorted. *)
+    over the program, merged, with {!discharge_unchecked} applied, and
+    sorted. *)
 
 val lint_source : path:string -> string -> finding list
 (** Analyze one source text. [path] determines the rule set ([.mli] vs

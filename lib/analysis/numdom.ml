@@ -51,22 +51,49 @@ let lin_to_string ~names l =
       else Printf.sprintf "%s%d" body l.c
 
 (* Entailment: [l >= 0] given a set of expressions each known [>= 0].
-   Each assumption may be subtracted at most once; with the tiny
-   assumption sets used at kernel sites this exact search is cheap. *)
-let shares_sym a l =
-  List.exists (fun (s, _) -> List.mem_assoc s l.terms) a.terms
-
+   A proof subtracts a positive multiple of each assumption at most
+   once until a nonnegative constant remains. An assumption is worth
+   subtracting only when it shares a symbol with [l] at the same sign
+   (a proof [l = sum k_a a + r] always has one for any symbol left in
+   [l]); the multiples tried cancel such a term ([3 s] against
+   [s >= 0] takes 3), else 1. Guard facts make the sets larger than
+   the two kernel-site assumptions, so the depth-first search runs
+   under a node budget: past it the answer is "not provable", which is
+   sound. *)
 let rec pick = function
   | [] -> []
   | a :: rest ->
       (a, rest) :: List.map (fun (b, r) -> (b, a :: r)) (pick rest)
 
-let rec lin_nonneg ~assume l =
-  (match l.terms with [] -> l.c >= 0 | _ -> false)
-  || List.exists
-       (fun (a, rest) ->
-         shares_sym a l && lin_nonneg ~assume:rest (lin_sub l a))
-       (pick assume)
+let multiples a l =
+  let same =
+    List.filter_map
+      (fun (s, cl) ->
+        match List.assoc_opt s a.terms with
+        | Some ca when cl * ca > 0 -> Some (if cl mod ca = 0 then cl / ca else 1)
+        | _ -> None)
+      l.terms
+  in
+  List.sort_uniq (fun x y -> Int.compare y x) same
+
+let entail_budget = 512
+
+let lin_nonneg ~assume l =
+  let budget = ref entail_budget in
+  let rec go l avail =
+    match l.terms with
+    | [] -> l.c >= 0
+    | _ ->
+        decr budget;
+        !budget > 0
+        && List.exists
+             (fun (a, rest) ->
+               List.exists
+                 (fun k -> go (lin_sub l (lin_scale k a)) rest)
+                 (multiples a l))
+             (pick avail)
+  in
+  go l assume
 
 (* ------------------------------------------------------------------ *)
 (* Integer intervals *)

@@ -9,11 +9,13 @@
       rules whether the value was actually computed from evidenced
       constants (havoc values never fire SRC021/023/024).
 
-    Comparisons are decided under a small assumption set: a list of
-    linear expressions asserted [>= 0] (e.g. [hi - lo] and [lo] at a
-    kernel site). Entailment subtracts each assumption at most once —
-    deliberately cheap, enough for range proofs of the form
-    [lo <= i < lo + (hi - lo)]. *)
+    Comparisons are decided under an assumption set: a list of linear
+    expressions asserted [>= 0] ([hi - lo] and [lo] at a kernel site,
+    plus the facts the guards on the current path established).
+    Entailment subtracts a multiple of each assumption at most once
+    under a node budget — enough for range proofs of the form
+    [lo <= i < lo + (hi - lo)] and [3 i + 2 < length] from
+    [length >= 3 n], [n >= hi] and [i <= hi - 1]. *)
 
 (** {1 Symbolic linear expressions} *)
 
@@ -34,8 +36,11 @@ val lin_to_string : names:(int -> string) -> lin -> string
 
 val lin_nonneg : assume:lin list -> lin -> bool
 (** [lin_nonneg ~assume l] — is [l >= 0] provable? True when the
-    constant remainder is nonnegative after subtracting a subset of
-    [assume] (each used at most once, greedily). *)
+    constant remainder is nonnegative after subtracting positive
+    multiples of a subset of [assume], each used at most once. The
+    multiples tried cancel a term of [l] (or are 1); the search is
+    depth-first under a fixed node budget, past which the answer is
+    [false]. *)
 
 (** {1 Integer intervals} *)
 

@@ -506,14 +506,27 @@ let stride3_vectors accs =
 let orders_vectors accs =
   Array.map (function Orders a -> a | Stride3 _ -> [||]) accs
 
+(* The kernels below read and write without bounds checks where the
+   index is bounded by the round's shape. Each such access sits behind
+   a guard in its own function that compares the array's length with
+   that shape and raises [shape]: once per call for an argument array,
+   once per row for an array taken out of another one. The source
+   analyzer proves every unchecked access against those guards
+   (SRC022). On a call [check_round_args] passed they never fire.
+   Indices read from matrix data (the CSR walk, the impulse couplings,
+   the band neighbours of the per-order kernel) keep their checks. *)
+let shape = Invalid_argument "Sparse: round kernel shape"
+
 (* The rest of an order-3 row once its matrix row has been walked:
-   [a1 .. a3] are the row dots and [c1], [c2] are U^(1), U^(2) of the
-   row itself. Adds the R', S' and impulse terms, writes U(k+1) and
-   folds it into each accumulator. Inlined, so the floats stay
-   unboxed. *)
-let[@inline] finish_row3 rw u next ~weights ~accs ~i a1 a2 a3 c1 c2 =
+   [a1 .. a3] are the row dots, [c1], [c2] are U^(1), U^(2) of the row
+   itself and [ri], [hs] its R' and S'/2. Adds the R', S' and impulse
+   terms, writes U(k+1) and folds it into each accumulator. Inlined, so
+   the floats stay unboxed. *)
+let[@inline] finish_row3 rw u next ~weights ~accs ~i ~ri ~hs a1 a2 a3 c1 c2 =
   let b = 3 * i in
-  let ri = rw.r'.(i) and hs = 0.5 *. rw.s'.(i) in
+  if b < 0 || Array.length next < b + 3
+     || Array.length accs < Array.length weights
+  then raise shape;
   let n3 = ref (a3 +. (ri *. c2) +. (hs *. c1))
   and n2 = ref (a2 +. (ri *. c1) +. hs)
   and n1 = ref (a1 +. ri) in
@@ -522,66 +535,82 @@ let[@inline] finish_row3 rw u next ~weights ~accs ~i a1 a2 a3 c1 c2 =
     n2 := coupled rw.coupling u ~i ~j:2 !n2;
     n1 := coupled rw.coupling u ~i ~j:1 !n1
   end;
-  next.(b) <- !n1;
-  next.(b + 1) <- !n2;
-  next.(b + 2) <- !n3;
+  Array.unsafe_set next b !n1;
+  Array.unsafe_set next (b + 1) !n2;
+  Array.unsafe_set next (b + 2) !n3;
   for t = 0 to Array.length weights - 1 do
-    let w = weights.(t) and acc = accs.(t) in
-    acc.(b) <- acc.(b) +. (w *. !n1);
-    acc.(b + 1) <- acc.(b + 1) +. (w *. !n2);
-    acc.(b + 2) <- acc.(b + 2) +. (w *. !n3)
+    let w = Array.unsafe_get weights t and acc = Array.unsafe_get accs t in
+    if Array.length acc < b + 3 then raise shape;
+    Array.unsafe_set acc b (Array.unsafe_get acc b +. (w *. !n1));
+    Array.unsafe_set acc (b + 1) (Array.unsafe_get acc (b + 1) +. (w *. !n2));
+    Array.unsafe_set acc (b + 2) (Array.unsafe_get acc (b + 2) +. (w *. !n3))
   done
 
 (* Order 3, row-interleaved, on the tridiagonal band. A window over rows
    i-1 (p), i (x) and i+1 (y) of U(k) loads each row once. *)
 let tridiag_round3 td rw cur next ~weights ~accs ~lo ~hi =
+  let n = td.t_dim in
   let l = td.t_lower and d = td.t_diag and ud = td.t_upper in
+  let r' = rw.r' and s' = rw.s' in
+  if lo < 0 || hi < lo || n < hi
+     || Array.length l < n || Array.length d < n || Array.length ud < n
+     || Array.length r' < n || Array.length s' < n
+     || Array.length cur < 3 * n
+  then raise shape;
   let u k c = if k = 0 then 1. else cur.((3 * c) + k - 1) in
   let p1 = ref 0. and p2 = ref 0. and p3 = ref 0. in
   let x1 = ref 0. and x2 = ref 0. and x3 = ref 0. in
   if lo > 0 && lo < hi then begin
     let c = 3 * (lo - 1) in
-    p1 := cur.(c);
-    p2 := cur.(c + 1);
-    p3 := cur.(c + 2)
+    p1 := Array.unsafe_get cur c;
+    p2 := Array.unsafe_get cur (c + 1);
+    p3 := Array.unsafe_get cur (c + 2)
   end;
   if lo < hi then begin
     let c = 3 * lo in
-    x1 := cur.(c);
-    x2 := cur.(c + 1);
-    x3 := cur.(c + 2)
+    x1 := Array.unsafe_get cur c;
+    x2 := Array.unsafe_get cur (c + 1);
+    x3 := Array.unsafe_get cur (c + 2)
   end;
   for i = lo to hi - 1 do
-    let b = 3 * i in
     let y1 = ref 0. and y2 = ref 0. and y3 = ref 0. in
-    if i + 1 < td.t_dim then begin
-      y1 := cur.(b + 3);
-      y2 := cur.(b + 4);
-      y3 := cur.(b + 5)
+    (* row i+1: inside the range, or the first row after it *)
+    if i < hi - 1 then begin
+      let c = 3 * (i + 1) in
+      y1 := Array.unsafe_get cur c;
+      y2 := Array.unsafe_get cur (c + 1);
+      y3 := Array.unsafe_get cur (c + 2)
+    end
+    else if hi < n then begin
+      let c = 3 * hi in
+      y1 := Array.unsafe_get cur c;
+      y2 := Array.unsafe_get cur (c + 1);
+      y3 := Array.unsafe_get cur (c + 2)
     end;
     let a1 = ref 0. and a2 = ref 0. and a3 = ref 0. in
-    let li = l.(i) in
+    let li = Array.unsafe_get l i in
     (* mrm:ignore SRC001 -- zero encodes an absent band entry *)
     if li <> 0. then begin
       a1 := !a1 +. (li *. !p1);
       a2 := !a2 +. (li *. !p2);
       a3 := !a3 +. (li *. !p3)
     end;
-    let di = d.(i) in
+    let di = Array.unsafe_get d i in
     (* mrm:ignore SRC001 -- zero encodes an absent band entry *)
     if di <> 0. then begin
       a1 := !a1 +. (di *. !x1);
       a2 := !a2 +. (di *. !x2);
       a3 := !a3 +. (di *. !x3)
     end;
-    let ui = ud.(i) in
+    let ui = Array.unsafe_get ud i in
     (* mrm:ignore SRC001 -- zero encodes an absent band entry *)
     if ui <> 0. then begin
       a1 := !a1 +. (ui *. !y1);
       a2 := !a2 +. (ui *. !y2);
       a3 := !a3 +. (ui *. !y3)
     end;
-    finish_row3 rw u next ~weights ~accs ~i !a1 !a2 !a3 !x1 !x2;
+    finish_row3 rw u next ~weights ~accs ~i ~ri:(Array.unsafe_get r' i)
+      ~hs:(0.5 *. Array.unsafe_get s' i) !a1 !a2 !a3 !x1 !x2;
     p1 := !x1;
     p2 := !x2;
     p3 := !x3;
@@ -593,9 +622,15 @@ let tridiag_round3 td rw cur next ~weights ~accs ~lo ~hi =
 (* Order 3, row-interleaved, on CSR: one row walk feeds all three
    orders. *)
 let csr_round3 m rw cur next ~weights ~accs ~lo ~hi =
+  let n = m.rows in
   let row_start = m.row_start
   and col_index = m.col_index
   and values = m.values in
+  let r' = rw.r' and s' = rw.s' in
+  if lo < 0 || hi < lo || n < hi
+     || Array.length r' < n || Array.length s' < n
+     || Array.length cur < 3 * n
+  then raise shape;
   let u k c = if k = 0 then 1. else cur.((3 * c) + k - 1) in
   for i = lo to hi - 1 do
     let b = 3 * i in
@@ -606,7 +641,9 @@ let csr_round3 m rw cur next ~weights ~accs ~lo ~hi =
       a2 := !a2 +. (v *. cur.(c + 1));
       a3 := !a3 +. (v *. cur.(c + 2))
     done;
-    finish_row3 rw u next ~weights ~accs ~i !a1 !a2 !a3 cur.(b) cur.(b + 1)
+    finish_row3 rw u next ~weights ~accs ~i ~ri:(Array.unsafe_get r' i)
+      ~hs:(0.5 *. Array.unsafe_get s' i) !a1 !a2 !a3 (Array.unsafe_get cur b)
+      (Array.unsafe_get cur (b + 1))
   done
 
 (* Any order, one vector per order. Orders ascend, so U^(j-1) and
@@ -619,27 +656,44 @@ let csr_round3 m rw cur next ~weights ~accs ~lo ~hi =
    stay unboxed. *)
 let[@inline] finish_order rw u next ~weights ~accs ~i ~j ~ri ~hs dot below1
     below2 =
+  if i < 0 || j < 0 || Array.length next <= j
+     || Array.length accs < Array.length weights
+  then raise shape;
+  let x = Array.unsafe_get next j in
+  if Array.length x <= i then raise shape;
   let v = ref (dot +. (ri *. below1)) in
   if j >= 2 then v := !v +. (hs *. below2);
   if Array.length rw.coupling > 0 then v := coupled rw.coupling u ~i ~j !v;
-  next.(j).(i) <- !v;
+  Array.unsafe_set x i !v;
   for t = 0 to Array.length weights - 1 do
-    let acc = accs.(t).(j) in
-    acc.(i) <- acc.(i) +. (weights.(t) *. !v)
+    let orders = Array.unsafe_get accs t in
+    if Array.length orders <= j then raise shape;
+    let acc = Array.unsafe_get orders j in
+    if Array.length acc <= i then raise shape;
+    Array.unsafe_set acc i
+      (Array.unsafe_get acc i +. (Array.unsafe_get weights t *. !v))
   done
 
 (* On the tridiagonal band: three reads per row and order. *)
 let tridiag_round td rw cur next ~order ~weights ~accs ~lo ~hi =
+  let n = td.t_dim in
   let l = td.t_lower and d = td.t_diag and ud = td.t_upper in
   let r' = rw.r' and s' = rw.s' in
+  if lo < 0 || hi < lo || n < hi || Array.length cur <= order
+     || Array.length l < n || Array.length d < n || Array.length ud < n
+     || Array.length r' < n || Array.length s' < n
+  then raise shape;
   let u k c = if k = 0 then 1. else cur.(k).(c) in
   for i = lo to hi - 1 do
-    let li = l.(i) and di = d.(i) and ui = ud.(i) in
-    let ri = r'.(i) and hs = 0.5 *. s'.(i) in
+    let li = Array.unsafe_get l i
+    and di = Array.unsafe_get d i
+    and ui = Array.unsafe_get ud i in
+    let ri = Array.unsafe_get r' i and hs = 0.5 *. Array.unsafe_get s' i in
     let below1 = ref 1. and below2 = ref 1. in
     for j = 1 to order do
-      let x = cur.(j) in
-      let xi = x.(i) in
+      let x = Array.unsafe_get cur j in
+      if Array.length x < hi then raise shape;
+      let xi = Array.unsafe_get x i in
       let v = ref 0. in
       (* mrm:ignore SRC001 -- zero encodes an absent band entry *)
       if li <> 0. then v := !v +. (li *. x.(i - 1));
@@ -655,10 +709,14 @@ let tridiag_round td rw cur next ~order ~weights ~accs ~lo ~hi =
 
 (* On CSR: one row walk into [row] feeds every order. *)
 let csr_round m rw cur next ~order ~weights ~accs ~lo ~hi =
+  let n = m.rows in
   let row_start = m.row_start
   and col_index = m.col_index
   and values = m.values in
   let r' = rw.r' and s' = rw.s' in
+  if lo < 0 || hi < lo || n < hi || Array.length cur <= order
+     || Array.length r' < n || Array.length s' < n
+  then raise shape;
   let u k c = if k = 0 then 1. else cur.(k).(c) in
   let row = Array.make (order + 1) 0. in
   for i = lo to hi - 1 do
@@ -666,16 +724,19 @@ let csr_round m rw cur next ~order ~weights ~accs ~lo ~hi =
     for k = row_start.(i) to row_start.(i + 1) - 1 do
       let v = values.(k) and c = col_index.(k) in
       for j = 1 to order do
-        row.(j) <- row.(j) +. (v *. cur.(j).(c))
+        Array.unsafe_set row j
+          (Array.unsafe_get row j +. (v *. (Array.unsafe_get cur j).(c)))
       done
     done;
-    let ri = r'.(i) and hs = 0.5 *. s'.(i) in
+    let ri = Array.unsafe_get r' i and hs = 0.5 *. Array.unsafe_get s' i in
     let below1 = ref 1. and below2 = ref 1. in
     for j = 1 to order do
-      finish_order rw u next ~weights ~accs ~i ~j ~ri ~hs row.(j) !below1
-        !below2;
+      finish_order rw u next ~weights ~accs ~i ~j ~ri ~hs
+        (Array.unsafe_get row j) !below1 !below2;
       below2 := !below1;
-      below1 := cur.(j).(i)
+      let x = Array.unsafe_get cur j in
+      if Array.length x < hi then raise shape;
+      below1 := Array.unsafe_get x i
     done
   done
 

@@ -151,7 +151,8 @@ let analyze paths baseline_path update strict format jobs blocking fuel =
   let ai_findings, ai_stats = Lint.absint ?fuel parsed in
   let t_ai = Unix.gettimeofday () in
   let findings =
-    List.sort Lint.compare_finding (per_file @ inter @ ai_findings)
+    List.sort Lint.compare_finding
+      (Lint.discharge_unchecked ai_stats (per_file @ inter @ ai_findings))
   in
   let site_count status =
     List.length
@@ -226,6 +227,15 @@ let analyze paths baseline_path update strict format jobs blocking fuel =
             (site_count Absint.Flagged)
             (site_count Absint.Unknown)
             ai_stats.Absint.st_functions ai_stats.Absint.st_fuel_exhausted;
+          let proven =
+            List.length
+              (List.filter
+                 (fun (u : Absint.unchecked) -> u.Absint.uc_proven)
+                 ai_stats.Absint.st_unchecked)
+          in
+          Format.printf "lint-src: unchecked accesses: %d proven, %d unproven@."
+            proven
+            (List.length ai_stats.Absint.st_unchecked - proven);
           let by_rule =
             List.fold_left
               (fun acc (f : Lint.finding) ->

@@ -1,6 +1,5 @@
 (* Clean twin: both accesses stay inside the table. *)
 let pick () =
   let xs = Array.make 3 0. in
-  (* mrm:ignore SRC003 — in-bounds by the length fact above *)
   let third = Array.unsafe_get xs 2 in
   xs.(0) +. third

@@ -208,6 +208,76 @@ let test_src022_bounds () =
     "cold path is silent" []
     (codes (lint_fixture ~path:"lib/util/fake.ml" "src_absint_bounds.ml"))
 
+(* An unchecked read of an array the function did not allocate (a
+   parameter, an element of another array) is proven by a dominating
+   Array.length guard in the same function; without one, SRC022 and
+   SRC003 both stand at the read. In a cold module SRC022 is silent and
+   SRC003 stays. *)
+let test_src022_unchecked_guards () =
+  let got = lint_fixture ~path:"lib/linalg/fake.ml" "src_absint_unsafe.ml" in
+  Alcotest.(check (list (pair string int)))
+    "unguarded reads"
+    [ ("SRC003", 7); ("SRC022", 7); ("SRC003", 13); ("SRC022", 13) ]
+    (List.map (fun (f : Lint.finding) -> (f.Lint.code, f.Lint.line)) got);
+  Alcotest.(check (list string))
+    "guarded twin is silent" []
+    (codes (lint_fixture ~path:"lib/linalg/fake.ml" "src_absint_unsafe_ok.ml"));
+  let parsed name =
+    [ Lint.parse_source ~path:"lib/util/fake.ml" (fixture name) ]
+  in
+  Alcotest.(check (list string))
+    "cold path: the interval pass is silent" []
+    (codes (fst (Lint.absint (parsed "src_absint_unsafe.ml"))));
+  Alcotest.(check (list (pair string int)))
+    "cold path: SRC003 stays"
+    [ ("SRC003", 8); ("SRC003", 15) ]
+    (List.map
+       (fun (f : Lint.finding) -> (f.Lint.code, f.Lint.line))
+       (lint_fixture ~path:"lib/util/fake.ml" "src_absint_unsafe_ok.ml"))
+
+(* A proof the analysis did not finish does not discharge SRC003. *)
+let test_unchecked_fuel () =
+  let parsed =
+    [
+      Lint.parse_source ~path:"lib/linalg/fake.ml"
+        (fixture "src_absint_unsafe_ok.ml");
+    ]
+  in
+  let syntactic = List.concat_map Lint.analyze_parsed parsed in
+  Alcotest.(check int) "two SRC003 before the hand-off" 2
+    (List.length syntactic);
+  let _, stats = Lint.absint parsed in
+  Alcotest.(check (list bool)) "both reads proven" [ true; true ]
+    (List.map (fun (u : Absint.unchecked) -> u.Absint.uc_proven)
+       stats.Absint.st_unchecked);
+  Alcotest.(check (list string)) "and discharged" []
+    (codes (Lint.discharge_unchecked stats syntactic));
+  (* A starved function proves none of its reads, also one it visited
+     (and proved) before the budget ran out: at every budget, proven
+     reads plus starved functions never exceed the two functions. *)
+  let taken_back = ref 0 in
+  for fuel = 1 to 400 do
+    let _, starved = Lint.absint ~fuel parsed in
+    let proven =
+      List.filter (fun (u : Absint.unchecked) -> u.Absint.uc_proven)
+        starved.Absint.st_unchecked
+    in
+    let exhausted = starved.Absint.st_fuel_exhausted in
+    if List.length proven + exhausted > 2 then
+      Alcotest.failf "fuel %d: %d read(s) proven with %d function(s) starved"
+        fuel (List.length proven) exhausted;
+    if
+      exhausted > 0
+      && List.length starved.Absint.st_unchecked > List.length proven
+    then incr taken_back;
+    Alcotest.(check int)
+      (Printf.sprintf "fuel %d: SRC003 stands where unproven" fuel)
+      (2 - List.length proven)
+      (List.length (Lint.discharge_unchecked starved syntactic))
+  done;
+  Alcotest.(check bool) "some starved function had visited its read" true
+    (!taken_back > 0)
+
 let test_src023_nan_compare () =
   check_pair ~path:"lib/util/fake.ml" ~code:"SRC023" ~lines:[ 5 ]
     "src_absint_nan.ml" "src_absint_nan_ok.ml"
@@ -376,7 +446,23 @@ let test_repo_kernels_proven () =
           Alcotest.(check bool) "at least the 3 known sites proven" true
             (by Absint.Proven >= 3);
           Alcotest.(check int) "no flagged site in lib" 0 (by Absint.Flagged);
-          Alcotest.(check int) "no unknown site in lib" 0 (by Absint.Unknown))
+          Alcotest.(check int) "no unknown site in lib" 0 (by Absint.Unknown);
+          (* every Array.unsafe_get/unsafe_set in lib is proven: the
+             round kernels in sparse.ml hold them *)
+          let unchecked = stats.Absint.st_unchecked in
+          List.iter
+            (fun (u : Absint.unchecked) ->
+              if not u.Absint.uc_proven then
+                Alcotest.failf "unchecked access %s:%d:%d not proven"
+                  u.Absint.uc_file u.Absint.uc_line u.Absint.uc_col)
+            unchecked;
+          Alcotest.(check bool) "the round kernels' accesses are there" true
+            (List.length
+               (List.filter
+                  (fun (u : Absint.unchecked) ->
+                    Filename.basename u.Absint.uc_file = "sparse.ml")
+                  unchecked)
+            >= 40))
 
 (* ------------------------------------------------------------------ *)
 (* Cross-check: proven kernel shapes vs the dynamic race checker        *)
@@ -455,6 +541,10 @@ let () =
             test_src020_strided_write;
           Alcotest.test_case "SRC021 division" `Quick test_src021_division;
           Alcotest.test_case "SRC022 bounds" `Quick test_src022_bounds;
+          Alcotest.test_case "SRC022 unchecked access guards" `Quick
+            test_src022_unchecked_guards;
+          Alcotest.test_case "unproven when fuel runs out" `Quick
+            test_unchecked_fuel;
           Alcotest.test_case "SRC023 NaN compare" `Quick test_src023_nan_compare;
           Alcotest.test_case "SRC024 probability" `Quick test_src024_probability;
           Alcotest.test_case "SRC02x severities" `Quick test_src02x_severities;

@@ -497,6 +497,90 @@ let test_mv_multi_empty_range () =
       Sparse.tridiag_mv_multi_into_range td xs ys ~lo:0 ~hi:0;
       check_vec "tridiag untouched" [| 9.; 9.; 9. |] ys.(0)
 
+(* The round kernels read and write unchecked inside the rows the
+   arguments describe, so the argument checks of [round_into_range] and
+   [tridiag_round_into_range] are all that keeps a bad call from
+   writing out of bounds. Each violated precondition must raise. *)
+let test_round_guards () =
+  let n = 4 in
+  let m =
+    Sparse.of_triplets ~rows:n ~cols:n
+      [ (0, 0, 0.5); (0, 1, 0.5); (1, 0, 0.25); (1, 1, 0.5); (1, 2, 0.25);
+        (2, 1, 0.25); (2, 2, 0.5); (2, 3, 0.25); (3, 2, 0.5); (3, 3, 0.5) ]
+  in
+  let td =
+    match Sparse.as_tridiagonal m with
+    | Some td -> td
+    | None -> Alcotest.fail "expected a tridiagonal matrix"
+  in
+  let vec k = Array.make k 0.25 in
+  let rw = { Sparse.r' = vec n; s' = vec n; coupling = [||] } in
+  let kernels =
+    [
+      ("csr", Sparse.round_into_range m);
+      ("band", Sparse.tridiag_round_into_range td);
+    ]
+  in
+  let expect_invalid name call =
+    List.iter
+      (fun (kernel, round) ->
+        match call round with
+        | () -> Alcotest.failf "%s (%s): no Invalid_argument" name kernel
+        | exception Invalid_argument _ -> ())
+      kernels
+  in
+  (* order 3 runs the row-interleaved layout, order 2 one vector per
+     order: every check is tried on both *)
+  List.iter
+    (fun order ->
+      let blk ?(dim = n) () = Sparse.block ~order ~dim in
+      let call ?(rw = rw) ?cur ?next ?(weights = [| 1. |]) ?accs ?(lo = 0)
+          ?(hi = n) round =
+        let cur = match cur with Some c -> c | None -> blk () in
+        let next = match next with Some c -> c | None -> blk () in
+        let accs = match accs with Some a -> a | None -> [| blk () |] in
+        round rw ~cur ~next ~weights ~accs ~lo ~hi
+      in
+      let name what = Printf.sprintf "order %d: %s" order what in
+      expect_invalid (name "short cur") (call ~cur:(blk ~dim:(n - 1) ()));
+      expect_invalid (name "short next") (call ~next:(blk ~dim:(n - 1) ()));
+      expect_invalid (name "short accumulator")
+        (call ~accs:[| blk ~dim:(n - 1) () |]);
+      let other = Sparse.block ~order:(order + 1) ~dim:n in
+      expect_invalid (name "next of another order") (call ~next:other);
+      expect_invalid (name "accumulator of another order")
+        (call ~accs:[| other |]);
+      let u = blk () in
+      expect_invalid (name "cur == next") (call ~cur:u ~next:u);
+      expect_invalid (name "accumulator is cur") (call ~cur:u ~accs:[| u |]);
+      expect_invalid (name "accumulator is next") (call ~next:u ~accs:[| u |]);
+      expect_invalid (name "weights/accs count")
+        (call ~weights:[| 1.; 2. |] ~accs:[| blk () |]);
+      expect_invalid (name "short r'")
+        (call ~rw:{ rw with Sparse.r' = vec (n - 1) });
+      expect_invalid (name "short s'")
+        (call ~rw:{ rw with Sparse.s' = vec (n - 1) });
+      let coupling k dim =
+        Array.init k (fun _ -> (1., Sparse.identity dim))
+      in
+      expect_invalid (name "too few coupling matrices")
+        (call ~rw:{ rw with Sparse.coupling = coupling (order - 1) n });
+      expect_invalid (name "coupling of the wrong size")
+        (call ~rw:{ rw with Sparse.coupling = coupling order (n + 1) });
+      expect_invalid (name "lo < 0") (call ~lo:(-1));
+      expect_invalid (name "hi > dim") (call ~hi:(n + 1));
+      expect_invalid (name "lo > hi") (call ~lo:3 ~hi:2);
+      (* the well-formed call the variants above each break *)
+      List.iter (fun (_, round) -> call round) kernels)
+    [ 3; 2 ];
+  let wide = Sparse.of_triplets ~rows:n ~cols:(n + 1) [ (0, 0, 1.) ] in
+  let blk = Sparse.block ~order:3 ~dim:n in
+  Alcotest.check_raises "non-square CSR matrix"
+    (Invalid_argument "Sparse.round_into_range: non-square matrix")
+    (fun () ->
+      Sparse.round_into_range wide rw ~cur:blk ~next:(Sparse.block ~order:3 ~dim:n)
+        ~weights:[||] ~accs:[||] ~lo:0 ~hi:n)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -579,5 +663,6 @@ let () =
           Alcotest.test_case "aliasing rejected" `Quick
             test_mv_multi_rejects_aliasing;
           Alcotest.test_case "empty range" `Quick test_mv_multi_empty_range;
+          Alcotest.test_case "round guards" `Quick test_round_guards;
         ] );
     ]
