@@ -66,28 +66,44 @@ let of_triplets ~states triplets =
   validate
     (Sparse.of_triplets ~rows:states ~cols:states (diagonal @ off_diagonal))
 
+(* Row i holds d = death i at column i-1, the diagonal at i and
+   b = birth i at i+1, already in column order, so the CSR arrays are
+   written directly; Sparse.of_csr drops the zero rates. The diagonal
+   is -(0 + d + b), the exit sum of_triplets forms for this row. *)
 let birth_death ~states ~birth ~death =
   if states <= 0 then invalid_arg "Generator.birth_death: states > 0";
-  let triplets = ref [] in
-  for i = states - 1 downto 0 do
-    if i < states - 1 then begin
-      let b = birth i in
-      if b < 0. then
-        invalid_arg
-          (Printf.sprintf
-             "Generator.birth_death: negative birth rate %g at state %d" b i);
-      if b > 0. then triplets := (i, i + 1, b) :: !triplets
-    end;
-    if i > 0 then begin
-      let d = death i in
-      if d < 0. then
-        invalid_arg
-          (Printf.sprintf
-             "Generator.birth_death: negative death rate %g at state %d" d i);
-      if d > 0. then triplets := (i, i - 1, d) :: !triplets
-    end
+  let rate kind f i =
+    let v = f i in
+    if not (Float.is_finite v) then
+      invalid_arg
+        (Printf.sprintf
+           "Generator.birth_death: non-finite %s rate %g at state %d" kind v i);
+    if v < 0. then
+      invalid_arg
+        (Printf.sprintf "Generator.birth_death: negative %s rate %g at state %d"
+           kind v i);
+    v
+  in
+  let stored = (3 * states) - 2 in
+  let row_start = Array.make (states + 1) 0
+  and col_index = Array.make stored 0
+  and values = Array.make stored 0. in
+  let k = ref 0 in
+  let push j v =
+    col_index.(!k) <- j;
+    values.(!k) <- v;
+    incr k
+  in
+  for i = 0 to states - 1 do
+    let d = if i > 0 then rate "death" death i else 0. in
+    let b = if i < states - 1 then rate "birth" birth i else 0. in
+    if i > 0 then push (i - 1) d;
+    push i (-.(0. +. d +. b));
+    if i < states - 1 then push (i + 1) b;
+    row_start.(i + 1) <- !k
   done;
-  of_triplets ~states !triplets
+  validate
+    (Sparse.of_csr ~rows:states ~cols:states ~row_start ~col_index ~values)
 
 let matrix g = g.matrix
 let dim g = g.dim

@@ -21,7 +21,11 @@ val birth_death :
   states:int -> birth:(int -> float) -> death:(int -> float) -> t
 (** Birth–death chain on [0 .. states-1]: [birth i] is the rate i -> i+1
     (i < states-1) and [death i] the rate i -> i-1 (i > 0). The paper's
-    ON–OFF multiplexer background process has this shape. *)
+    ON–OFF multiplexer background process has this shape. The CSR
+    arrays are built directly (rows are already in column order) and
+    zero rates are dropped; the result is then checked as by
+    {!of_sparse}. @raise Invalid_argument on [states <= 0] or a negative
+    or non-finite rate. *)
 
 val matrix : t -> Mrm_linalg.Sparse.t
 val dim : t -> int

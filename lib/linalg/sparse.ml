@@ -67,6 +67,40 @@ let of_triplets ~rows ~cols triplets =
     entries;
   { rows; cols; row_start; col_index; values }
 
+let of_csr ~rows ~cols ~row_start ~col_index ~values =
+  let fail what = invalid_arg ("Sparse.of_csr: " ^ what) in
+  if rows < 0 || cols < 0 then fail "negative size";
+  let stored = Array.length values in
+  if Array.length row_start <> rows + 1 then fail "row_start length";
+  if Array.length col_index <> stored then fail "col_index/values lengths";
+  if row_start.(0) <> 0 || not (Int.equal row_start.(rows) stored) then
+    fail "row_start ends";
+  for i = 0 to rows - 1 do
+    if row_start.(i + 1) < row_start.(i) then fail "row_start decreasing"
+  done;
+  (* Keep the nonzero entries, compacting in place: entry k moves to
+     [kept] <= k, after entry k itself has been read. *)
+  let starts = Array.make (rows + 1) 0 in
+  let kept = ref 0 in
+  for i = 0 to rows - 1 do
+    let prev = ref (-1) in
+    for k = row_start.(i) to row_start.(i + 1) - 1 do
+      let j = col_index.(k) and v = values.(k) in
+      if j <= !prev || j >= cols then fail "column out of order or range";
+      prev := j;
+      (* mrm:ignore SRC001 -- sentinel: exact zeros carry no structure *)
+      if v <> 0. then begin
+        col_index.(!kept) <- j;
+        values.(!kept) <- v;
+        incr kept
+      end
+    done;
+    starts.(i + 1) <- !kept
+  done;
+  let trim a = if Int.equal !kept stored then a else Array.sub a 0 !kept in
+  { rows; cols; row_start = starts; col_index = trim col_index;
+    values = trim values }
+
 let of_dense d =
   let triplets = ref [] in
   for i = Dense.rows d - 1 downto 0 do

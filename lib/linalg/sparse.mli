@@ -15,6 +15,18 @@ val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
     exact zeros are dropped. @raise Invalid_argument on out-of-range
     indices. *)
 
+val of_csr :
+  rows:int -> cols:int -> row_start:int array -> col_index:int array ->
+  values:float array -> t
+(** Build from CSR arrays: row [i] holds entries
+    [row_start.(i) .. row_start.(i+1) - 1] of [col_index] and [values].
+    Exact zeros are dropped. [col_index] and [values] are taken over
+    and compacted in place, so the caller must not use them afterwards.
+    @raise Invalid_argument unless [row_start] has [rows + 1]
+    nondecreasing entries from [0] to the length of [values], [col_index]
+    has that length too, and each row's columns increase strictly
+    inside [[0, cols)]. *)
+
 val of_dense : Dense.t -> t
 val to_dense : t -> Dense.t
 

@@ -112,3 +112,22 @@ let embedded_jump_distribution_scan g i =
         if row = i && j <> i && v > 0. then acc := (j, v /. exit) :: !acc);
     Array.of_list (List.rev !acc)
   end
+
+(* A birth-death generator as Generator.birth_death built it before it
+   wrote the CSR arrays directly: positive rates collected as triplets
+   (state by state downwards, death before birth in the list), the
+   diagonal and the CSR arrays then formed by Generator.of_triplets,
+   which sorts them. *)
+let birth_death_triplets ~states ~birth ~death =
+  let triplets = ref [] in
+  for i = states - 1 downto 0 do
+    if i < states - 1 then begin
+      let b = birth i in
+      if b > 0. then triplets := (i, i + 1, b) :: !triplets
+    end;
+    if i > 0 then begin
+      let d = death i in
+      if d > 0. then triplets := (i, i - 1, d) :: !triplets
+    end
+  done;
+  Mrm_ctmc.Generator.of_triplets ~states !triplets

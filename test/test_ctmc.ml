@@ -274,6 +274,48 @@ let test_birth_death_structure () =
   check_close "no jump 0->2" 0. (Sparse.get q 0 2);
   check_close "diag 1" (-.(2. +. 2.)) (Sparse.get q 1 1)
 
+(* The direct CSR construction against the triplet one it replaced,
+   bit for bit, on random rates with zero rates among them (a dropped
+   entry, and a zero diagonal where a state has no exit). *)
+let test_birth_death_direct () =
+  let rng = Random.State.make [| 2004 |] in
+  let draw () =
+    match Random.State.int rng 4 with
+    | 0 -> 0.
+    | 1 -> float_of_int (1 + Random.State.int rng 5)
+    | 2 -> Random.State.float rng 10.
+    | _ -> ldexp (Random.State.float rng 1.) (Random.State.int rng 60 - 30)
+  in
+  for trial = 1 to 600 do
+    let states = if trial <= 500 then 1 + (trial mod 3) else trial - 490 in
+    let births = Array.init states (fun _ -> draw ())
+    and deaths = Array.init states (fun _ -> draw ()) in
+    let birth i = births.(i) and death i = deaths.(i) in
+    let expected = Oracles.birth_death_triplets ~states ~birth ~death in
+    let got = Generator.birth_death ~states ~birth ~death in
+    let what = Printf.sprintf "trial %d (%d states)" trial states in
+    Alcotest.(check (list (triple int int int64)))
+      what
+      (entry_bits (Generator.matrix expected))
+      (entry_bits (Generator.matrix got));
+    Alcotest.(check int64)
+      (what ^ ": q")
+      (Int64.bits_of_float (Generator.uniformization_rate expected))
+      (Int64.bits_of_float (Generator.uniformization_rate got))
+  done;
+  List.iter
+    (fun v ->
+      Alcotest.check_raises
+        (Printf.sprintf "birth rate %g" v)
+        (Invalid_argument
+           (Printf.sprintf
+              "Generator.birth_death: non-finite birth rate %g at state 0" v))
+        (fun () ->
+          ignore
+            (Generator.birth_death ~states:2 ~birth:(fun _ -> v)
+               ~death:(fun _ -> 1.))))
+    [ infinity; nan ]
+
 let test_exit_rates_and_jumps () =
   let exits = Generator.exit_rates two_state in
   check_close "exit 0" 2. exits.(0);
@@ -462,6 +504,8 @@ let () =
             test_generator_ignores_supplied_diagonal;
           Alcotest.test_case "uniformized stochastic" `Quick
             test_uniformized_stochastic;
+          Alcotest.test_case "birth-death = triplet construction" `Quick
+            test_birth_death_direct;
           Alcotest.test_case "birth-death structure" `Quick
             test_birth_death_structure;
           Alcotest.test_case "exit rates and jumps" `Quick

@@ -501,6 +501,40 @@ let test_mv_multi_empty_range () =
    arguments describe, so the argument checks of [round_into_range] and
    [tridiag_round_into_range] are all that keeps a bad call from
    writing out of bounds. Each violated precondition must raise. *)
+let test_sparse_of_csr () =
+  (* zeros dropped, rows kept: row 1 loses its only entry *)
+  let m =
+    Sparse.of_csr ~rows:3 ~cols:3 ~row_start:[| 0; 2; 3; 5 |]
+      ~col_index:[| 0; 2; 1; 0; 1 |] ~values:[| 1.; 0.; 0.; 4.; 5. |]
+  in
+  Alcotest.(check int) "nnz" 3 (Sparse.nnz m);
+  Alcotest.(check (list (triple int int (float 0.))))
+    "entries"
+    [ (0, 0, 1.); (2, 0, 4.); (2, 1, 5.) ]
+    (let acc = ref [] in
+     Sparse.iter m (fun i j v -> acc := (i, j, v) :: !acc);
+     List.rev !acc);
+  let bad name ~row_start ~col_index ~values =
+    match Sparse.of_csr ~rows:2 ~cols:2 ~row_start ~col_index ~values with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  bad "short row_start" ~row_start:[| 0; 1 |] ~col_index:[| 0 |]
+    ~values:[| 1. |];
+  bad "col_index/values lengths" ~row_start:[| 0; 1; 1 |]
+    ~col_index:[| 0; 1 |] ~values:[| 1. |];
+  bad "row_start end" ~row_start:[| 0; 1; 1 |] ~col_index:[| 0; 1 |]
+    ~values:[| 1.; 2. |];
+  Alcotest.check_raises "decreasing row_start"
+    (Invalid_argument "Sparse.of_csr: row_start decreasing") (fun () ->
+      ignore
+        (Sparse.of_csr ~rows:2 ~cols:2 ~row_start:[| 0; 2; 1 |]
+           ~col_index:[| 0 |] ~values:[| 1. |]));
+  bad "column out of range" ~row_start:[| 0; 1; 1 |] ~col_index:[| 2 |]
+    ~values:[| 1. |];
+  bad "columns not increasing" ~row_start:[| 0; 2; 2 |]
+    ~col_index:[| 1; 1 |] ~values:[| 1.; 2. |]
+
 let test_round_guards () =
   let n = 4 in
   let m =
@@ -620,6 +654,7 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_sparse_duplicates_summed;
           Alcotest.test_case "zero dropped" `Quick test_sparse_zero_dropped;
           Alcotest.test_case "out of range" `Quick test_sparse_out_of_range;
+          Alcotest.test_case "of_csr" `Quick test_sparse_of_csr;
           Alcotest.test_case "dense roundtrip" `Quick
             test_sparse_dense_roundtrip;
           Alcotest.test_case "mv matches dense" `Quick
