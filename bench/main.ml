@@ -389,6 +389,21 @@ let cpu_model () =
         (List.find_map field (String.split_on_char '\n' text))
   | exception Sys_error _ -> "unknown"
 
+(* The process's peak resident set so far (VmHWM in /proc/self/status),
+   in MB, for the bench record; None where the file is not there. *)
+let peak_rss_mb () =
+  let field line =
+    match String.split_on_char ':' line with
+    | [ "VmHWM"; rest ] -> (
+        match String.split_on_char ' ' (String.trim rest) with
+        | kb :: _ -> Option.map (fun k -> float_of_int k /. 1024.) (int_of_string_opt kb)
+        | [] -> None)
+    | _ -> None
+  in
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | text -> List.find_map field (String.split_on_char '\n' text)
+  | exception Sys_error _ -> None
+
 let fig8 () =
   let full = Sys.getenv_opt "MRM2_FULL" = Some "1" in
   let params =
@@ -554,7 +569,11 @@ let fig8 () =
        ("sequential_seconds", num seq_seconds);
        ("ns_per_state_iter", num ns_per_state_iter);
      ]
-    @ parallel_fields);
+    @ parallel_fields
+    @
+    match peak_rss_mb () with
+    | Some mb -> [ ("peak_rss_mb", num mb) ]
+    | None -> []);
   Printf.printf
     "per-iteration flops ~ (3 + 1 + 1) x %d x 4 (three moments), as in the \
      paper's complexity count.\n"

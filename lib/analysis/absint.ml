@@ -6,8 +6,9 @@
    analyzed once each with havoc parameters; calls resolve through the
    Callgraph naming conventions and inline to a small depth, which is
    how one-level summaries (the write ranges of Sparse.mv_into_range,
-   say) flow into a kernel-body proof. Loop bodies run twice, the
-   second pass widening. Range-kernel call sites re-run the body
+   say) flow into a kernel-body proof. Loop bodies run once plainly,
+   then widening until a pass moves nothing (see [loop_passes]).
+   Range-kernel call sites re-run the body
    closure under fresh symbolic lo/hi (or party index) and check every
    shared-array write against the party's range.
 
@@ -117,6 +118,7 @@ type glob = {
       (** unchecked access -> proven at every depth-0 visit *)
   mutable touched : (string * int * int) list;
       (** unchecked accesses visited by the function under analysis *)
+  mutable moved : int;  (** widening updates that changed a cell *)
 }
 
 type kctx = {
@@ -193,10 +195,11 @@ let with_facts ctx env =
   match facts env with
   | [] -> ctx
   | fs ->
-      let extra =
+      match
         List.filter (fun f -> not (List.exists (N.lin_equal f) ctx.assume)) fs
-      in
-      if extra = [] then ctx else { ctx with assume = extra @ ctx.assume }
+      with
+      | [] -> ctx
+      | extra -> { ctx with assume = extra @ ctx.assume }
 
 let step ctx =
   decr ctx.fuel;
@@ -256,8 +259,21 @@ let widen_value ~old v =
   | Vflt x, Vflt y -> Vflt (N.fv_widen ~old:x y)
   | _ -> join old v
 
-(* Weak update honoring the widening pass. *)
-let merge_cell ctx old v = if ctx.widen then widen_value ~old v else join old v
+(* Weak update honoring the widening pass. A widening update that moves
+   the cell is counted, so the loop knows its state is not stable yet. *)
+let merge_cell ctx old v =
+  if ctx.widen then begin
+    let r = widen_value ~old v in
+    let same =
+      match (old, r) with
+      | Vint x, Vint y -> x = y
+      | Vflt x, Vflt y -> x = y
+      | _ -> old == r
+    in
+    if not same then ctx.g.moved <- ctx.g.moved + 1;
+    r
+  end
+  else join old v
 
 (* Does this value definitely contain a shared mutable object? Vtop
    does not count (it would mark nearly every call escaping); Vfun
@@ -525,8 +541,7 @@ let rec eval ctx env (e : expression) : value =
         ignore (eval ctx' env cond);
         ignore (eval ctx' (refine ctx' env cond true) body)
       in
-      run false;
-      run true;
+      loop_passes ctx.g run;
       Vcon ("()", None)
   | Pexp_for (pat, e1, e2, dir, body) ->
       let v1 = iv_of (eval ctx env e1) in
@@ -543,8 +558,7 @@ let rec eval ctx env (e : expression) : value =
         let env' = bind_pat ctx' env pat (Vint iv) in
         ignore (eval ctx' env' body)
       in
-      run false;
-      run true;
+      loop_passes ctx.g run;
       Vcon ("()", None)
   | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_newtype (_, e)
   | Pexp_lazy e | Pexp_open (_, e) | Pexp_letexception (_, e) ->
@@ -558,6 +572,20 @@ let rec eval ctx env (e : expression) : value =
           Vcon ("()", None))
   | Pexp_poly (e, _) -> eval ctx env e
   | _ -> Vtop
+
+(* A loop body runs plainly, then widening what it writes (moved
+   bounds open to infinity) until a pass moves nothing, at most three
+   times. The pass that moves nothing read a state every iteration
+   stays in, so accesses are checked against the values any iteration
+   can reach rather than the first two iterations'. *)
+and loop_passes g run =
+  run false;
+  let rec widen left =
+    let before = g.moved in
+    run true;
+    if left > 1 && g.moved > before then widen (left - 1)
+  in
+  widen 3
 
 and anon_name file loc =
   Printf.sprintf "<fun:%s:%d>" file loc.Location.loc_start.Lexing.pos_lnum
@@ -764,7 +792,7 @@ and refine_cmp ctx env op a b branch =
   if not (int_like va && int_like vb) then env
   else
     let x = iv_of va and y = iv_of vb in
-    (* [hi - lo - k >= 0] from [lo <= p <= q - k... <= hi] *)
+    (* a < b with a >= x.lo and b <= y.hi gives y.hi - x.lo - 1 >= 0 *)
     let fact env hi lo k =
       match (hi, lo) with
       | N.Lin h, N.Lin l -> add_fact env (N.lin_add_const (-k) (N.lin_sub h l))
@@ -1819,6 +1847,7 @@ let analyze ?(fuel = default_fuel) files =
       lens = Hashtbl.create 64;
       unchecked = Hashtbl.create 64;
       touched = [];
+      moved = 0;
     }
   in
   let queue = Queue.create () in

@@ -3,7 +3,8 @@
 
     The engine is a big-step abstract evaluator: every top-level
     function is analyzed once with havoc parameters; loop bodies are
-    evaluated twice with widening on the second pass; calls resolve
+    evaluated once plainly, then with widening until a pass moves no
+    state (at most three widening passes); calls resolve
     through the same syntactic conventions as {!Callgraph}
     ({!Callgraph.resolve_name}) and are inlined to a small depth,
     which is how one-level summary information (e.g. the write ranges

@@ -43,7 +43,10 @@ let rule_table =
       Diagnostics.Warning,
       "polymorphic comparison (=, <>, compare, min, max) in a hot-path \
        module (lib/linalg, lib/core, lib/engine)" );
-    ("SRC003", Diagnostics.Error, "Obj.magic or *.unsafe_* access");
+    ( "SRC003",
+      Diagnostics.Error,
+      "Obj.magic or *.unsafe_* access (an Array.unsafe_get/set in a \
+       hot-path module only where SRC022 did not prove it)" );
     ( "SRC004",
       Diagnostics.Warning,
       "exception-swallowing handler: try ... with _ ->" );
@@ -89,7 +92,8 @@ let rule_table =
     ( "SRC022",
       Diagnostics.Warning,
       "array index in a hot-path module not provably within the array's \
-       known length, or unsafe access without a supporting interval fact" );
+       known length, or an unsafe access not proven inside it from the \
+       guards on its path" );
     ( "SRC023",
       Diagnostics.Warning,
       "ordered float comparison with an operand that may be NaN (0./0., \
@@ -124,9 +128,12 @@ let rule_docs =
     ( "SRC003",
       "Obj.magic defeats the type system entirely and *.unsafe_* \
        accesses skip bounds checks; both turn logic errors into memory \
-       corruption. The engine's kernels earn their unchecked accesses \
-       through the range-partition invariant — everything else pays \
-       for the check.",
+       corruption. In the hot-path modules an Array.unsafe_get or \
+       unsafe_set may stay when SRC022 proves its index inside the \
+       array from the guards in its own function (an Array.length \
+       comparison that raises); the finding stands where that proof \
+       failed or ran out of fuel, and everywhere else every unchecked \
+       access pays for the check.",
       "Obj.magic x" );
     ( "SRC004",
       "[try ... with _ ->] swallows Out_of_memory, Stack_overflow, \
@@ -200,9 +207,12 @@ let rule_docs =
     ( "SRC022",
       "In the hot-path modules an array subscript's interval is not \
        contained in the array's known length — or an unsafe_get/set \
-       has no interval fact at all — so the access can trap (or, \
-       unsafe, corrupt memory) on some input. Hoist a bounds check or \
-       tighten the loop bound.",
+       cannot be proven inside it — so the access can trap (or, \
+       unsafe, corrupt memory) on some input. An array the function \
+       did not allocate has a symbolic length; a dominating guard such \
+       as [if Array.length x < 3 * hi then raise ...] gives the rest of \
+       its path the fact the proof needs. Add that guard, or tighten \
+       the loop bound.",
       "let third = Array.unsafe_get xs 3 in" );
     ( "SRC023",
       "An ordered float comparison has an operand that may be NaN \

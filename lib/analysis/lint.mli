@@ -17,7 +17,10 @@
       on operands of unknown type in the hot-path modules
       ([lib/linalg], [lib/core], [lib/engine]); the polymorphic walker
       boxes floats and defeats unboxing.
-    - [SRC003] (error) — [Obj.magic] / [*.unsafe_*].
+    - [SRC003] (error) — [Obj.magic] / [*.unsafe_*]; an
+      [Array.unsafe_get]/[unsafe_set] in a hot-path module only where
+      SRC022 did not prove the access (or its function ran out of
+      fuel), see {!discharge_unchecked}.
     - [SRC004] (warning) — [try ... with _ ->]: swallows
       [Out_of_memory], [Stack_overflow], and every bug.
     - [SRC005] (error) — inside a closure passed to a parallel runner
@@ -57,7 +60,9 @@
       function's domain, outside a recognized guard.
     - [SRC022] (warning) — in the hot-path modules, an array index
       whose interval is not contained in the array's known length, or
-      an [unsafe_get]/[unsafe_set] with no supporting interval fact.
+      an [unsafe_get]/[unsafe_set] not proven inside it. An array the
+      function did not allocate has a symbolic length that a guard on
+      the path ([if Array.length x < 3 * hi then raise ...]) bounds.
     - [SRC023] (warning) — an ordered float comparison with an operand
       that may be NaN ([0./0.], [log] of a possibly non-positive
       value, an unvalidated wire float).

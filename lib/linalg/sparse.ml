@@ -548,7 +548,8 @@ let orders_vectors accs =
    analyzer proves every unchecked access against those guards
    (SRC022). On a call [check_round_args] passed they never fire.
    Indices read from matrix data (the CSR walk, the impulse couplings,
-   the band neighbours of the per-order kernel) keep their checks. *)
+   the band neighbours of the per-order kernel) keep their checks, and
+   so does [finish_order] (see there). *)
 let shape = Invalid_argument "Sparse: round kernel shape"
 
 (* The rest of an order-3 row once its matrix row has been walked:
@@ -687,25 +688,20 @@ let csr_round3 m rw cur next ~weights ~accs ~lo ~hi =
 (* The rest of order j of row i once its row dot is known: the R', S'
    and impulse terms, the write to U(k+1) and the Poisson terms.
    [ri] and [hs] are R' and S'/2 of the row. Inlined, so the floats
-   stay unboxed. *)
+   stay unboxed. Its accesses keep their checks: [next] and the
+   accumulators hold one vector per order, so unchecked access would
+   need a length guard per row, order and term, and those guards cost
+   more than the checks (33 rows at order 23, one term: 7.2-7.8 ns per
+   row and order guarded, 6.6-7.2 checked, on a 2-vCPU Xeon VM). *)
 let[@inline] finish_order rw u next ~weights ~accs ~i ~j ~ri ~hs dot below1
     below2 =
-  if i < 0 || j < 0 || Array.length next <= j
-     || Array.length accs < Array.length weights
-  then raise shape;
-  let x = Array.unsafe_get next j in
-  if Array.length x <= i then raise shape;
   let v = ref (dot +. (ri *. below1)) in
   if j >= 2 then v := !v +. (hs *. below2);
   if Array.length rw.coupling > 0 then v := coupled rw.coupling u ~i ~j !v;
-  Array.unsafe_set x i !v;
+  next.(j).(i) <- !v;
   for t = 0 to Array.length weights - 1 do
-    let orders = Array.unsafe_get accs t in
-    if Array.length orders <= j then raise shape;
-    let acc = Array.unsafe_get orders j in
-    if Array.length acc <= i then raise shape;
-    Array.unsafe_set acc i
-      (Array.unsafe_get acc i +. (Array.unsafe_get weights t *. !v))
+    let acc = accs.(t).(j) in
+    acc.(i) <- acc.(i) +. (weights.(t) *. !v)
   done
 
 (* On the tridiagonal band: three reads per row and order. *)

@@ -137,15 +137,27 @@ val round_into_range :
     adds [weights.(t) U(k+1)] to those rows of [accs.(t)], walking each
     CSR row of [q'] once for every order. Other rows are untouched, so
     disjoint ranges may run in parallel. @raise Invalid_argument unless
-    the blocks share one order and [q']'s dimension, [cur], [next] and
-    the accumulators are distinct, and [0 <= lo <= hi <= rows]. *)
+    [q'] is square, the blocks share one order and [q']'s dimension,
+    [cur], [next] and the accumulators are distinct, [weights] and
+    [accs] have one length, [rw.r'] and [rw.s'] have [q']'s dimension,
+    [rw.coupling] is empty or holds at least [order] matrices of that
+    dimension, and [0 <= lo <= hi <= rows].
+
+    These checks are the safety boundary: the row kernels behind this
+    function and {!tridiag_round_into_range} read and write without
+    bounds checks wherever the index is a row of [[lo, hi)] or one of
+    its slots, each access behind a guard in its own function that
+    restates the shape it needs (the source analyzer proves every such
+    access against its guard). A call these checks pass never trips a
+    guard; one they refuse never reaches the kernels. *)
 
 val tridiag_round_into_range :
   tridiag -> rewards -> cur:block -> next:block -> weights:float array ->
   accs:block array -> lo:int -> hi:int -> unit
 (** {!round_into_range} on the band form: three streaming reads per row
     and order. Bit-for-bit equal to {!round_into_range} on the
-    originating matrix. *)
+    originating matrix. @raise Invalid_argument as {!round_into_range},
+    its checks being the same safety boundary. *)
 
 val vm : Vec.t -> t -> Vec.t
 (** [vm x a] is [x^T A]. *)

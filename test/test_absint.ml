@@ -235,6 +235,26 @@ let test_src022_unchecked_guards () =
        (fun (f : Lint.finding) -> (f.Lint.code, f.Lint.line))
        (lint_fixture ~path:"lib/util/fake.ml" "src_absint_unsafe_ok.ml"))
 
+(* A loop body is checked under the state it can reach, not only its
+   first two iterations: an index carried in a ref keeps growing. *)
+let test_loop_carried_index () =
+  let src =
+    {|let walk (xs : float array) =
+  if Array.length xs < 2 then invalid_arg "walk";
+  let k = ref 0 in
+  for _ = 1 to 10 do
+    ignore (Array.unsafe_get xs !k);
+    incr k
+  done
+|}
+  in
+  Alcotest.(check (list (pair string int)))
+    "the carried index is not proven"
+    [ ("SRC022", 5); ("SRC003", 5) ]
+    (List.map
+       (fun (f : Lint.finding) -> (f.Lint.code, f.Lint.line))
+       (Lint.lint_source ~path:"lib/linalg/fake.ml" src))
+
 (* A proof the analysis did not finish does not discharge SRC003. *)
 let test_unchecked_fuel () =
   let parsed =
@@ -545,6 +565,8 @@ let () =
             test_src022_unchecked_guards;
           Alcotest.test_case "unproven when fuel runs out" `Quick
             test_unchecked_fuel;
+          Alcotest.test_case "loop-carried index" `Quick
+            test_loop_carried_index;
           Alcotest.test_case "SRC023 NaN compare" `Quick test_src023_nan_compare;
           Alcotest.test_case "SRC024 probability" `Quick test_src024_probability;
           Alcotest.test_case "SRC02x severities" `Quick test_src02x_severities;
