@@ -396,7 +396,10 @@ let peak_rss_mb () =
     match String.split_on_char ':' line with
     | [ "VmHWM"; rest ] -> (
         match String.split_on_char ' ' (String.trim rest) with
-        | kb :: _ -> Option.map (fun k -> float_of_int k /. 1024.) (int_of_string_opt kb)
+        | kb :: _ ->
+            Option.map
+              (fun k -> float_of_int k /. 1024.)
+              (int_of_string_opt kb)
         | [] -> None)
     | _ -> None
   in

@@ -612,7 +612,10 @@ and bind_pat ctx env (p : pattern) v =
       match v with
       | Vtup vs when List.length vs = List.length ps ->
           List.fold_left2 (bind_pat ctx) env ps vs
-      | _ -> List.fold_left (fun acc p' -> bind_pat ctx acc p' (fresh ctx)) env ps)
+      | _ ->
+          List.fold_left
+            (fun acc p' -> bind_pat ctx acc p' (fresh ctx))
+            env ps)
   | Ppat_construct ({ txt; _ }, arg) -> (
       let cname =
         match List.rev (Longident.flatten txt) with c :: _ -> c | [] -> "?"
@@ -624,7 +627,9 @@ and bind_pat ctx env (p : pattern) v =
           | _ -> bind_pat ctx env p' (fresh ctx))
       | None -> env)
   | Ppat_record (fields, _) ->
-      List.fold_left (fun acc (_, fp) -> bind_pat ctx acc fp (fresh ctx)) env fields
+      List.fold_left
+        (fun acc (_, fp) -> bind_pat ctx acc fp (fresh ctx))
+        env fields
   | Ppat_or (a, b) -> bind_pat ctx (bind_pat ctx env a v) b v
   | _ -> env
 
@@ -1545,7 +1550,10 @@ and check_access ?wkey ?head ctx ~loc ~write ~unsafe target idxi =
                 ~hi:(N.bound_add_const (-1) l.N.ilo)
           | None -> false
         in
-        if unsafe then record_unchecked ctx.g ctx.file (Option.value head ~default:loc) proven;
+        if unsafe then
+          record_unchecked ctx.g ctx.file
+            (Option.value head ~default:loc)
+            proven;
         if unsafe && not proven then
           emit ctx ~code:"SRC022" ~loc
             ~msg:

@@ -894,7 +894,9 @@ let discharge_unchecked (stats : Absint.stats) findings =
   List.iter
     (fun (u : Absint.unchecked) ->
       if u.Absint.uc_proven then
-        Hashtbl.replace proven (u.Absint.uc_file, u.Absint.uc_line, u.Absint.uc_col) ())
+        Hashtbl.replace proven
+          (u.Absint.uc_file, u.Absint.uc_line, u.Absint.uc_col)
+          ())
     stats.Absint.st_unchecked;
   List.filter
     (fun f ->

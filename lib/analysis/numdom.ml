@@ -70,7 +70,8 @@ let multiples a l =
     List.filter_map
       (fun (s, cl) ->
         match List.assoc_opt s a.terms with
-        | Some ca when cl * ca > 0 -> Some (if cl mod ca = 0 then cl / ca else 1)
+        | Some ca when cl * ca > 0 ->
+            Some (if cl mod ca = 0 then cl / ca else 1)
         | _ -> None)
       l.terms
   in

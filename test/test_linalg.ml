@@ -612,7 +612,8 @@ let test_round_guards () =
   Alcotest.check_raises "non-square CSR matrix"
     (Invalid_argument "Sparse.round_into_range: non-square matrix")
     (fun () ->
-      Sparse.round_into_range wide rw ~cur:blk ~next:(Sparse.block ~order:3 ~dim:n)
+      Sparse.round_into_range wide rw ~cur:blk
+        ~next:(Sparse.block ~order:3 ~dim:n)
         ~weights:[||] ~accs:[||] ~lo:0 ~hi:n)
 
 (* ------------------------------------------------------------------ *)
