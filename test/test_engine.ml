@@ -787,6 +787,29 @@ let test_batch_digest_model_io_round_trip () =
         (Batch.digest (stat job) <> Batch.digest (stat' job)))
     [ 1.; 10.; 0.3 ]
 
+(* The digest bytes are the serve cache keys and the route shard keys:
+   every spec of the fixture must still hash to its recorded hex. *)
+let test_batch_digests_pinned () =
+  let pinned =
+    In_channel.with_open_text "fixtures/batch_digests.txt"
+      In_channel.input_lines
+    |> List.filter (fun line -> line <> "" && line.[0] <> '#')
+  in
+  Alcotest.(check int) "pinned specs" 12 (List.length pinned);
+  List.iter
+    (fun line ->
+      match String.index_opt line ' ' with
+      | None -> Alcotest.failf "malformed fixture line: %s" line
+      | Some i -> (
+          let hex = String.sub line 0 i in
+          let spec = String.sub line (i + 1) (String.length line - i - 1) in
+          match
+            Batch.job_of_json ~default_id:"pinned" (Json.parse_exn spec)
+          with
+          | Error e -> Alcotest.failf "%s: %s" spec e
+          | Ok job -> Alcotest.(check string) spec hex (Batch.digest job)))
+    pinned
+
 (* ------------------------------------------------------------------ *)
 (* Dynamic race checker                                                 *)
 
@@ -1273,5 +1296,6 @@ let () =
             test_batch_blank_line_error_lineno;
           Alcotest.test_case "digest stable across Model_io" `Quick
             test_batch_digest_model_io_round_trip;
+          Alcotest.test_case "digests pinned" `Quick test_batch_digests_pinned;
         ] );
     ]
