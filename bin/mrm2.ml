@@ -82,22 +82,55 @@ let with_model ?file kind ~sigma2 ~size f =
           Printf.eprintf "mrm2: %s\n" message;
           2)
 
-(* Only the randomization solver of [mrm2 moments] carries impulse
-   rewards. The other solver commands refuse a file that declares some
-   (exit 2, as [mrm2 batch] refuses it) rather than silently solve the
-   model without them. *)
-let refuse_impulses path ~cmd =
-  Printf.eprintf
-    "%s declares impulse rewards, unsupported in mrm2 %s (use mrm2 moments)\n"
-    path cmd;
-  2
-
+(* Only [mrm2 moments] carries impulse rewards. The other solver
+   commands refuse a file that declares some (exit 2, as [mrm2 batch]
+   refuses it) rather than silently solve the model without them. *)
 let with_rate_model ?file ~cmd kind ~sigma2 ~size f =
   with_model ?file kind ~sigma2 ~size @@ fun parsed ->
   match (parsed, file) with
   | { Mrm_core.Model_io.impulses = _ :: _; _ }, Some path ->
-      refuse_impulses path ~cmd
+      Printf.eprintf
+        "%s declares impulse rewards, unsupported in mrm2 %s (use mrm2 \
+         moments)\n"
+        path cmd;
+      2
   | { Mrm_core.Model_io.model; _ }, _ -> f model
+
+(* A flag outside its domain is refused before any model is built: one
+   stderr line naming the value and exit 2, as for a built-in out of its
+   domain. The horizon, order and eps are checked by the MRM060 rules
+   that [mrm2 lint] applies. *)
+let refuse ~cmd message =
+  Printf.eprintf "mrm2 %s: %s\n" cmd message;
+  2
+
+(* [require ~cmd ok "format" args... @@ fun () -> body] runs [body] when
+   [ok] holds and refuses with the formatted message otherwise. *)
+let require ~cmd ok fmt =
+  Printf.ksprintf (fun message f -> if ok then f () else refuse ~cmd message) fmt
+
+let with_solver_flags ~cmd ?t ?order ?eps f =
+  match Mrm_check.Check.config_errors ?t ?order ?eps () with
+  | [] -> f ()
+  | errors ->
+      List.iter
+        (fun d ->
+          Format.eprintf "mrm2 %s: %a@." cmd Mrm_check.Diagnostics.pp d)
+        errors;
+      2
+
+(* [bounds], [distribution] and [path] describe B over a positive
+   horizon (B(0) is the point mass at 0), at finite points. *)
+let with_positive_horizon ~cmd t f =
+  with_solver_flags ~cmd ~t @@ fun () ->
+  require ~cmd (t > 0.) "--time %g must be > 0 (B(0) is the point mass at 0)"
+    t f
+
+let with_finite_points ~cmd points f =
+  match List.find_opt (fun x -> not (Float.is_finite x)) points with
+  | Some x ->
+      refuse ~cmd (Printf.sprintf "--points: point %g must be finite" x)
+  | None -> f ()
 
 let t_arg =
   Arg.(
@@ -181,67 +214,36 @@ let obs_term =
 (* ------------------------------------------------------------------ *)
 (* moments                                                             *)
 
-type method_kind = Mrandom | Mode | Mgaver
-
 let moments_cmd =
   let order =
     Arg.(
       value & opt int 3
       & info [ "order" ] ~docv:"N" ~doc:"Highest moment order.")
   in
-  let method_ =
-    Arg.(
-      value
-      & opt
-          (* --help names a value by its last entry, hence rand first *)
-          (enum
-             [ ("rand", Mrandom); ("randomization", Mrandom); ("ode", Mode);
-               ("gaver", Mgaver) ])
-          Mrandom
-      & info [ "method" ] ~docv:"M"
-          ~doc:
-            "Solver: $(b,randomization) (paper Section 6), $(b,ode) (eq. 6, \
-             Heun) or $(b,gaver) (transform domain).")
-  in
-  let run file kind sigma2 size t order eps method_ jobs obs =
+  let run file kind sigma2 size t order eps jobs obs =
     obs @@ fun () ->
+    with_solver_flags ~cmd:"moments" ~t ~order ~eps @@ fun () ->
     with_model ?file kind ~sigma2 ~size
     @@ fun { Mrm_core.Model_io.model; impulses } ->
-    let pi = (model : Mrm_core.Model.t).initial in
-    let print_moments =
-      Array.iteri (fun n v ->
-          Printf.printf "E[B^%d] = %.12g\n" n (Mrm_linalg.Vec.dot pi v))
+    let r =
+      with_optional_pool ~jobs (fun pool ->
+          Mrm_core.Impulse.(moments ~eps ?pool (make model impulses) ~t ~order))
     in
-    match (method_, impulses, file) with
-    | Mode, _ :: _, Some path ->
-        refuse_impulses path ~cmd:"moments --method ode"
-    | Mgaver, _ :: _, Some path ->
-        refuse_impulses path ~cmd:"moments --method gaver"
-    | Mrandom, _, _ ->
-        let r =
-          with_optional_pool ~jobs (fun pool ->
-              Mrm_core.Impulse.(
-                moments ~eps ?pool (make model impulses) ~t ~order))
-        in
-        Printf.printf
-          "# randomization%s: q = %g, d = %g, G = %d, log10 error bound = \
-           %.2f\n"
-          (if impulses = [] then "" else "+impulses")
-          r.diagnostics.q r.diagnostics.d r.diagnostics.iterations
-          (r.diagnostics.log_error_bound /. log 10.);
-        print_moments r.moments;
-        0
-    | Mode, _, _ ->
-        print_moments (Mrm_core.Moments_ode.moments model ~t ~order);
-        0
-    | Mgaver, _, _ ->
-        print_moments (Mrm_core.Transform_moments.moments model ~t ~order);
-        0
+    Printf.printf
+      "# randomization%s: q = %g, d = %g, G = %d, log10 error bound = %.2f\n"
+      (if impulses = [] then "" else "+impulses")
+      r.diagnostics.q r.diagnostics.d r.diagnostics.iterations
+      (r.diagnostics.log_error_bound /. log 10.);
+    let pi = (model : Mrm_core.Model.t).initial in
+    Array.iteri
+      (fun n v -> Printf.printf "E[B^%d] = %.12g\n" n (Mrm_linalg.Vec.dot pi v))
+      r.moments;
+    0
   in
   let term =
     Term.(
       const run $ file_arg $ model_arg $ sigma2_arg $ size_arg $ t_arg $ order
-      $ eps_arg $ method_ $ jobs_arg ~default:sequential_default $ obs_term)
+      $ eps_arg $ jobs_arg ~default:sequential_default $ obs_term)
   in
   Cmd.v
     (Cmd.info "moments" ~doc:"Moments of the accumulated reward at time t")
@@ -266,6 +268,12 @@ let bounds_cmd =
   in
   let run file kind sigma2 size t moment_count points obs =
     obs @@ fun () ->
+    with_positive_horizon ~cmd:"bounds" t @@ fun () ->
+    with_finite_points ~cmd:"bounds" points @@ fun () ->
+    require ~cmd:"bounds" (moment_count >= 2)
+      "--moments %d must be >= 2 (the bounds need m0, m1 and m2)"
+      moment_count
+    @@ fun () ->
     with_rate_model ?file ~cmd:"bounds" kind ~sigma2 ~size @@ fun model ->
     let pi = (model : Mrm_core.Model.t).initial in
     let r = Mrm_core.Randomization.moments model ~t ~order:moment_count in
@@ -316,6 +324,12 @@ let simulate_cmd =
       & info [ "order" ] ~docv:"N" ~doc:"Highest moment order to estimate.")
   in
   let run file kind sigma2 size t replicas order seed =
+    with_solver_flags ~cmd:"simulate" ~t @@ fun () ->
+    require ~cmd:"simulate" (replicas >= 1) "--replicas %d must be >= 1"
+      replicas
+    @@ fun () ->
+    require ~cmd:"simulate" (order >= 1) "--order %d must be >= 1" order
+    @@ fun () ->
     with_rate_model ?file ~cmd:"simulate" kind ~sigma2 ~size @@ fun model ->
     let rng = Mrm_util.Rng.create ~seed () in
     let estimates =
@@ -348,6 +362,8 @@ let path_cmd =
       & info [ "grid" ] ~docv:"K" ~doc:"Number of grid intervals.")
   in
   let run file kind sigma2 size t grid seed =
+    with_positive_horizon ~cmd:"path" t @@ fun () ->
+    require ~cmd:"path" (grid >= 1) "--grid %d must be >= 1" grid @@ fun () ->
     with_rate_model ?file ~cmd:"path" kind ~sigma2 ~size @@ fun model ->
     let rng = Mrm_util.Rng.create ~seed () in
     let path = Mrm_core.Simulate.joint_path model rng ~t_max:t ~grid in
@@ -378,6 +394,8 @@ let distribution_cmd =
           ~doc:"Evaluation points (default: mean + k/2 std, k = -4..4).")
   in
   let run file kind sigma2 size t points =
+    with_positive_horizon ~cmd:"distribution" t @@ fun () ->
+    with_finite_points ~cmd:"distribution" points @@ fun () ->
     with_rate_model ?file ~cmd:"distribution" kind ~sigma2 ~size
     @@ fun model ->
     let points =
@@ -425,16 +443,23 @@ let mtta_cmd =
           ~doc:"Target state indices (e.g. the all-failed state).")
   in
   let run file kind sigma2 size targets =
+    require ~cmd:"mtta" (targets <> []) "--targets: give at least one state"
+    @@ fun () ->
     with_model ?file kind ~sigma2 ~size @@ fun { Mrm_core.Model_io.model; _ } ->
-    let mtta =
-      Mrm_ctmc.Absorption.mean_time_to_absorption
-        (model : Mrm_core.Model.t).generator
-        ~initial:(model : Mrm_core.Model.t).initial ~targets
-    in
-    Printf.printf "mean time to reach {%s} = %g\n"
-      (String.concat ", " (List.map string_of_int targets))
-      mtta;
-    0
+    let states = Mrm_core.Model.dim model in
+    match List.find_opt (fun s -> s < 0 || s >= states) targets with
+    | Some s ->
+        refuse ~cmd:"mtta"
+          (Printf.sprintf "--targets: state %d is not in 0..%d" s (states - 1))
+    | None ->
+        let mtta =
+          Mrm_ctmc.Absorption.mean_time_to_absorption model.generator
+            ~initial:model.initial ~targets
+        in
+        Printf.printf "mean time to reach {%s} = %g\n"
+          (String.concat ", " (List.map string_of_int targets))
+          mtta;
+        0
   in
   let term =
     Term.(const run $ file_arg $ model_arg $ sigma2_arg $ size_arg $ targets)
@@ -785,6 +810,10 @@ let stationary_cmd =
   let run file kind sigma2 size drain regularize cr_eps max_iter ctmc validate
       points format obs =
     obs @@ fun () ->
+    let floor = Option.value regularize ~default:1. in
+    require ~cmd:"stationary" (Float.is_finite floor && floor > 0.)
+      "--regularize %g must be finite and > 0" floor
+    @@ fun () ->
     with_rate_model ?file ~cmd:"stationary" kind ~sigma2 ~size @@ fun model ->
     if ctmc then print_ctmc format model
     else
@@ -928,9 +957,10 @@ let batch_cmd =
          "Solve a batch of jobs (JSONL in, JSONL out). Each input line \
           is an object with a model source ($(b,file), or $(b,model) \
           with $(b,sigma2)/$(b,size)), $(b,times) or $(b,t), and optional \
-          $(b,id), $(b,order), $(b,eps), $(b,method) and $(b,kind) \
-          ($(b,moments), the default, or $(b,stationary) with optional \
-          $(b,drain)/$(b,regularize) — no times needed). Structurally \
+          $(b,id), $(b,order), $(b,eps) and $(b,kind) ($(b,moments), the \
+          default, solved by randomization, or $(b,stationary) with \
+          optional $(b,drain)/$(b,regularize) — no times needed); a \
+          $(b,method) other than $(b,randomization) is refused. Structurally \
           identical jobs are solved once; duplicates reference the \
           representative in $(b,duplicate_of). Runs on every core by \
           default (override with $(b,--jobs) / $(b,MRM2_JOBS)).")

@@ -387,6 +387,35 @@ let lambda_direct_warning = 5e7
    the row-parallel engine is left off. *)
 let paper_scale_states = 10_000
 
+(* MRM060, the solve parameters on their own: [check_conditioning] runs
+   them on the lint configuration, the solver commands on their flags. *)
+let config_errors ?t ?order ?eps () =
+  let horizon t =
+    if Float.is_finite t && t >= 0. then None
+    else
+      Some
+        (D.error ~code:"MRM060" ~context:[ ("t", fg t) ]
+           (fmt "accumulation horizon t = %g must be finite and >= 0" t))
+  and moment_order order =
+    if order >= 0 then None
+    else
+      Some
+        (D.error ~code:"MRM060" ~context:[ ("order", fi order) ]
+           (fmt "moment order %d must be >= 0" order))
+  and precision eps =
+    if Float.is_finite eps && eps > 0. then None
+    else
+      Some
+        (D.error ~code:"MRM060" ~context:[ ("eps", fg eps) ]
+           (fmt "precision eps = %g must be finite and > 0" eps))
+  in
+  List.filter_map Fun.id
+    [
+      Option.bind t horizon;
+      Option.bind order moment_order;
+      Option.bind eps precision;
+    ]
+
 let check_conditioning ?(config = default_config)
     ({ states; q_matrix; rates; variances; _ } as _data) =
   let acc = ref [] in
@@ -400,22 +429,9 @@ let check_conditioning ?(config = default_config)
              with jobs = 1; the G = O(qt) mat-vec sweep is row-parallel — \
              set --jobs or MRM2_JOBS to use the domain pool"
             states paper_scale_states));
-  if (not (Float.is_finite config.t)) || config.t < 0. then
-    add
-      (D.error ~code:"MRM060"
-         ~context:[ ("t", fg config.t) ]
-         (fmt "accumulation horizon t = %g must be finite and >= 0" config.t));
-  if config.order < 0 then
-    add
-      (D.error ~code:"MRM060"
-         ~context:[ ("order", fi config.order) ]
-         (fmt "moment order %d must be >= 0" config.order));
-  if (not (Float.is_finite config.eps)) || config.eps <= 0. then
-    add
-      (D.error ~code:"MRM060"
-         ~context:[ ("eps", fg config.eps) ]
-         (fmt "precision eps = %g must be finite and > 0" config.eps))
-  else if config.eps < 1e-15 then
+  List.iter add
+    (config_errors ~t:config.t ~order:config.order ~eps:config.eps ());
+  if config.eps > 0. && config.eps < 1e-15 then
     add
       (D.warning ~code:"MRM061"
          ~context:[ ("eps", fg config.eps) ]

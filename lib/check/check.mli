@@ -151,6 +151,14 @@ val check_conditioning : ?config:config -> data -> Diagnostics.t list
     [--jobs]/[MRM2_JOBS]), and [eps] below attainable double precision
     ([MRM061], warning). *)
 
+val config_errors :
+  ?t:float -> ?order:int -> ?eps:float -> unit -> Diagnostics.t list
+(** The [MRM060] errors of {!check_conditioning} for the parameters
+    given, in the order [t], [order], [eps]: a horizon that is not finite
+    and [>= 0], an order below 0, a precision that is not finite and
+    [> 0]. Each message names the value. The solver commands of [mrm2]
+    refuse their flags with these before solving. *)
+
 val check_stationary : data -> Diagnostics.t list
 (** Stationary (MMBM) applicability, as warnings: zero-variance states
     that would make the level diffusion degenerate ([MRM062], needs

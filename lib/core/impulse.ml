@@ -1,7 +1,6 @@
 module Generator = Mrm_ctmc.Generator
 module Sparse = Mrm_linalg.Sparse
 module Vec = Mrm_linalg.Vec
-module Special = Mrm_util.Special
 module Rng = Mrm_util.Rng
 
 type t = { base : Model.t; impulses : Sparse.t }
@@ -36,18 +35,6 @@ let make base impulse_list =
   in
   { base; impulses }
 
-(* Q^(m): entries q_ij rho_ij^m on the impulse support. The moment ODE
-   builds its own, apart from the sweep's P^(m), so that it stays an
-   independent oracle. *)
-let q_power_matrix t m =
-  let q = Generator.matrix t.base.Model.generator in
-  let triplets = ref [] in
-  Sparse.iter t.impulses (fun i j rho ->
-      let rate = Sparse.get q i j in
-      triplets := (i, j, rate *. (rho ** float_of_int m)) :: !triplets);
-  Sparse.of_triplets ~rows:(Model.dim t.base) ~cols:(Model.dim t.base)
-    !triplets
-
 let moments ?eps ?pool t ~t:horizon ~order =
   Randomization.moments ?eps ?pool ~impulses:t.impulses t.base ~t:horizon
     ~order
@@ -72,63 +59,9 @@ let reward_rate t =
       rate := !rate +. (pi.(i) *. Sparse.get q i j *. rho));
   !rate
 
-(* Impulse-extended moment ODE (independent comparator). *)
-let moments_ode ?(method_ = Mrm_ode.Ode.Heun) ?steps t ~t:horizon ~order =
-  if horizon < 0. then invalid_arg "Impulse.moments_ode: requires t >= 0";
-  if order < 0 then invalid_arg "Impulse.moments_ode: requires order >= 0";
-  let base = t.base in
-  let n = Model.dim base in
-  let qm = Generator.matrix base.Model.generator in
-  let q_powers = Array.init order (fun k -> q_power_matrix t (k + 1)) in
-  let rates = base.Model.rates and variances = base.Model.variances in
-  let rhs ~t:_ ~y =
-    let dy = Array.make (n * (order + 1)) 0. in
-    let block j = Array.sub y (j * n) n in
-    for j = 0 to order do
-      let qv = Sparse.mv qm (block j) in
-      let jf = float_of_int j in
-      for i = 0 to n - 1 do
-        let drift =
-          if j >= 1 then jf *. rates.(i) *. y.(((j - 1) * n) + i) else 0.
-        in
-        let diffusion =
-          if j >= 2 then
-            0.5 *. jf *. (jf -. 1.) *. variances.(i) *. y.(((j - 2) * n) + i)
-          else 0.
-        in
-        dy.((j * n) + i) <- qv.(i) +. drift +. diffusion
-      done;
-      (* Impulse coupling: + sum_m C(j,m) Q^(m) V^(j-m). *)
-      for m = 1 to j do
-        if Sparse.nnz q_powers.(m - 1) > 0 then begin
-          let coupled = Sparse.mv q_powers.(m - 1) (block (j - m)) in
-          let coefficient = Special.binomial j m in
-          for i = 0 to n - 1 do
-            dy.((j * n) + i) <- dy.((j * n) + i) +. (coefficient *. coupled.(i))
-          done
-        end
-      done
-    done;
-    dy
-  in
-  let y0 = Array.make (n * (order + 1)) 0. in
-  for i = 0 to n - 1 do
-    y0.(i) <- 1.
-  done;
-  if horizon = 0. then Array.init (order + 1) (fun j -> Array.sub y0 (j * n) n)
-  else begin
-    let steps =
-      Option.value steps
-        ~default:(Moments_ode.default_steps base ~t:horizon)
-    in
-    let y =
-      Mrm_ode.Ode.integrate method_ rhs ~t0:0. ~t1:horizon ~steps y0
-    in
-    Array.init (order + 1) (fun j -> Array.sub y (j * n) n)
-  end
-
 let sample t rng ~t:horizon ~replicas =
-  if horizon < 0. then invalid_arg "Impulse.sample: requires t >= 0";
+  if not (Float.is_finite horizon && horizon >= 0.) then
+    invalid_arg "Impulse.sample: requires finite t >= 0";
   if replicas <= 0 then invalid_arg "Impulse.sample: requires replicas > 0";
   let base = t.base in
   let g = base.Model.generator in

@@ -29,8 +29,9 @@
     impulse matrix to the shared sweep, which adds the [P^(m)] terms and
     takes [d], [G] and the bound from the impulse rule of
     {!Mrm_check.Check.truncation_point}. This module keeps the model
-    type, the extended moment ODE (an independent oracle with its own
-    [Q^(m)]) and the simulator. *)
+    type and the simulator. The extended moment ODE, built on its own
+    [Q^(m)], is a test oracle ([test/oracles.ml]), not a solver of the
+    library. *)
 
 type t = private {
   base : Model.t;
@@ -65,12 +66,8 @@ val reward_rate : t -> float
     {!Steady.reward_rate} plus the rate at which impulses are earned.
     Without impulses it equals {!Steady.reward_rate} bit for bit. *)
 
-val moments_ode :
-  ?method_:Mrm_ode.Ode.method_ -> ?steps:int -> t -> t:float -> order:int ->
-  float array array
-(** Independent comparator: the impulse-extended moment ODE integrated
-    with an explicit stepper (defaults mirror {!Moments_ode}). *)
-
 val sample : t -> Mrm_util.Rng.t -> t:float -> replicas:int -> float array
 (** Exact-increment simulation including the impulses (third independent
-    road, used by the tests). *)
+    road, used by the tests).
+    @raise Invalid_argument unless [t] is finite and [>= 0] and
+    [replicas > 0]. *)

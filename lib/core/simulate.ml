@@ -54,11 +54,13 @@ let accumulated_reward_with model tables rng ~t =
   go (sample_initial_state model rng) 0. 0.
 
 let accumulated_reward model rng ~t =
-  if t < 0. then invalid_arg "Simulate.accumulated_reward: requires t >= 0";
+  if not (Float.is_finite t && t >= 0.) then
+    invalid_arg "Simulate.accumulated_reward: requires finite t >= 0";
   accumulated_reward_with model (build_jump_tables model) rng ~t
 
 let sample model rng ~t ~replicas =
-  if t < 0. then invalid_arg "Simulate.sample: requires t >= 0";
+  if not (Float.is_finite t && t >= 0.) then
+    invalid_arg "Simulate.sample: requires finite t >= 0";
   if replicas <= 0 then invalid_arg "Simulate.sample: requires replicas > 0";
   let tables = build_jump_tables model in
   Array.init replicas (fun _ -> accumulated_reward_with model tables rng ~t)
@@ -75,7 +77,8 @@ let estimate_moments ?(confidence = 0.95) model rng ~t ~max_order ~replicas =
       { order; value; ci_low; ci_high })
 
 let joint_path model rng ~t_max ~grid =
-  if t_max <= 0. then invalid_arg "Simulate.joint_path: requires t_max > 0";
+  if not (Float.is_finite t_max && t_max > 0.) then
+    invalid_arg "Simulate.joint_path: requires finite t_max > 0";
   if grid <= 0 then invalid_arg "Simulate.joint_path: requires grid > 0";
   let tables = build_jump_tables model in
   let dt = t_max /. float_of_int grid in

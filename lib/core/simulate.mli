@@ -14,10 +14,14 @@ type estimate = {
 }
 
 val accumulated_reward : Model.t -> Mrm_util.Rng.t -> t:float -> float
-(** One exact sample of [B(t)] with [Z(0) ~ pi]. *)
+(** One exact sample of [B(t)] with [Z(0) ~ pi].
+    @raise Invalid_argument unless [t] is finite and [>= 0] (a NaN or
+    infinite horizon would never end the trajectory). *)
 
 val sample : Model.t -> Mrm_util.Rng.t -> t:float -> replicas:int -> float array
-(** [replicas] i.i.d. samples of [B(t)]. *)
+(** [replicas] i.i.d. samples of [B(t)].
+    @raise Invalid_argument unless [t] is finite and [>= 0] and
+    [replicas > 0]. *)
 
 val estimate_moments :
   ?confidence:float -> Model.t -> Mrm_util.Rng.t -> t:float ->
@@ -34,7 +38,9 @@ val joint_path :
     Brownian increments refined inside sojourns so the reward path shows
     the within-state fluctuation. State changes between grid points are
     handled exactly (the increment over a straddling interval sums the
-    per-state normal contributions). *)
+    per-state normal contributions).
+    @raise Invalid_argument unless [t_max] is finite and [> 0] and
+    [grid > 0]. *)
 
 val empirical_cdf :
   Model.t -> Mrm_util.Rng.t -> t:float -> replicas:int -> float -> float

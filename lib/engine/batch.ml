@@ -8,8 +8,6 @@ module Generator = Mrm_ctmc.Generator
 module Model = Mrm_core.Model
 module Model_io = Mrm_core.Model_io
 
-type meth = Randomization | Ode | Gaver
-
 type kind = Moments | Stationary of { drain : float; regularize : float }
 
 type job = {
@@ -18,7 +16,6 @@ type job = {
   times : float array;
   order : int;
   eps : float;
-  meth : meth;
   kind : kind;
 }
 
@@ -70,7 +67,10 @@ let digest job =
   add_floats buf job.times;
   add_int buf job.order;
   add_float buf job.eps;
-  add_int buf (match job.meth with Randomization -> 0 | Ode -> 1 | Gaver -> 2);
+  (* The method tag of randomization, the only moments solver: kept so
+     that digests, the serve cache keys and the route shard keys, stay
+     byte-identical to those of the releases that offered others. *)
+  add_int buf 0;
   (* Moments digests end here, byte-identical to the pre-kind format, so
      existing caches and dedup keys survive. Stationary jobs append a
      discriminating tag plus their own parameters. *)
@@ -111,45 +111,18 @@ let solve_stationary job ~drain ~regularize =
     }
 
 let solve_moments ?pool job =
-  match job.meth with
-  | Randomization ->
-      let results =
-        Mrm_core.Randomization.moments_at_times ?pool ~eps:job.eps job.model
-          ~times:job.times ~order:job.order
-      in
-      Array.mapi
-        (fun k (r : Mrm_core.Randomization.result) ->
-          {
-            time = job.times.(k);
-            values = unconditional job.model ~order:job.order r.moments;
-            iterations = Some r.diagnostics.iterations;
-          })
-        results
-  | Ode ->
-      Array.map
-        (fun time ->
-          let m =
-            Mrm_core.Moments_ode.moments job.model ~t:time ~order:job.order
-          in
-          {
-            time;
-            values = unconditional job.model ~order:job.order m;
-            iterations = None;
-          })
-        job.times
-  | Gaver ->
-      Array.map
-        (fun time ->
-          let m =
-            Mrm_core.Transform_moments.moments job.model ~t:time
-              ~order:job.order
-          in
-          {
-            time;
-            values = unconditional job.model ~order:job.order m;
-            iterations = None;
-          })
-        job.times
+  let results =
+    Mrm_core.Randomization.moments_at_times ?pool ~eps:job.eps job.model
+      ~times:job.times ~order:job.order
+  in
+  Array.mapi
+    (fun k (r : Mrm_core.Randomization.result) ->
+      {
+        time = job.times.(k);
+        values = unconditional job.model ~order:job.order r.moments;
+        iterations = Some r.diagnostics.iterations;
+      })
+    results
 
 let solve ?pool job =
   match job.kind with
@@ -230,12 +203,6 @@ let field_or json key ~default decode =
       | Some x -> Ok x
       | None -> Error (Printf.sprintf "field %S: invalid value" key))
 
-let meth_of_string = function
-  | "randomization" | "rand" -> Some Randomization
-  | "ode" -> Some Ode
-  | "gaver" -> Some Gaver
-  | _ -> None
-
 let model_of_spec json =
   match (Json.member "file" json, Json.member "model" json) with
   | Some _, Some _ -> Error "give either \"file\" or \"model\", not both"
@@ -310,9 +277,13 @@ let job_of_json ~default_id ?(default_eps = 1e-9) json =
       in
       let* order = field_or json "order" ~default:3 Json.to_int in
       let* eps = field_or json "eps" ~default:default_eps Json.to_float in
-      let* meth =
-        field_or json "method" ~default:Randomization (fun v ->
-            Option.bind (Json.to_str v) meth_of_string)
+      (* Randomization is the only moments solver; a request for any
+         other method is refused, not answered by randomization. *)
+      let* () =
+        field_or json "method" ~default:() (fun v ->
+            match Json.to_str v with
+            | Some ("randomization" | "rand") -> Some ()
+            | Some _ | None -> None)
       in
       let* kind =
         match kind_tag with
@@ -332,7 +303,7 @@ let job_of_json ~default_id ?(default_eps = 1e-9) json =
       else if not (eps > 0.) then Error "field \"eps\": must be > 0"
       else if Array.exists (fun t -> t < 0.) times then
         Error "field \"times\": must be >= 0"
-      else Ok { id; model; times; order; eps; meth; kind }
+      else Ok { id; model; times; order; eps; kind }
   | _ -> Error "job spec must be a JSON object"
 
 let outcome_to_json o =

@@ -1,5 +1,8 @@
-(** Batch solver front-end: many [(model, times, order, eps, method)]
-    jobs, deduplicated and run across a {!Mrm_engine.Pool}.
+(** Batch solver front-end: many [(model, times, order, eps)] jobs,
+    deduplicated and run across a {!Mrm_engine.Pool}. Moments jobs are
+    solved by randomization ({!Mrm_core.Randomization}), the one
+    production moments solver; the eq.-6 ODE and the transform-domain
+    solver are test oracles, not job options.
 
     Parallelism works at two levels that share one pool: independent
     unique jobs run concurrently via [Pool.map_array], and each solve
@@ -18,9 +21,6 @@
     This module also speaks the [mrm2 batch] JSONL wire format:
     {!job_of_json} / {!outcome_to_json}, one JSON object per line. *)
 
-type meth = Randomization | Ode | Gaver
-(** The same solver choices as [mrm2 moments --method]. *)
-
 type kind = Moments | Stationary of { drain : float; regularize : float }
 (** What to compute: transient accumulated-reward moments (the original
     batch job, [kind] absent or ["moments"] on the wire) or the MMBM
@@ -35,7 +35,6 @@ type job = {
       (** time points; empty (and unused) for stationary jobs *)
   order : int;  (** highest moment order (moments jobs) *)
   eps : float;  (** randomization truncation-error bound *)
-  meth : meth;
   kind : kind;
 }
 
@@ -44,7 +43,9 @@ type point = {
   values : float array;
       (** unconditional raw moments [E[B(t)^n]], [n = 0 .. order] *)
   iterations : int option;
-      (** randomization truncation point [G] (None for ode/gaver) *)
+      (** randomization truncation point [G]; always [Some] since
+          randomization is the only moments solver, kept an option so
+          readers of the record need not change *)
 }
 
 type density = {
@@ -75,7 +76,8 @@ type outcome = {
 val digest : job -> string
 (** Hex digest of the job's full structural content; equal digests
     means interchangeable solves. Moments digests are byte-identical to
-    the pre-[kind] wire format; stationary jobs append a tag plus their
+    the pre-[kind] wire format, including the method tag, now the
+    constant 0 (randomization); stationary jobs append a tag plus their
     [drain]/[regularize] parameters. *)
 
 val run : ?pool:Mrm_engine.Pool.t -> job array -> outcome array
@@ -93,8 +95,11 @@ val job_of_json :
     [onoff]/[repair]/[multi], with optional [sigma2], [size]) {e or}
     [file] (a Model_io path); [times] (array) or [t] (scalar); optional
     [id] (default [default_id]), [order] (default 3), [eps] (default
-    [default_eps], itself defaulting to 1e-9) and [method]
-    (default [randomization]). Optional [kind] selects the computation:
+    [default_eps], itself defaulting to 1e-9) and [method], which must
+    be ["randomization"] or ["rand"] when present: any other value, the
+    comparators ["ode"] and ["gaver"] included, is refused with
+    [field "method": invalid value] rather than solved by another
+    method. Optional [kind] selects the computation:
     ["moments"] (default) or ["stationary"] (with optional [drain] and
     [regularize] numbers; [times] may then be omitted). An unrecognised
     [kind] is rejected with an [MRM069] message that names the offending

@@ -131,3 +131,77 @@ let birth_death_triplets ~states ~birth ~death =
     end
   done;
   Mrm_ctmc.Generator.of_triplets ~states !triplets
+
+(* The impulse-extended moment ODE, an oracle for Impulse.moments
+   independent of its sweep: eq. (6) plus the impulse coupling
+   sum_{m=1..n} C(n,m) Q^(m) V^(n-m), integrated with an explicit
+   stepper (defaults mirror Moments_ode). Q^(m) has entries
+   q_ij rho_ij^m on the impulse support, built here apart from the
+   sweep's P^(m). *)
+let q_power_matrix (t : Mrm_core.Impulse.t) m =
+  let module Sparse = Mrm_linalg.Sparse in
+  let q = Mrm_ctmc.Generator.matrix t.base.Model.generator in
+  let triplets = ref [] in
+  Sparse.iter t.impulses (fun i j rho ->
+      let rate = Sparse.get q i j in
+      triplets := (i, j, rate *. (rho ** float_of_int m)) :: !triplets);
+  Sparse.of_triplets ~rows:(Model.dim t.base) ~cols:(Model.dim t.base)
+    !triplets
+
+let impulse_moments_ode ?(method_ = Mrm_ode.Ode.Heun) ?steps
+    (t : Mrm_core.Impulse.t) ~t:horizon ~order =
+  let module Sparse = Mrm_linalg.Sparse in
+  if horizon < 0. then
+    invalid_arg "Oracles.impulse_moments_ode: requires t >= 0";
+  if order < 0 then
+    invalid_arg "Oracles.impulse_moments_ode: requires order >= 0";
+  let base = t.base in
+  let n = Model.dim base in
+  let qm = Mrm_ctmc.Generator.matrix base.Model.generator in
+  let q_powers = Array.init order (fun k -> q_power_matrix t (k + 1)) in
+  let rates = base.Model.rates and variances = base.Model.variances in
+  let rhs ~t:_ ~y =
+    let dy = Array.make (n * (order + 1)) 0. in
+    let block j = Array.sub y (j * n) n in
+    for j = 0 to order do
+      let qv = Sparse.mv qm (block j) in
+      let jf = float_of_int j in
+      for i = 0 to n - 1 do
+        let drift =
+          if j >= 1 then jf *. rates.(i) *. y.(((j - 1) * n) + i) else 0.
+        in
+        let diffusion =
+          if j >= 2 then
+            0.5 *. jf *. (jf -. 1.) *. variances.(i) *. y.(((j - 2) * n) + i)
+          else 0.
+        in
+        dy.((j * n) + i) <- qv.(i) +. drift +. diffusion
+      done;
+      (* Impulse coupling: + sum_m C(j,m) Q^(m) V^(j-m). *)
+      for m = 1 to j do
+        if Sparse.nnz q_powers.(m - 1) > 0 then begin
+          let coupled = Sparse.mv q_powers.(m - 1) (block (j - m)) in
+          let coefficient = Mrm_util.Special.binomial j m in
+          for i = 0 to n - 1 do
+            dy.((j * n) + i) <- dy.((j * n) + i) +. (coefficient *. coupled.(i))
+          done
+        end
+      done
+    done;
+    dy
+  in
+  let y0 = Array.make (n * (order + 1)) 0. in
+  for i = 0 to n - 1 do
+    y0.(i) <- 1.
+  done;
+  if horizon = 0. then Array.init (order + 1) (fun j -> Array.sub y0 (j * n) n)
+  else begin
+    let steps =
+      Option.value steps
+        ~default:(Mrm_core.Moments_ode.default_steps base ~t:horizon)
+    in
+    let y =
+      Mrm_ode.Ode.integrate method_ rhs ~t0:0. ~t1:horizon ~steps y0
+    in
+    Array.init (order + 1) (fun j -> Array.sub y (j * n) n)
+  end

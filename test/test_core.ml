@@ -6,7 +6,6 @@ module Model = Mrm_core.Model
 module Randomization = Mrm_core.Randomization
 module Check = Mrm_check.Check
 module Moments_ode = Mrm_core.Moments_ode
-module Transform_moments = Mrm_core.Transform_moments
 module Simulate = Mrm_core.Simulate
 module Pde = Mrm_core.Pde
 module Moment_bounds = Mrm_core.Moment_bounds
@@ -740,6 +739,31 @@ let test_simulate_absorbing_state () =
   Alcotest.(check bool) "absorbing mean close" true
     (abs_float (mean -. truth) < 0.15)
 
+(* A NaN or infinite horizon never ends a trajectory: each simulator
+   entry point refuses it before drawing anything. *)
+let rejects_non_finite name f =
+  List.iter
+    (fun t ->
+      match f t with
+      | _ -> Alcotest.failf "%s accepted t = %g" name t
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let test_simulate_accumulated_reward_non_finite () =
+  let rng = Rng.create ~seed:3L () in
+  rejects_non_finite "accumulated_reward" (fun t ->
+      Simulate.accumulated_reward model2 rng ~t)
+
+let test_simulate_sample_non_finite () =
+  let rng = Rng.create ~seed:3L () in
+  rejects_non_finite "sample" (fun t ->
+      Simulate.sample model2 rng ~t ~replicas:2)
+
+let test_simulate_joint_path_non_finite () =
+  let rng = Rng.create ~seed:3L () in
+  rejects_non_finite "joint_path" (fun t_max ->
+      Simulate.joint_path model2 rng ~t_max ~grid:4)
+
 let test_simulate_empirical_cdf () =
   let rng = Rng.create ~seed:4L () in
   let below = Simulate.empirical_cdf model2 rng ~t:0.5 ~replicas:2_000 (-100.) in
@@ -1058,6 +1082,12 @@ let () =
             test_simulate_absorbing_state;
           Alcotest.test_case "empirical cdf extremes" `Quick
             test_simulate_empirical_cdf;
+          Alcotest.test_case "accumulated_reward non-finite t" `Quick
+            test_simulate_accumulated_reward_non_finite;
+          Alcotest.test_case "sample non-finite t" `Quick
+            test_simulate_sample_non_finite;
+          Alcotest.test_case "joint_path non-finite t_max" `Quick
+            test_simulate_joint_path_non_finite;
         ] );
       ( "pde",
         [

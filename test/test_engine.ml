@@ -328,15 +328,13 @@ let test_moment_series_projection () =
 (* ------------------------------------------------------------------ *)
 (* Batch front-end                                                      *)
 
-let small_job ?(id = "a") ?(eps = 1e-9) ?(order = 3) ?(meth = Batch.Randomization)
-    () =
+let small_job ?(id = "a") ?(eps = 1e-9) ?(order = 3) () =
   {
     Batch.id;
     model = Onoff.model (Onoff.table1 ~sigma2:1.);
     times = [| 1. |];
     order;
     eps;
-    meth;
     kind = Batch.Moments;
   }
 
@@ -413,17 +411,37 @@ let test_batch_job_of_json () =
   let parse line =
     Batch.job_of_json ~default_id:"fallback" (Json.parse_exn line)
   in
-  (match
-     parse
-       {|{"id":"j1","model":"onoff","sigma2":1,"size":8,"times":[0.5,1],"order":2,"method":"ode"}|}
-   with
+  let spec =
+    {|{"id":"j1","model":"onoff","sigma2":1,"size":8,"times":[0.5,1],"order":2|}
+  in
+  (match parse (spec ^ "}") with
   | Error e -> Alcotest.failf "valid spec rejected: %s" e
   | Ok job ->
       Alcotest.(check string) "id" "j1" job.Batch.id;
       Alcotest.(check int) "order" 2 job.Batch.order;
-      Alcotest.(check bool) "method" true (job.Batch.meth = Batch.Ode);
       Alcotest.(check int) "times" 2 (Array.length job.Batch.times);
-      Alcotest.(check int) "model built" 9 (Model.dim job.Batch.model));
+      Alcotest.(check int) "model built" 9 (Model.dim job.Batch.model);
+      (* randomization, the only moments solver, may be named: the job
+         and its digest are those of the spec without the field *)
+      List.iter
+        (fun name ->
+          match parse (Printf.sprintf {|%s,"method":%S}|} spec name) with
+          | Error e -> Alcotest.failf "method %s rejected: %s" name e
+          | Ok named ->
+              Alcotest.(check string) ("digest with method " ^ name)
+                (Batch.digest job) (Batch.digest named))
+        [ "randomization"; "rand" ]);
+  (* the comparators are not job options: asking for one is refused,
+     not answered by randomization *)
+  List.iter
+    (fun name ->
+      Alcotest.(check (result reject string))
+        ("method " ^ name)
+        (Error {|field "method": invalid value|})
+        (Result.map ignore
+           (parse
+              (Printf.sprintf {|{"model":"onoff","t":1,"method":%S}|} name))))
+    [ "ode"; "gaver"; "lattice"; "" ];
   (match parse {|{"model":"repair","t":1}|} with
   | Error e -> Alcotest.failf "defaults rejected: %s" e
   | Ok job ->
@@ -438,7 +456,7 @@ let test_batch_job_of_json () =
   expect_error "no times" {|{"model":"onoff"}|};
   expect_error "both model sources" {|{"model":"onoff","file":"x.mrm","t":1}|};
   expect_error "both time forms" {|{"model":"onoff","t":1,"times":[1]}|};
-  expect_error "bad method" {|{"model":"onoff","t":1,"method":"lattice"}|};
+  expect_error "method not a string" {|{"model":"onoff","t":1,"method":1}|};
   expect_error "negative order" {|{"model":"onoff","t":1,"order":-2}|};
   expect_error "not an object" {|[1,2]|};
   (* kind selection *)
@@ -759,7 +777,6 @@ let test_batch_digest_model_io_round_trip () =
           times = [| 0.25; 1.0 |];
           order = 3;
           eps = 1e-9;
-          meth = Batch.Randomization;
           kind = Batch.Moments;
         }
       in

@@ -135,7 +135,8 @@ let test_impulse_matches_ode () =
   let t = 0.9 in
   let rand = Impulse.moments model ~t ~order:3 in
   let ode =
-    Impulse.moments_ode ~method_:Mrm_ode.Ode.Rk4 ~steps:3000 model ~t ~order:3
+    Oracles.impulse_moments_ode ~method_:Mrm_ode.Ode.Rk4 ~steps:3000 model ~t
+      ~order:3
   in
   for n = 0 to 3 do
     for i = 0 to 2 do
@@ -313,6 +314,17 @@ let test_impulse_non_finite_time () =
       | exception Invalid_argument _ -> ())
     [ Float.nan; Float.infinity ]
 
+(* The simulator refuses a horizon its trajectories would never reach. *)
+let test_impulse_sample_non_finite_time () =
+  let model = mixed_impulse_model () in
+  let rng = Rng.create ~seed:5L () in
+  List.iter
+    (fun t ->
+      match Impulse.sample model rng ~t ~replicas:2 with
+      | _ -> Alcotest.failf "t = %g accepted" t
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let impulse_file = "fixtures/impulse_onoff.mrm"
 
 (* Long-run rate of impulse_onoff.mrm by hand: birth-death balance gives
@@ -401,8 +413,11 @@ let test_impulse_cli_refusals () =
             moments)\n"
            impulse_file cmd)
         text)
-    [ "bounds"; "simulate"; "path"; "distribution"; "stationary";
-      "moments --method ode"; "moments --method gaver" ];
+    [ "bounds"; "simulate"; "path"; "distribution"; "stationary" ];
+  (* moments solves impulses by randomization and offers no other
+     solver: asking for one is a usage error *)
+  let status, _ = run_mrm2 ("moments --method ode --file " ^ impulse_file) in
+  Alcotest.(check int) "moments --method is unknown" 124 status;
   let status, text =
     run_mrm2 ~stderr:"2>/dev/null" ("info --file " ^ impulse_file)
   in
@@ -473,6 +488,93 @@ let test_cli_builtin_out_of_domain () =
       ({|{"model":"onoff","size":0,"t":1}|}, "Onoff: sources must be positive");
       ( {|{"model":"onoff","sigma2":1e308,"t":1}|},
         "Model.make: variance inf at state 2" );
+    ]
+
+(* A flag outside its domain is refused before anything is solved: exit
+   2 and one stderr line, "mrm2 CMD: ...", that names the value. For
+   --time, --order and --eps the line carries the MRM060 diagnostic that
+   mrm2 lint prints for the same value. *)
+let test_cli_flags_out_of_domain () =
+  let contains text sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun (args, names) ->
+      let status, text = run_mrm2 args in
+      Alcotest.(check int) (args ^ " exit") 2 status;
+      let cmd = List.hd (String.split_on_char ' ' args) in
+      match String.split_on_char '\n' text with
+      | [ line; "" ] ->
+          if
+            not
+              (String.starts_with ~prefix:("mrm2 " ^ cmd ^ ": ") line
+              && contains line names)
+          then Alcotest.failf "%s: %S does not name %S" args line names
+      | _ -> Alcotest.failf "%s: expected one stderr line, got:\n%s" args text)
+    [
+      ("moments --order=-1", "moment order -1");
+      ("moments --eps 0", "eps = 0");
+      ("moments --eps=-1", "eps = -1");
+      ("moments --eps nan", "eps = nan");
+      ("moments --time=-1", "t = -1");
+      ("moments --time nan", "t = nan");
+      ("moments --time inf", "t = inf");
+      ("bounds --time nan", "t = nan");
+      ("bounds --time=-1", "t = -1");
+      ("distribution --time nan", "t = nan");
+      ("distribution --time=-1", "t = -1");
+      ("simulate --time=-1", "t = -1");
+      ("simulate --replicas 0", "--replicas 0");
+      ("simulate --order 0", "--order 0");
+      ("path --time 0", "--time 0");
+      ("path --time=-1", "t = -1");
+      ("path --grid 0", "--grid 0");
+      ("bounds --moments 0", "--moments 0");
+      ("bounds --points nan", "nan");
+      ("mtta --targets 99", "state 99");
+      ("stationary --regularize=-1", "--regularize -1");
+    ];
+  let lint_status, lint =
+    run_mrm2 "lint --time nan fixtures/valid_onoff.mrm"
+  in
+  Alcotest.(check int) "lint --time nan exit" 1 lint_status;
+  let _, moments = run_mrm2 "moments --time nan" in
+  match String.split_on_char '\n' lint with
+  | diagnostic :: _ ->
+      Alcotest.(check string) "moments shares lint's MRM060 line"
+        ("mrm2 moments: " ^ diagnostic ^ "\n")
+        moments
+  | [] -> Alcotest.fail "lint printed nothing"
+
+(* What the product binary links: the randomization solver, and neither
+   the source analyzer nor the solvers kept as test oracles (the eq.-6
+   moment ODE, its steppers, the transform-domain moments). The native
+   binary keeps its symbol names; the first check stops a stripped one
+   from passing vacuously. *)
+let test_binary_links () =
+  let binary = In_channel.with_open_bin mrm2 In_channel.input_all in
+  let contains sub =
+    let n = String.length sub and m = String.length binary in
+    let rec matches i k = k = n || (binary.[i + k] = sub.[k] && matches i (k + 1)) in
+    let rec from i =
+      match String.index_from_opt binary i sub.[0] with
+      | None -> false
+      | Some i -> (i + n <= m && matches i 0) || from (i + 1)
+    in
+    from 0
+  in
+  Alcotest.(check bool) "links camlMrm_core__Randomization" true
+    (contains "camlMrm_core__Randomization");
+  List.iter
+    (fun symbol ->
+      Alcotest.(check bool) ("does not link " ^ symbol) false (contains symbol))
+    [
+      "camlMrm_analysis"; "camlMrm_ode__"; "camlMrm_core__Moments_ode";
+      "camlMrm_core__Transform_moments";
     ]
 
 (* Model_io validates impulse lines once: each variant edits line 16 of
@@ -799,6 +901,8 @@ let () =
           Alcotest.test_case "mrm2 refusals" `Quick test_impulse_cli_refusals;
           Alcotest.test_case "impulse lines validated" `Quick
             test_impulse_lines_validated;
+          Alcotest.test_case "sample non-finite t rejected" `Quick
+            test_impulse_sample_non_finite_time;
         ] );
       ( "model files",
         [
@@ -806,6 +910,13 @@ let () =
             test_cli_malformed_files;
           Alcotest.test_case "out-of-domain built-in exits 2" `Quick
             test_cli_builtin_out_of_domain;
+          Alcotest.test_case "out-of-domain flags exit 2" `Quick
+            test_cli_flags_out_of_domain;
+        ] );
+      ( "binary",
+        [
+          Alcotest.test_case "links no oracle or analyzer" `Quick
+            test_binary_links;
         ] );
       ( "transform_distribution",
         [

@@ -1,3 +1,4 @@
+module Model = Mrm_core.Model
 module Generator = Mrm_ctmc.Generator
 module Dense = Mrm_linalg.Dense
 module Lu = Mrm_linalg.Lu

@@ -1,5 +1,5 @@
-(** Third, independent route to the moments: solve the moment recursion in
-    Laplace ([s]) domain and invert numerically.
+(** Test oracle, a third independent route to the moments: solve the
+    moment recursion in Laplace ([s]) domain and invert numerically.
 
     Taking the (single-sided) Laplace transform of eq. (6) gives
 
@@ -13,13 +13,14 @@
     accuracy (Gaver–Stehfest loses roughly 0.9 digits per stage in
     binary64), and exists to cross-validate the other solvers. *)
 
-val moments : ?stages:int -> Model.t -> t:float -> order:int -> float array array
-(** Same layout as {!Randomization.moments}. [stages] is the (even)
+val moments :
+  ?stages:int -> Mrm_core.Model.t -> t:float -> order:int -> float array array
+(** Same layout as {!Mrm_core.Randomization.moments}. [stages] is the (even)
     Gaver–Stehfest parameter, default 12; usable range 4–18.
     @raise Invalid_argument if [t <= 0], [order < 0] or [stages] odd/out of
     range. *)
 
-val moment : ?stages:int -> Model.t -> t:float -> order:int -> float
+val moment : ?stages:int -> Mrm_core.Model.t -> t:float -> order:int -> float
 
 val stehfest_coefficients : int -> float array
 (** The inversion weights [zeta_k], 1-indexed as [coefficients.(k-1)];
