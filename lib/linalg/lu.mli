@@ -1,5 +1,7 @@
-(** LU factorization with partial pivoting, backing the implicit ODE steps
-    and the Gaver–Stehfest transform-domain solver. *)
+(** LU factorization with partial pivoting, backing the Padé solve of
+    {!Expm}, the cyclic-reduction stationary solver ([Mrm_mmbm]) and the
+    Gaver–Stehfest transform-domain moments the tests keep as an
+    oracle. *)
 
 type t
 (** A factorization [P A = L U] of a square matrix. *)
