@@ -96,7 +96,7 @@ let with_rate_model ?file ~cmd kind ~sigma2 ~size f =
       2
   | { Mrm_core.Model_io.model; _ }, _ -> f model
 
-(* A flag outside its domain is refused before any model is built: one
+(* A flag outside its domain is refused before anything is solved: one
    stderr line naming the value and exit 2, as for a built-in out of its
    domain. The horizon, order and eps are checked by the MRM060 rules
    that [mrm2 lint] applies. *)

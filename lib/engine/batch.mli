@@ -76,7 +76,7 @@ type outcome = {
 val digest : job -> string
 (** Hex digest of the job's full structural content; equal digests
     means interchangeable solves. Moments digests are byte-identical to
-    the pre-[kind] wire format, including the method tag, now the
+    the pre-[kind] wire format, including a method tag that is the
     constant 0 (randomization); stationary jobs append a tag plus their
     [drain]/[regularize] parameters. *)
 

@@ -358,6 +358,18 @@ let test_impulse_reward_rate () =
    trace spans to stderr. *)
 let mrm2 = Filename.concat (Filename.concat ".." "bin") "mrm2.exe"
 
+(* Whether the non-empty [sub] occurs in [text]; it skips to each
+   occurrence of [sub]'s first character, fast enough for a binary. *)
+let contains text sub =
+  let n = String.length sub and m = String.length text in
+  let rec matches i k = k = n || (text.[i + k] = sub.[k] && matches i (k + 1)) in
+  let rec from i =
+    match String.index_from_opt text i sub.[0] with
+    | None -> false
+    | Some i -> (i + n <= m && matches i 0) || from (i + 1)
+  in
+  from 0
+
 let run_mrm2 ?(stderr = "2>&1") args =
   let out = Filename.temp_file "mrm2_impulse" ".out" in
   let status =
@@ -495,13 +507,6 @@ let test_cli_builtin_out_of_domain () =
    --time, --order and --eps the line carries the MRM060 diagnostic that
    mrm2 lint prints for the same value. *)
 let test_cli_flags_out_of_domain () =
-  let contains text sub =
-    let n = String.length sub in
-    let rec at i =
-      i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
-    in
-    at 0
-  in
   List.iter
     (fun (args, names) ->
       let status, text = run_mrm2 args in
@@ -557,21 +562,12 @@ let test_cli_flags_out_of_domain () =
    from passing vacuously. *)
 let test_binary_links () =
   let binary = In_channel.with_open_bin mrm2 In_channel.input_all in
-  let contains sub =
-    let n = String.length sub and m = String.length binary in
-    let rec matches i k = k = n || (binary.[i + k] = sub.[k] && matches i (k + 1)) in
-    let rec from i =
-      match String.index_from_opt binary i sub.[0] with
-      | None -> false
-      | Some i -> (i + n <= m && matches i 0) || from (i + 1)
-    in
-    from 0
-  in
   Alcotest.(check bool) "links camlMrm_core__Randomization" true
-    (contains "camlMrm_core__Randomization");
+    (contains binary "camlMrm_core__Randomization");
   List.iter
     (fun symbol ->
-      Alcotest.(check bool) ("does not link " ^ symbol) false (contains symbol))
+      Alcotest.(check bool) ("does not link " ^ symbol) false
+        (contains binary symbol))
     [
       "camlMrm_analysis"; "camlMrm_ode__"; "camlMrm_core__Moments_ode";
       "camlMrm_core__Transform_moments";
