@@ -26,6 +26,7 @@
    multiprocessor). *)
 
 open Cmdliner
+module Check = Mrm_check.Check
 
 (* ------------------------------------------------------------------ *)
 (* Model selection                                                     *)
@@ -63,74 +64,69 @@ let file_arg =
           "Load the model from a file in the Model_io text format instead \
            of using a built-in (overrides --model/--sigma2/--size).")
 
-(* Runs [f] on the model with the impulse rewards its file declares
-   (none for the built-ins). A model file that does not parse or build is
-   reported with its path on stderr and exits 2, as a refused impulse
-   file does; so is a built-in out of its domain ([--size 0]). *)
-let with_model ?file kind ~sigma2 ~size f =
-  match file with
-  | Some path -> (
-      match Mrm_core.Model_io.load_result path with
-      | Ok parsed -> f parsed
-      | Error e ->
-          Printf.eprintf "%s: %s\n" path (Mrm_core.Model_io.error_message e);
-          2)
-  | None -> (
-      match Mrm_models.Builtin.model kind ~sigma2 ~size with
-      | Ok model -> f { Mrm_core.Model_io.model; impulses = [] }
-      | Error message ->
-          Printf.eprintf "mrm2: %s\n" message;
-          2)
+let source_arg =
+  let source file name sigma2 size =
+    match file with
+    | Some path -> Mrm_models.Builtin.File path
+    | None -> Mrm_models.Builtin.Named { name; sigma2; size }
+  in
+  Term.(const source $ file_arg $ model_arg $ sigma2_arg $ size_arg)
 
-(* Only [mrm2 moments] carries impulse rewards. The other solver
-   commands refuse a file that declares some (exit 2, as [mrm2 batch]
-   refuses it) rather than silently solve the model without them. *)
-let with_rate_model ?file ~cmd kind ~sigma2 ~size f =
-  with_model ?file kind ~sigma2 ~size @@ fun parsed ->
-  match (parsed, file) with
-  | { Mrm_core.Model_io.impulses = _ :: _; _ }, Some path ->
-      Printf.eprintf
-        "%s declares impulse rewards, unsupported in mrm2 %s (use mrm2 \
-         moments)\n"
-        path cmd;
-      2
-  | { Mrm_core.Model_io.model; _ }, _ -> f model
-
-(* A flag outside its domain is refused before anything is solved: one
-   stderr line naming the value and exit 2, as for a built-in out of its
-   domain. The horizon, order and eps are checked by the MRM060 rules
-   that [mrm2 lint] applies. *)
-let refuse ~cmd message =
-  Printf.eprintf "mrm2 %s: %s\n" cmd message;
-  2
-
-(* [require ~cmd ok "format" args... @@ fun () -> body] runs [body] when
-   [ok] holds and refuses with the formatted message otherwise. *)
-let require ~cmd ok fmt =
-  Printf.ksprintf (fun message f -> if ok then f () else refuse ~cmd message) fmt
-
-let with_solver_flags ~cmd ?t ?order ?eps f =
-  match Mrm_check.Check.config_errors ?t ?order ?eps () with
+(* A request out of its domain is refused before anything is solved: exit
+   2 and one stderr line "mrm2 CMD: ..." per failed rule, naming the
+   value. A rule is the request rules of Mrm_check.Check ([diagnosed]),
+   which mrm2 lint and the batch/serve wire share, or a command's own
+   ([rule]). *)
+let with_rules ~cmd rules f =
+  match List.concat rules with
   | [] -> f ()
-  | errors ->
-      List.iter
-        (fun d ->
-          Format.eprintf "mrm2 %s: %a@." cmd Mrm_check.Diagnostics.pp d)
-        errors;
+  | failures ->
+      List.iter (Printf.eprintf "mrm2 %s: %s\n" cmd) failures;
       2
 
-(* [bounds], [distribution] and [path] describe B over a positive
-   horizon (B(0) is the point mass at 0), at finite points. *)
-let with_positive_horizon ~cmd t f =
-  with_solver_flags ~cmd ~t @@ fun () ->
-  require ~cmd (t > 0.) "--time %g must be > 0 (B(0) is the point mass at 0)"
-    t f
+let rule ok fmt =
+  Printf.ksprintf (fun message -> if ok then [] else [ message ]) fmt
 
-let with_finite_points ~cmd points f =
-  match List.find_opt (fun x -> not (Float.is_finite x)) points with
-  | Some x ->
-      refuse ~cmd (Printf.sprintf "--points: point %g must be finite" x)
-  | None -> f ()
+let diagnosed = List.map (Format.asprintf "%a" Mrm_check.Diagnostics.pp)
+
+(* The horizon's rules: MRM060's, and t <> 0 for [~positive] ([bounds],
+   [distribution] and [path] describe B over a positive horizon). *)
+let horizon ?(positive = false) t =
+  diagnosed (Check.config_errors ~times:[| t |] ())
+  @ rule
+      (not (positive && Float.equal t 0.))
+      "--time %g must be > 0 (B(0) is the point mass at 0)" t
+
+let finite_points points =
+  List.concat_map
+    (fun x -> rule (Float.is_finite x) "--points: point %g must be finite" x)
+    points
+
+(* Refuses the failed flag [rules], then runs [f] on the model of
+   [source] with the impulse rewards its file declares. A source that
+   does not load exits 2 with its message on stderr: a file's leads with
+   its path, a built-in's ([--size 0]) with "mrm2". Without
+   [~impulses:true] a file that declares impulse rewards is refused, as
+   mrm2 batch refuses it, rather than solved without them. A command
+   that runs randomization to [horizon] also refuses a built model whose
+   solver constants fail their rules. *)
+let with_model ~cmd ?(impulses = false) ?horizon ?(rules = []) source f =
+  with_rules ~cmd rules @@ fun () ->
+  let refused fmt = Printf.ksprintf (fun m -> prerr_endline m; 2) fmt in
+  match (Mrm_models.Builtin.load source, source) with
+  | Error message, File _ -> refused "%s" message
+  | Error message, Named _ -> refused "mrm2: %s" message
+  | Ok { impulses = _ :: _; _ }, File path when not impulses ->
+      refused "%s declares impulse rewards, unsupported in mrm2 %s (use \
+               mrm2 moments)" path cmd
+  | Ok ({ model; _ } as parsed), _ ->
+      let constants t =
+        Check.constant_errors ~t ~rates:model.rates ~variances:model.variances
+          ~q:(Mrm_ctmc.Generator.uniformization_rate model.generator)
+      in
+      with_rules ~cmd
+        [ diagnosed (Option.fold ~none:[] ~some:constants horizon) ]
+        (fun () -> f parsed)
 
 let t_arg =
   Arg.(
@@ -220,10 +216,10 @@ let moments_cmd =
       value & opt int 3
       & info [ "order" ] ~docv:"N" ~doc:"Highest moment order.")
   in
-  let run file kind sigma2 size t order eps jobs obs =
+  let run source t order eps jobs obs =
     obs @@ fun () ->
-    with_solver_flags ~cmd:"moments" ~t ~order ~eps @@ fun () ->
-    with_model ?file kind ~sigma2 ~size
+    with_model ~cmd:"moments" ~impulses:true ~horizon:t source
+      ~rules:[ diagnosed (Check.config_errors ~times:[| t |] ~order ~eps ()) ]
     @@ fun { Mrm_core.Model_io.model; impulses } ->
     let r =
       with_optional_pool ~jobs (fun pool ->
@@ -242,8 +238,8 @@ let moments_cmd =
   in
   let term =
     Term.(
-      const run $ file_arg $ model_arg $ sigma2_arg $ size_arg $ t_arg $ order
-      $ eps_arg $ jobs_arg ~default:sequential_default $ obs_term)
+      const run $ source_arg $ t_arg $ order $ eps_arg
+      $ jobs_arg ~default:sequential_default $ obs_term)
   in
   Cmd.v
     (Cmd.info "moments" ~doc:"Moments of the accumulated reward at time t")
@@ -266,15 +262,18 @@ let bounds_cmd =
       & info [ "moments" ] ~docv:"K"
           ~doc:"Number of moments to compute (the paper's figures use 23).")
   in
-  let run file kind sigma2 size t moment_count points obs =
+  let run source t moment_count points obs =
     obs @@ fun () ->
-    with_positive_horizon ~cmd:"bounds" t @@ fun () ->
-    with_finite_points ~cmd:"bounds" points @@ fun () ->
-    require ~cmd:"bounds" (moment_count >= 2)
-      "--moments %d must be >= 2 (the bounds need m0, m1 and m2)"
-      moment_count
-    @@ fun () ->
-    with_rate_model ?file ~cmd:"bounds" kind ~sigma2 ~size @@ fun model ->
+    with_model ~cmd:"bounds" ~horizon:t source
+      ~rules:
+        [
+          horizon ~positive:true t;
+          finite_points points;
+          rule (moment_count >= 2)
+            "--moments %d must be >= 2 (the bounds need m0, m1 and m2)"
+            moment_count;
+        ]
+    @@ fun { Mrm_core.Model_io.model; _ } ->
     let pi = (model : Mrm_core.Model.t).initial in
     let r = Mrm_core.Randomization.moments model ~t ~order:moment_count in
     let moments =
@@ -302,8 +301,7 @@ let bounds_cmd =
   in
   let term =
     Term.(
-      const run $ file_arg $ model_arg $ sigma2_arg $ size_arg $ t_arg
-      $ moment_count $ points $ obs_term)
+      const run $ source_arg $ t_arg $ moment_count $ points $ obs_term)
   in
   Cmd.v
     (Cmd.info "bounds" ~doc:"Moment-based bounds on the reward distribution")
@@ -323,14 +321,15 @@ let simulate_cmd =
       value & opt int 3
       & info [ "order" ] ~docv:"N" ~doc:"Highest moment order to estimate.")
   in
-  let run file kind sigma2 size t replicas order seed =
-    with_solver_flags ~cmd:"simulate" ~t @@ fun () ->
-    require ~cmd:"simulate" (replicas >= 1) "--replicas %d must be >= 1"
-      replicas
-    @@ fun () ->
-    require ~cmd:"simulate" (order >= 1) "--order %d must be >= 1" order
-    @@ fun () ->
-    with_rate_model ?file ~cmd:"simulate" kind ~sigma2 ~size @@ fun model ->
+  let run source t replicas order seed =
+    with_model ~cmd:"simulate" source
+      ~rules:
+        [
+          horizon t;
+          rule (replicas >= 1) "--replicas %d must be >= 1" replicas;
+          rule (order >= 1) "--order %d must be >= 1" order;
+        ]
+    @@ fun { Mrm_core.Model_io.model; _ } ->
     let rng = Mrm_util.Rng.create ~seed () in
     let estimates =
       Mrm_core.Simulate.estimate_moments model rng ~t ~max_order:order
@@ -345,8 +344,7 @@ let simulate_cmd =
   in
   let term =
     Term.(
-      const run $ file_arg $ model_arg $ sigma2_arg $ size_arg $ t_arg
-      $ replicas $ order $ seed_arg)
+      const run $ source_arg $ t_arg $ replicas $ order $ seed_arg)
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Monte-Carlo moment estimates with CIs")
@@ -361,10 +359,14 @@ let path_cmd =
       value & opt int 200
       & info [ "grid" ] ~docv:"K" ~doc:"Number of grid intervals.")
   in
-  let run file kind sigma2 size t grid seed =
-    with_positive_horizon ~cmd:"path" t @@ fun () ->
-    require ~cmd:"path" (grid >= 1) "--grid %d must be >= 1" grid @@ fun () ->
-    with_rate_model ?file ~cmd:"path" kind ~sigma2 ~size @@ fun model ->
+  let run source t grid seed =
+    with_model ~cmd:"path" source
+      ~rules:
+        [
+          horizon ~positive:true t;
+          rule (grid >= 1) "--grid %d must be >= 1" grid;
+        ]
+    @@ fun { Mrm_core.Model_io.model; _ } ->
     let rng = Mrm_util.Rng.create ~seed () in
     let path = Mrm_core.Simulate.joint_path model rng ~t_max:t ~grid in
     print_endline "# t state B(t)";
@@ -377,8 +379,7 @@ let path_cmd =
   in
   let term =
     Term.(
-      const run $ file_arg $ model_arg $ sigma2_arg $ size_arg $ t_arg $ grid
-      $ seed_arg)
+      const run $ source_arg $ t_arg $ grid $ seed_arg)
   in
   Cmd.v (Cmd.info "path" ~doc:"Sample a joint (state, reward) path") term
 
@@ -393,11 +394,10 @@ let distribution_cmd =
       & info [ "points" ] ~docv:"X1,X2,..."
           ~doc:"Evaluation points (default: mean + k/2 std, k = -4..4).")
   in
-  let run file kind sigma2 size t points =
-    with_positive_horizon ~cmd:"distribution" t @@ fun () ->
-    with_finite_points ~cmd:"distribution" points @@ fun () ->
-    with_rate_model ?file ~cmd:"distribution" kind ~sigma2 ~size
-    @@ fun model ->
+  let run source t points =
+    with_model ~cmd:"distribution" ~horizon:t source
+      ~rules:[ horizon ~positive:true t; finite_points points ]
+    @@ fun { Mrm_core.Model_io.model; _ } ->
     let points =
       if points <> [] then Array.of_list points
       else begin
@@ -424,7 +424,7 @@ let distribution_cmd =
     0
   in
   let term =
-    Term.(const run $ file_arg $ model_arg $ sigma2_arg $ size_arg $ t_arg $ points)
+    Term.(const run $ source_arg $ t_arg $ points)
   in
   Cmd.v
     (Cmd.info "distribution"
@@ -442,28 +442,28 @@ let mtta_cmd =
       & info [ "targets" ] ~docv:"S1,S2,..."
           ~doc:"Target state indices (e.g. the all-failed state).")
   in
-  let run file kind sigma2 size targets =
-    require ~cmd:"mtta" (targets <> []) "--targets: give at least one state"
-    @@ fun () ->
-    with_model ?file kind ~sigma2 ~size @@ fun { Mrm_core.Model_io.model; _ } ->
+  let run source targets =
+    with_model ~cmd:"mtta" ~impulses:true source
+      ~rules:[ rule (targets <> []) "--targets: give at least one state" ]
+    @@ fun { Mrm_core.Model_io.model; _ } ->
     let states = Mrm_core.Model.dim model in
-    match List.find_opt (fun s -> s < 0 || s >= states) targets with
-    | Some s ->
-        refuse ~cmd:"mtta"
-          (Printf.sprintf "--targets: state %d is not in 0..%d" s (states - 1))
-    | None ->
-        let mtta =
-          Mrm_ctmc.Absorption.mean_time_to_absorption model.generator
-            ~initial:model.initial ~targets
-        in
-        Printf.printf "mean time to reach {%s} = %g\n"
-          (String.concat ", " (List.map string_of_int targets))
-          mtta;
-        0
+    with_rules ~cmd:"mtta"
+      (List.map
+         (fun s ->
+           rule (s >= 0 && s < states) "--targets: state %d is not in 0..%d" s
+             (states - 1))
+         targets)
+    @@ fun () ->
+    let mtta =
+      Mrm_ctmc.Absorption.mean_time_to_absorption model.generator
+        ~initial:model.initial ~targets
+    in
+    Printf.printf "mean time to reach {%s} = %g\n"
+      (String.concat ", " (List.map string_of_int targets))
+      mtta;
+    0
   in
-  let term =
-    Term.(const run $ file_arg $ model_arg $ sigma2_arg $ size_arg $ targets)
-  in
+  let term = Term.(const run $ source_arg $ targets) in
   Cmd.v
     (Cmd.info "mtta" ~doc:"Mean time to absorption into a target state set")
     term
@@ -490,6 +490,15 @@ let fluid_cmd =
   in
   let run capacity peak sigma2 =
     let module Mmbm = Mrm_mmbm.Mmbm in
+    with_rules ~cmd:"fluid"
+      [
+        rule (Float.is_finite capacity) "--capacity %g must be finite" capacity;
+        rule (Float.is_finite peak) "--peak %g must be finite" peak;
+        rule
+          (Float.is_finite sigma2 && sigma2 >= 0.)
+          "--fluid-sigma2 %g must be finite and >= 0" sigma2;
+      ]
+    @@ fun () ->
     let generator =
       Mrm_ctmc.Generator.of_triplets ~states:2 [ (0, 1, 0.5); (1, 0, 1.0) ]
     in
@@ -538,7 +547,6 @@ let lint_format_arg =
            $(b,github) (GitHub Actions $(b,::error) annotations for CI).")
 
 let lint_cmd =
-  let module Check = Mrm_check.Check in
   let module Diagnostics = Mrm_check.Diagnostics in
   let module Model_io = Mrm_core.Model_io in
   let file =
@@ -807,14 +815,17 @@ let stationary_cmd =
     then 1
     else 0
   in
-  let run file kind sigma2 size drain regularize cr_eps max_iter ctmc validate
-      points format obs =
+  let run source drain regularize cr_eps max_iter ctmc validate points format
+      obs =
     obs @@ fun () ->
-    let floor = Option.value regularize ~default:1. in
-    require ~cmd:"stationary" (Float.is_finite floor && floor > 0.)
-      "--regularize %g must be finite and > 0" floor
-    @@ fun () ->
-    with_rate_model ?file ~cmd:"stationary" kind ~sigma2 ~size @@ fun model ->
+    with_model ~cmd:"stationary" source
+      ~rules:
+        [
+          diagnosed (Check.config_errors ~eps:cr_eps ~drain ?regularize ());
+          rule (max_iter >= 1) "--max-iter %d must be >= 1" max_iter;
+          finite_points points;
+        ]
+    @@ fun { Mrm_core.Model_io.model; _ } ->
     if ctmc then print_ctmc format model
     else
       match
@@ -828,9 +839,8 @@ let stationary_cmd =
   in
   let term =
     Term.(
-      const run $ file_arg $ model_arg $ sigma2_arg $ size_arg $ drain
-      $ regularize $ cr_eps $ max_iter $ ctmc $ validate $ points $ format_arg
-      $ obs_term)
+      const run $ source_arg $ drain $ regularize $ cr_eps $ max_iter $ ctmc
+      $ validate $ points $ format_arg $ obs_term)
   in
   Cmd.v
     (Cmd.info "stationary"
@@ -882,18 +892,15 @@ let batch_cmd =
            let trimmed = String.trim line in
            if trimmed <> "" then begin
              let default_id = Printf.sprintf "job-%d" !lineno in
-             match Json.parse trimmed with
+             match
+               Result.bind (Json.parse trimmed)
+                 (Batch.job_of_json ~default_id ~default_eps:eps)
+             with
              | Error e ->
                  bad_rev :=
                    Printf.sprintf "line %d (%s): %s" !lineno default_id e
                    :: !bad_rev
-             | Ok json -> (
-                 match Batch.job_of_json ~default_id ~default_eps:eps json with
-                 | Error e ->
-                     bad_rev :=
-                       Printf.sprintf "line %d (%s): %s" !lineno default_id e
-                       :: !bad_rev
-                 | Ok job -> jobs_rev := job :: !jobs_rev)
+             | Ok job -> jobs_rev := job :: !jobs_rev
            end
          done
        with End_of_file -> ());
@@ -923,19 +930,11 @@ let batch_cmd =
         Array.iter
           (fun o -> print_endline (Json.to_string (Batch.outcome_to_json o)))
           outcomes;
-        let unique =
-          Array.length
-            (Array.of_seq
-               (Seq.filter
-                  (fun (o : Batch.outcome) -> o.duplicate_of = None)
-                  (Array.to_seq outcomes)))
+        let count p =
+          Array.fold_left (fun n o -> if p o then n + 1 else n) 0 outcomes
         in
-        let failed =
-          Array.fold_left
-            (fun n (o : Batch.outcome) ->
-              if Result.is_error o.result then n + 1 else n)
-            0 outcomes
-        in
+        let unique = count (fun o -> Option.is_none o.Batch.duplicate_of) in
+        let failed = count (fun o -> Result.is_error o.Batch.result) in
         Printf.eprintf
           "# batch: %d jobs (%d unique, %d reused), jobs = %d, %.3fs \
            wall-clock%s\n"
@@ -1486,8 +1485,8 @@ let loadgen_cmd =
 (* info                                                                *)
 
 let info_cmd =
-  let run file kind sigma2 size =
-    with_model ?file kind ~sigma2 ~size
+  let run source =
+    with_model ~cmd:"info" ~impulses:true source
     @@ fun { Mrm_core.Model_io.model; impulses } ->
     Format.printf "%a@." Mrm_core.Model.pp model;
     let q =
@@ -1499,7 +1498,7 @@ let info_cmd =
       Mrm_core.Impulse.(reward_rate (make model impulses));
     0
   in
-  let term = Term.(const run $ file_arg $ model_arg $ sigma2_arg $ size_arg) in
+  let term = Term.(const run $ source_arg) in
   Cmd.v (Cmd.info "info" ~doc:"Print a model summary") term
 
 let () =

@@ -118,6 +118,75 @@ let log_error_bound ~impulses ~d ~lambda ~order ~g =
     +. Poisson.log_tail ~lambda (max 0 (g + 1 - order))
 
 (* ------------------------------------------------------------------ *)
+(* Request rules                                                        *)
+
+(* The parameter rules (MRM060): what a solve request must satisfy
+   before any model is built. The CLI applies them to its flags, the
+   batch and serve wire to a job's fields, and [check_conditioning] to
+   the lint configuration. *)
+let config_errors ?(times = [||]) ?order ?eps ?drain ?regularize () =
+  let error key value message =
+    Some (D.error ~code:"MRM060" ~context:[ (key, value) ] message)
+  in
+  let horizon t =
+    if Float.is_finite t && t >= 0. then None
+    else
+      error "t" (fg t)
+        (fmt "accumulation horizon t = %g must be finite and >= 0" t)
+  and moment_order order =
+    if order >= 0 then None
+    else error "order" (fi order) (fmt "moment order %d must be >= 0" order)
+  and precision eps =
+    if Float.is_finite eps && eps > 0. then None
+    else
+      error "eps" (fg eps)
+        (fmt "precision eps = %g must be finite and > 0" eps)
+  and service drain =
+    if Float.is_finite drain then None
+    else error "drain" (fg drain) (fmt "drain = %g must be finite" drain)
+  and variance_floor v =
+    if Float.is_finite v && v > 0. then None
+    else
+      error "regularize" (fg v)
+        (fmt "variance floor regularize = %g must be finite and > 0" v)
+  in
+  List.filter_map Fun.id
+    (List.map horizon (Array.to_list times)
+    @ [
+        Option.bind order moment_order;
+        Option.bind eps precision;
+        Option.bind drain service;
+        Option.bind regularize variance_floor;
+      ])
+
+(* The solver-constant rules, once the model is built: the truncation
+   point of eq. 11 exists only for a finite q t (MRM060) and a finite
+   reward scaling d (MRM044). *)
+let uniformized_horizon ~q ~t =
+  let lambda = q *. t in
+  if Float.is_finite lambda then None
+  else
+    Some
+      (D.error ~code:"MRM060"
+         ~context:[ ("qt", fg lambda); ("q", fg q); ("t", fg t) ]
+         (fmt "q t = %g at t = %g must be finite (q = %g)" lambda t q))
+
+let scaling_error d =
+  if Float.is_finite d then None
+  else
+    Some
+      (D.error ~code:"MRM044"
+         ~context:[ ("d", fg d) ]
+         (fmt "reward scaling constant %g is not finite" d))
+
+let constant_errors ~q ~rates ~variances ~t =
+  List.filter_map Fun.id
+    [
+      uniformized_horizon ~q ~t;
+      scaling_error (reward_scaling ~q ~rates ~variances);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Passes                                                               *)
 
 let check_dimensions { states; q_matrix; rates; variances; initial } =
@@ -332,12 +401,9 @@ let check_uniformization ?(tol = 1e-9) ?(config = default_config)
     let d =
       Option.value config.d ~default:(reward_scaling ~q ~rates ~variances)
     in
-    if not (Float.is_finite d) then
-      add
-        (D.error ~code:"MRM044"
-           ~context:[ ("d", fg d) ]
-           (fmt "reward scaling constant %g is not finite" d))
-    else if d > 0. then begin
+    match scaling_error d with
+    | Some e -> add e
+    | None when d > 0. ->
       Array.iteri
         (fun i r ->
           let r' = r /. (q *. d) in
@@ -372,7 +438,7 @@ let check_uniformization ?(tol = 1e-9) ?(config = default_config)
                      (Lemma 2 bound invalid)"
                     i s' d)))
         variances
-    end
+    | None -> ()
   end;
   List.rev !acc
 
@@ -387,35 +453,6 @@ let lambda_direct_warning = 5e7
    the row-parallel engine is left off. *)
 let paper_scale_states = 10_000
 
-(* MRM060, the solve parameters on their own: [check_conditioning] runs
-   them on the lint configuration, the solver commands on their flags. *)
-let config_errors ?t ?order ?eps () =
-  let horizon t =
-    if Float.is_finite t && t >= 0. then None
-    else
-      Some
-        (D.error ~code:"MRM060" ~context:[ ("t", fg t) ]
-           (fmt "accumulation horizon t = %g must be finite and >= 0" t))
-  and moment_order order =
-    if order >= 0 then None
-    else
-      Some
-        (D.error ~code:"MRM060" ~context:[ ("order", fi order) ]
-           (fmt "moment order %d must be >= 0" order))
-  and precision eps =
-    if Float.is_finite eps && eps > 0. then None
-    else
-      Some
-        (D.error ~code:"MRM060" ~context:[ ("eps", fg eps) ]
-           (fmt "precision eps = %g must be finite and > 0" eps))
-  in
-  List.filter_map Fun.id
-    [
-      Option.bind t horizon;
-      Option.bind order moment_order;
-      Option.bind eps precision;
-    ]
-
 let check_conditioning ?(config = default_config)
     ({ states; q_matrix; rates; variances; _ } as _data) =
   let acc = ref [] in
@@ -429,8 +466,10 @@ let check_conditioning ?(config = default_config)
              with jobs = 1; the G = O(qt) mat-vec sweep is row-parallel — \
              set --jobs or MRM2_JOBS to use the domain pool"
             states paper_scale_states));
-  List.iter add
-    (config_errors ~t:config.t ~order:config.order ~eps:config.eps ());
+  let invalid =
+    config_errors ~times:[| config.t |] ~order:config.order ~eps:config.eps ()
+  in
+  List.iter add invalid;
   if config.eps > 0. && config.eps < 1e-15 then
     add
       (D.warning ~code:"MRM061"
@@ -467,38 +506,38 @@ let check_conditioning ?(config = default_config)
                 (log10 (hi /. lo)) lo hi)));
   (* Truncation-point explosion (the G = O(qt) cost of Theorem 4). *)
   let q = Option.value config.q ~default:(chain_rate q_matrix) in
-  let valid_time = Float.is_finite config.t && config.t >= 0. in
-  let valid_eps = Float.is_finite config.eps && config.eps > 0. in
-  if q > 0. && valid_time && valid_eps && config.order >= 0 then begin
+  if q > 0. && invalid = [] then begin
     let lambda = q *. config.t in
-    if lambda > lambda_direct_warning then
-      add
-        (D.warning ~code:"MRM050"
-           ~context:[ ("qt", fg lambda) ]
-           (fmt
-              "q t = %g: the Theorem-4 truncation point is of the same \
-               order; the solve needs ~%g sparse matrix-vector products per \
-               moment order"
-              lambda lambda))
-    else begin
-      let d =
-        Option.value config.d ~default:(reward_scaling ~q ~rates ~variances)
-      in
-      if lambda > 0. && d > 0. && Float.is_finite d then begin
-        let g =
-          truncation_point ~impulses:false ~d ~lambda ~order:config.order
-            ~eps:config.eps
+    (* A non-finite q is MRM044's finding (check_uniformization). *)
+    match uniformized_horizon ~q ~t:config.t with
+    | Some e when Float.is_finite q -> add e
+    | _ when lambda > lambda_direct_warning ->
+        add
+          (D.warning ~code:"MRM050"
+             ~context:[ ("qt", fg lambda) ]
+             (fmt
+                "q t = %g: the Theorem-4 truncation point is of the same \
+                 order; the solve needs ~%g sparse matrix-vector products \
+                 per moment order"
+                lambda lambda))
+    | _ ->
+        let d =
+          Option.value config.d ~default:(reward_scaling ~q ~rates ~variances)
         in
-        if g > g_warning_threshold then
-          add
-            (D.warning ~code:"MRM050"
-               ~context:[ ("g", fi g); ("qt", fg lambda) ]
-               (fmt
-                  "truncation point G = %d for q t = %g: the solve needs %d \
-                   sparse matrix-vector products per moment order"
-                  g lambda g))
-      end
-    end
+        if lambda > 0. && d > 0. && Float.is_finite d then begin
+          let g =
+            truncation_point ~impulses:false ~d ~lambda ~order:config.order
+              ~eps:config.eps
+          in
+          if g > g_warning_threshold then
+            add
+              (D.warning ~code:"MRM050"
+                 ~context:[ ("g", fi g); ("qt", fg lambda) ]
+                 (fmt
+                    "truncation point G = %d for q t = %g: the solve needs \
+                     %d sparse matrix-vector products per moment order"
+                    g lambda g))
+        end
   end;
   List.rev !acc
 
@@ -620,7 +659,8 @@ let code_table =
     ("MRM050", D.Warning, "Poisson truncation point impractically large");
     ("MRM051", D.Warning, "reward scales span many orders of magnitude");
     ("MRM053", D.Info, "paper-scale model solved sequentially (jobs = 1)");
-    ("MRM060", D.Error, "invalid solver configuration (t, order or eps)");
+    ("MRM060", D.Error, "invalid solve request (t, order, eps, drain, \
+                         variance floor, or a non-finite q t)");
     ("MRM061", D.Warning, "eps below attainable double precision");
     ("MRM062", D.Error, "zero-variance states: stationary solver needs \
                          --regularize (warning under mrm2 lint --stationary)");

@@ -102,6 +102,28 @@ val log_error_bound :
     [neg_infinity] at order 0, where the recursion is exact. *)
 
 (* ------------------------------------------------------------------ *)
+(* Request rules: whether a solve request is admissible, decided once.  *)
+(* The CLI solver commands, [Batch.job_of_json] (batch, serve, route)   *)
+(* and the passes below call these.                                     *)
+
+val config_errors :
+  ?times:float array -> ?order:int -> ?eps:float -> ?drain:float ->
+  ?regularize:float -> unit -> Diagnostics.t list
+(** The parameter rules, run before any model is built: one [MRM060]
+    error, naming the value, per failure in the order of the arguments.
+    Each horizon in [times] must be finite and [>= 0], [order >= 0],
+    [eps] finite and [> 0], a stationary [drain] finite, and a
+    [regularize] variance floor finite and [> 0]. *)
+
+val constant_errors :
+  q:float -> rates:float array -> variances:float array -> t:float ->
+  Diagnostics.t list
+(** The solver-constant rules of a randomization solve, run on the built
+    model (its uniformization rate [q], O(states)) at the largest horizon
+    [t]: [q t] must be finite ([MRM060]; eq. 11 has no truncation point
+    otherwise) and so must the {!reward_scaling} [d] ([MRM044]). *)
+
+(* ------------------------------------------------------------------ *)
 (* Individual passes. Each returns an independent diagnostic list;      *)
 (* [check] composes them.                                               *)
 
@@ -136,13 +158,16 @@ val check_uniformization : ?tol:float -> ?config:config -> data ->
 (** Substochasticity of the uniformized matrices for the chosen (or
     default) [q] and [d]: [q] at least the max exit rate ([MRM040]),
     row sums of [Q'] at most 1 ([MRM041]), [|r_i|/(q d) <= 1] ([MRM042]),
-    [sigma_i^2/(q d^2) <= 1] ([MRM043]), and a finiteness scan of the
-    scaled quantities ([MRM044]). Skipped for transition-free models
+    [sigma_i^2/(q d^2) <= 1] ([MRM043]), and a finiteness scan of [q],
+    [d] (the rule of {!constant_errors}) and the scaled quantities
+    ([MRM044]). Skipped for transition-free models
     ([q = 0] — the solvers use a closed form there). *)
 
 val check_conditioning : ?config:config -> data -> Diagnostics.t list
-(** Solver-configuration sanity: invalid [t]/[order]/[eps] ([MRM060],
-    error), a Theorem-4 truncation point so large the solve is
+(** Solver-configuration sanity: invalid [t]/[order]/[eps] and a
+    non-finite [q t] ([MRM060], error: the rules of {!config_errors} and
+    {!constant_errors}, so [mrm2 lint] refuses what the solvers refuse),
+    a Theorem-4 truncation point so large the solve is
     impractical ([MRM050], warning, threshold ~2e6 iterations),
     reward scales [|r_i|], [sigma_i] spanning more than 8 orders of
     magnitude ([MRM051], warning), a paper-scale model (>= 10^4
@@ -150,14 +175,6 @@ val check_conditioning : ?config:config -> data -> Diagnostics.t list
     engine could be used ([MRM053], info, points at
     [--jobs]/[MRM2_JOBS]), and [eps] below attainable double precision
     ([MRM061], warning). *)
-
-val config_errors :
-  ?t:float -> ?order:int -> ?eps:float -> unit -> Diagnostics.t list
-(** The [MRM060] errors of {!check_conditioning} for the parameters
-    given, in the order [t], [order], [eps]: a horizon that is not finite
-    and [>= 0], an order below 0, a precision that is not finite and
-    [> 0]. Each message names the value. The solver commands of [mrm2]
-    refuse their flags with these before solving. *)
 
 val check_stationary : data -> Diagnostics.t list
 (** Stationary (MMBM) applicability, as warnings: zero-variance states

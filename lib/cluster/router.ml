@@ -240,25 +240,20 @@ let forward h ~json ~request line =
 let process h ~lineno line =
   Metrics.incr m_requests;
   let default_id = Printf.sprintf "req-%d" lineno in
-  let malformed msg =
+  let malformed ~id msg =
     Metrics.incr m_parse_errors;
-    Protocol.error_response ~id:default_id ~code:"SRV001" msg
+    Protocol.error_response ~id ~code:"SRV001" msg
   in
   match Json.parse line with
-  | Error msg -> malformed msg
+  | Error msg -> malformed ~id:default_id msg
   | Ok json when is_stats_request json ->
-      let id =
-        Option.value
-          (Option.bind (Json.member "id" json) Json.to_str)
-          ~default:default_id
-      in
-      stats_response h ~id
+      stats_response h ~id:(Protocol.id_of_json ~default_id json)
   | Ok json -> (
       match
         Protocol.request_of_json ~default_eps:h.cfg.default_eps
           ~now:(Unix.gettimeofday ()) ~default_id json
       with
-      | Error msg -> malformed msg
+      | Error msg -> malformed ~id:(Protocol.id_of_json ~default_id json) msg
       | Ok request -> forward h ~json ~request line)
 
 (* ------------------------------------------------------------------ *)

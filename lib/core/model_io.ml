@@ -204,11 +204,6 @@ let parse_string_result text =
   | parsed -> Ok parsed
   | exception Err e -> Error e
 
-let parse_string text =
-  match parse_string_result text with
-  | Ok parsed -> parsed
-  | Error e -> failwith ("Model_io: " ^ error_message e)
-
 let read_file path =
   let ic = open_in path in
   Fun.protect
@@ -219,7 +214,6 @@ let read_file path =
 
 let load_raw path = parse_raw (read_file path)
 let load_result path = parse_string_result (read_file path)
-let load path = parse_string (read_file path)
 
 let to_string ?(impulses = []) model =
   let buf = Buffer.create 512 in

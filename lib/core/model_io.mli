@@ -78,15 +78,8 @@ val parse_string_result : string -> (parsed, error) result
 val load_result : string -> (parsed, error) result
 (** @raise Sys_error on I/O failure. *)
 
-val parse_string : string -> parsed
-(** @raise Failure with ["Model_io: " ^ error_message e] on malformed
-    input. *)
-
-val load : string -> parsed
-(** Read and parse a file. @raise Sys_error on I/O failure, [Failure] on
-    parse errors. *)
-
 val to_string : ?impulses:(int * int * float) list -> Model.t -> string
-(** Render a model in the same format ([parse_string] round-trips it). *)
+(** Render a model in the same format ([parse_string_result] round-trips
+    it). *)
 
 val save : path:string -> ?impulses:(int * int * float) list -> Model.t -> unit

@@ -7,6 +7,8 @@ module Sparse = Mrm_linalg.Sparse
 module Generator = Mrm_ctmc.Generator
 module Model = Mrm_core.Model
 module Model_io = Mrm_core.Model_io
+module Builtin = Mrm_models.Builtin
+module Check = Mrm_check.Check
 
 type kind = Moments | Stationary of { drain : float; regularize : float }
 
@@ -85,6 +87,10 @@ let digest job =
 (* ------------------------------------------------------------------ *)
 (* Solving                                                              *)
 
+(* A diagnostic on the wire: [CODE: message]. *)
+let render (d : Mrm_check.Diagnostics.t) =
+  Printf.sprintf "%s: %s" d.code d.message
+
 let unconditional model ~order vectors =
   let pi = model.Model.initial in
   Array.init (order + 1) (fun n -> Vec.dot pi vectors.(n))
@@ -103,11 +109,7 @@ let solve_stationary job ~drain ~regularize =
       tau = r.Mrm_mmbm.Mmbm.tau;
       cr_iterations = r.Mrm_mmbm.Mmbm.iterations;
       residual = r.Mrm_mmbm.Mmbm.residual;
-      stationary_warnings =
-        List.map
-          (fun (d : Mrm_check.Diagnostics.t) ->
-            Printf.sprintf "%s: %s" d.code d.message)
-          r.Mrm_mmbm.Mmbm.warnings;
+      stationary_warnings = List.map render r.Mrm_mmbm.Mmbm.warnings;
     }
 
 let solve_moments ?pool job =
@@ -203,30 +205,38 @@ let field_or json key ~default decode =
       | Some x -> Ok x
       | None -> Error (Printf.sprintf "field %S: invalid value" key))
 
-let model_of_spec json =
+let source_of_spec json =
   match (Json.member "file" json, Json.member "model" json) with
   | Some _, Some _ -> Error "give either \"file\" or \"model\", not both"
   | None, None -> Error "missing model source (\"file\" or \"model\")"
   | Some f, None -> (
       match Json.to_str f with
       | None -> Error "field \"file\": expected a string"
-      | Some path -> (
-          match Model_io.load path with
-          | { Model_io.model; impulses = [] } -> Ok model
-          | { Model_io.impulses = _ :: _; _ } ->
-              Error
-                (Printf.sprintf
-                   "%s declares impulse rewards, unsupported in batch \
-                    (use mrm2 moments)"
-                   path)
-          | exception exn -> Error (Printexc.to_string exn)))
+      | Some path -> Ok (Builtin.File path))
   | None, Some m -> (
       match Json.to_str m with
       | None -> Error "field \"model\": expected a built-in name"
       | Some name ->
           let* sigma2 = field_or json "sigma2" ~default:1.0 Json.to_float in
           let* size = field_or json "size" ~default:32 Json.to_int in
-          Mrm_models.Builtin.model name ~sigma2 ~size)
+          Ok (Builtin.Named { name; sigma2; size }))
+
+let model_of_source source =
+  let* { Model_io.model; impulses } = Builtin.load source in
+  match (impulses, source) with
+  | _ :: _, Builtin.File path ->
+      Error
+        (Printf.sprintf
+           "%s declares impulse rewards, unsupported in batch (use mrm2 \
+            moments)"
+           path)
+  | _ -> Ok model
+
+(* A job that fails rules of Mrm_check.Check is refused with every
+   failure, rendered as stationary warnings are. *)
+let refuse = function
+  | [] -> Ok ()
+  | errors -> Error (String.concat "; " (List.map render errors))
 
 let times_of_spec json =
   match (Json.member "times" json, Json.member "t" json) with
@@ -250,12 +260,17 @@ let supported_kinds = [ "moments"; "stationary" ]
 
 let kind_of_json json =
   match Json.member "kind" json with
-  | None -> Ok `Moments
+  | None -> Ok Moments
   | Some v -> (
       match Json.to_str v with
       | None -> Error "field \"kind\": expected a string"
-      | Some "moments" -> Ok `Moments
-      | Some "stationary" -> Ok `Stationary
+      | Some "moments" -> Ok Moments
+      | Some "stationary" ->
+          let* drain = field_or json "drain" ~default:0. Json.to_float in
+          let* regularize =
+            field_or json "regularize" ~default:0. Json.to_float
+          in
+          Ok (Stationary { drain; regularize })
       | Some other ->
           Error
             (Printf.sprintf "MRM069: unknown job kind %S (supported: %s)"
@@ -266,13 +281,13 @@ let job_of_json ~default_id ?(default_eps = 1e-9) json =
   match json with
   | Json.Obj _ ->
       let* id = field_or json "id" ~default:default_id Json.to_str in
-      let* kind_tag = kind_of_json json in
-      let* model = model_of_spec json in
+      let* kind = kind_of_json json in
+      let* source = source_of_spec json in
       let* times =
         (* Stationary solves have no time axis; tolerate an absent spec
            (an explicit one is still validated so typos surface). *)
-        match (kind_tag, Json.member "times" json, Json.member "t" json) with
-        | `Stationary, None, None -> Ok [||]
+        match (kind, Json.member "times" json, Json.member "t" json) with
+        | Stationary _, None, None -> Ok [||]
         | _ -> times_of_spec json
       in
       let* order = field_or json "order" ~default:3 Json.to_int in
@@ -285,25 +300,29 @@ let job_of_json ~default_id ?(default_eps = 1e-9) json =
             | Some ("randomization" | "rand") -> Some ()
             | Some _ | None -> None)
       in
-      let* kind =
-        match kind_tag with
-        | `Moments -> Ok Moments
-        | `Stationary ->
-            let* drain = field_or json "drain" ~default:0. Json.to_float in
-            let* regularize =
-              field_or json "regularize" ~default:0. Json.to_float
-            in
-            if not (Float.is_finite drain) then
-              Error "field \"drain\": must be finite"
-            else if not (Float.is_finite regularize && regularize >= 0.) then
-              Error "field \"regularize\": must be >= 0"
-            else Ok (Stationary { drain; regularize })
+      let drain, regularize =
+        match kind with
+        | Moments -> (None, None)
+        | Stationary { drain; regularize } ->
+            (* A zero floor is the wire's "no floor". *)
+            ( Some drain,
+              if Float.equal regularize 0. then None else Some regularize )
       in
-      if order < 0 then Error "field \"order\": must be >= 0"
-      else if not (eps > 0.) then Error "field \"eps\": must be > 0"
-      else if Array.exists (fun t -> t < 0.) times then
-        Error "field \"times\": must be >= 0"
-      else Ok { id; model; times; order; eps; kind }
+      let* () =
+        refuse (Check.config_errors ~times ~order ~eps ?drain ?regularize ())
+      in
+      let* model = model_of_source source in
+      let* () =
+        match kind with
+        | Stationary _ -> Ok ()
+        | Moments ->
+            refuse
+              (Check.constant_errors
+                 ~q:(Generator.uniformization_rate model.Model.generator)
+                 ~rates:model.Model.rates ~variances:model.Model.variances
+                 ~t:(Array.fold_left Float.max 0. times))
+      in
+      Ok { id; model; times; order; eps; kind }
   | _ -> Error "job spec must be a JSON object"
 
 let outcome_to_json o =

@@ -101,12 +101,26 @@ val job_of_json :
     [field "method": invalid value] rather than solved by another
     method. Optional [kind] selects the computation:
     ["moments"] (default) or ["stationary"] (with optional [drain] and
-    [regularize] numbers; [times] may then be omitted). An unrecognised
-    [kind] is rejected with an [MRM069] message that names the offending
-    value and the supported set. A built-in out of its domain
-    ({!Mrm_models.Builtin.model}) is an [Error] with the constructor's
-    message. Files declaring impulse rewards are rejected — route those
-    through [mrm2 moments]. *)
+    [regularize] numbers, a zero [regularize] meaning no floor; [times]
+    may then be omitted).
+
+    Refusals, as the [Error] string:
+    - a field of the wrong shape: [field "X": invalid value] or
+      [field "X": expected ...]; an unrecognised [kind], an [MRM069]
+      message that names the offending value and the supported set;
+    - a failed parameter rule of {!Mrm_check.Check.config_errors} (a
+      horizon, [order], [eps], [drain] or [regularize] out of its
+      domain), checked before the model is built, as [CODE: message]
+      with the failures joined by ["; "], for example
+      [MRM060: precision eps = inf must be finite and > 0];
+    - a model that does not load ({!Mrm_models.Builtin.load}):
+      [PATH: <Model_io message>] for a file, the constructor's message
+      for a built-in out of its domain;
+    - a file declaring impulse rewards (route those through
+      [mrm2 moments]);
+    - for a moments job, a failed solver-constant rule of the built model
+      ({!Mrm_core.Model.constant_errors} at the largest horizon: a
+      non-finite [q t] or reward scaling), as [CODE: message]. *)
 
 val outcome_to_json : outcome -> Mrm_util.Json.t
 (** [{"id", "digest", "duplicate_of", "elapsed", "status": "ok" |

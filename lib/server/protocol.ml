@@ -41,9 +41,14 @@ let request_of_json ?default_eps ~now ~default_id json =
 let parse_request ?default_eps ~now ~default_id line =
   Result.bind (Json.parse line) (request_of_json ?default_eps ~now ~default_id)
 
+let id_of_json ~default_id json =
+  Option.value (Option.bind (Json.member "id" json) Json.to_str)
+    ~default:default_id
+
 let validate (job : Batch.job) =
   let t =
-    if Array.length job.Batch.times = 0 then 1. else job.Batch.times.(0)
+    if Array.length job.Batch.times = 0 then 1.
+    else Array.fold_left Float.max 0. job.Batch.times
   in
   let config =
     {

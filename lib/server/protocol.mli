@@ -37,13 +37,23 @@ val request_of_json :
 val parse_request :
   ?default_eps:float -> now:float -> default_id:string -> string ->
   (request, string) result
-(** {!Mrm_util.Json.parse} followed by {!request_of_json}. *)
+(** {!Mrm_util.Json.parse} followed by {!request_of_json}. Refused here,
+    for an [SRV001] reply: a line that is not JSON, and every job
+    {!Mrm_batch.Batch.job_of_json} refuses (a bad field shape, a model
+    that does not load, a failed request rule of {!Mrm_check.Check}). *)
+
+val id_of_json : default_id:string -> Mrm_util.Json.t -> string
+(** The line's ["id"] when it is a string, [default_id] otherwise: the
+    id of an [SRV001] reply to a line that parses as JSON. *)
 
 val validate : Mrm_batch.Batch.job -> Mrm_check.Diagnostics.t list
-(** Server-side model validation: {!Mrm_check.Check.check} over the
-    job's model with the job's solve configuration. Only
-    [Error]-severity findings are returned — warnings must not reject a
-    request that the one-shot CLI would happily solve. *)
+(** Server-side model validation, run on cache misses only:
+    {!Mrm_check.Check.check} over the job's model with the job's solve
+    configuration at its largest horizon. It finds what the request rules
+    do not look at, such as a uniformized matrix that is not
+    substochastic, for an [SRV005] reply. Only [Error]-severity findings
+    are returned — warnings must not reject a request that the one-shot
+    CLI would happily solve. *)
 
 (* ------------------------------------------------------------------ *)
 (* Response rendering (one JSONL line, no trailing newline)             *)

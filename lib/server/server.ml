@@ -168,13 +168,18 @@ let process cfg ~cache slot ~lineno line =
   Metrics.incr m_requests;
   let now = Unix.gettimeofday () in
   let default_id = Printf.sprintf "req-%d" lineno in
+  let json = Mrm_util.Json.parse line in
   match
-    Protocol.parse_request ~default_eps:cfg.default_eps ~now ~default_id
-      line
+    Result.bind json
+      (Protocol.request_of_json ~default_eps:cfg.default_eps ~now ~default_id)
   with
   | Error msg ->
       Metrics.incr m_parse_errors;
-      Protocol.error_response ~id:default_id ~code:"SRV001" msg
+      let id =
+        Result.fold json ~ok:(Protocol.id_of_json ~default_id)
+          ~error:(fun _ -> default_id)
+      in
+      Protocol.error_response ~id ~code:"SRV001" msg
   | Ok request -> (
       let id = request.Protocol.job.Batch.id in
       let digest = request.Protocol.digest in

@@ -299,8 +299,13 @@ let sample_model_text =
    initial 0 1.0\n\
    impulse 0 1 0.4\n"
 
+let parse text =
+  match Model_io.parse_string_result text with
+  | Ok parsed -> parsed
+  | Error e -> Alcotest.fail (Model_io.error_message e)
+
 let test_model_io_parse () =
-  let { Model_io.model; impulses } = Model_io.parse_string sample_model_text in
+  let { Model_io.model; impulses } = parse sample_model_text in
   Alcotest.(check int) "states" 3 (Model.dim model);
   check_close "rate" 4. (model : Model.t).Model.rates.(0);
   check_close "variance" 1. (model : Model.t).Model.variances.(1);
@@ -310,9 +315,9 @@ let test_model_io_parse () =
   Alcotest.(check bool) "usable" true (Randomization.mean model ~t:1. > 0.)
 
 let test_model_io_roundtrip () =
-  let { Model_io.model; impulses } = Model_io.parse_string sample_model_text in
+  let { Model_io.model; impulses } = parse sample_model_text in
   let text = Model_io.to_string ~impulses model in
-  let reparsed = Model_io.parse_string text in
+  let reparsed = parse text in
   let m2 = reparsed.Model_io.model in
   Alcotest.(check bool) "rates preserved" true
     (Vec.approx_equal ~tol:0.
@@ -329,18 +334,18 @@ let test_model_io_roundtrip () =
     (List.length reparsed.Model_io.impulses)
 
 let test_model_io_file_roundtrip () =
-  let { Model_io.model; _ } = Model_io.parse_string sample_model_text in
+  let { Model_io.model; _ } = parse sample_model_text in
   let path = Filename.temp_file "mrm2_model" ".mrm" in
   Model_io.save ~path model;
-  let loaded = Model_io.load path in
+  let loaded = Result.get_ok (Model_io.load_result path) in
   Sys.remove path;
   Alcotest.(check int) "states" 3 (Model.dim loaded.Model_io.model)
 
 let test_model_io_errors () =
   let expect_failure label text =
-    match Model_io.parse_string text with
-    | _ -> Alcotest.failf "%s: expected failure" label
-    | exception Failure _ -> ()
+    match Model_io.parse_string_result text with
+    | Ok _ -> Alcotest.failf "%s: expected failure" label
+    | Error _ -> ()
   in
   expect_failure "missing states" "transition 0 1 2.0\n";
   expect_failure "bad number" "states 2\ntransition 0 1 abc\n";

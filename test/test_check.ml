@@ -129,7 +129,9 @@ let test_check_valid_model_clean () =
 
 let test_check_valid_fixture_roundtrip () =
   (* The committed lint fixture must stay clean. *)
-  let { Model_io.model; _ } = Model_io.load "fixtures/valid_onoff.mrm" in
+  let { Model_io.model; _ } =
+    Result.get_ok (Model_io.load_result "fixtures/valid_onoff.mrm")
+  in
   expect_clean "valid_onoff.mrm" (Check.check (Model.check_data model))
 
 (* ------------------------------------------------------------------ *)
@@ -394,15 +396,12 @@ let test_model_io_error_positions () =
       Alcotest.(check bool) "negative rate preserved" true
         (List.mem (0, 1, -5.) raw.Model_io.raw_transitions)
   | Error e -> Alcotest.failf "raw parse: %s" (Model_io.error_message e));
-  (* The Failure path keeps the line-numbered prefix. *)
-  match Model_io.parse_string "states 2\ntransition 0 1 abc\n" with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure message ->
-      Alcotest.(check bool)
-        (Printf.sprintf "message has position: %s" message)
-        true
-        (String.length message > 0
-        && message = "Model_io: line 2, transition: bad number \"abc\"")
+  (* The full pipeline's message keeps the line-numbered prefix. *)
+  match Model_io.parse_string_result "states 2\ntransition 0 1 abc\n" with
+  | Ok _ -> Alcotest.fail "expected an error"
+  | Error e ->
+      Alcotest.(check string) "message has position"
+        "line 2, transition: bad number \"abc\"" (Model_io.error_message e)
 
 (* ------------------------------------------------------------------ *)
 (* mrm2 lint CLI on the committed fixtures                              *)

@@ -780,7 +780,10 @@ let test_batch_digest_model_io_round_trip () =
           kind = Batch.Moments;
         }
       in
-      let reparsed = (Model_io.parse_string (Model_io.to_string model)).Model_io.model in
+      let reparsed =
+        Result.get_ok (Model_io.parse_string_result (Model_io.to_string model))
+      in
+      let reparsed = reparsed.Model_io.model in
       let job' = { job with Batch.id = "reparsed"; model = reparsed } in
       Alcotest.(check string)
         (Printf.sprintf "digest stable across Model_io round trip (sigma2=%g)"

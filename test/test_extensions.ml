@@ -334,7 +334,7 @@ let impulse_onoff_rate = 2172. /. 343.
 
 let test_impulse_reward_rate () =
   let { Mrm_core.Model_io.model; impulses } =
-    Mrm_core.Model_io.load impulse_file
+    Result.get_ok (Mrm_core.Model_io.load_result impulse_file)
   in
   let rate = Impulse.reward_rate (Impulse.make model impulses) in
   check_close "closed form" impulse_onoff_rate rate;
@@ -391,7 +391,7 @@ let test_impulse_cli_moments () =
   let status, text = run_mrm2 ~stderr:"2>/dev/null" args in
   Alcotest.(check int) "exit" 0 status;
   let { Mrm_core.Model_io.model; impulses } =
-    Mrm_core.Model_io.load impulse_file
+    Result.get_ok (Mrm_core.Model_io.load_result impulse_file)
   in
   let r = Impulse.moments (Impulse.make model impulses) ~t:0.5 ~order:4 in
   let expected =
@@ -504,8 +504,9 @@ let test_cli_builtin_out_of_domain () =
 
 (* A flag outside its domain is refused before anything is solved: exit
    2 and one stderr line, "mrm2 CMD: ...", that names the value. For
-   --time, --order and --eps the line carries the MRM060 diagnostic that
-   mrm2 lint prints for the same value. *)
+   --time, --order, --eps, --drain and --regularize, and for a q t that
+   overflows, the line carries the MRM060 diagnostic that mrm2 lint
+   prints for the same value. *)
 let test_cli_flags_out_of_domain () =
   List.iter
     (fun (args, names) ->
@@ -541,19 +542,137 @@ let test_cli_flags_out_of_domain () =
       ("bounds --moments 0", "--moments 0");
       ("bounds --points nan", "nan");
       ("mtta --targets 99", "state 99");
-      ("stationary --regularize=-1", "--regularize -1");
+      ("stationary --regularize=-1", "regularize = -1");
+      ("moments --time 1e308 --size 8", "q t = inf");
+      ("bounds --time 1e308 --size 8", "q t = inf");
+      ("distribution --time 1e308 --size 8", "q t = inf");
+      ("fluid --capacity nan", "--capacity nan");
+      ("fluid --capacity inf", "--capacity inf");
+      ("fluid --capacity=-inf", "--capacity -inf");
+      ("fluid --peak nan", "--peak nan");
+      ("fluid --peak inf", "--peak inf");
+      ("fluid --peak=-inf", "--peak -inf");
+      ("fluid --fluid-sigma2 nan", "--fluid-sigma2 nan");
+      ("fluid --fluid-sigma2 inf", "--fluid-sigma2 inf");
+      ("fluid --fluid-sigma2=-inf", "--fluid-sigma2 -inf");
+      ("fluid --fluid-sigma2=-1", "--fluid-sigma2 -1");
+      ("stationary --regularize 0.001 --drain nan", "drain = nan");
+      ("stationary --regularize 0.001 --drain inf", "drain = inf");
+      ("stationary --eps 0", "eps = 0");
+      ("stationary --eps=-1", "eps = -1");
+      ("stationary --eps nan", "eps = nan");
+      ("stationary --max-iter 0", "--max-iter 0");
+      ("stationary --max-iter=-5", "--max-iter -5");
+      ("stationary --points nan", "point nan");
     ];
-  let lint_status, lint =
-    run_mrm2 "lint --time nan fixtures/valid_onoff.mrm"
+  List.iter
+    (fun time ->
+      let lint_status, lint =
+        run_mrm2 ("lint --time " ^ time ^ " fixtures/valid_onoff.mrm")
+      in
+      Alcotest.(check int) ("lint --time " ^ time ^ " exit") 1 lint_status;
+      let _, moments =
+        run_mrm2 ("moments --time " ^ time ^ " --file fixtures/valid_onoff.mrm")
+      in
+      match String.split_on_char '\n' lint with
+      | diagnostic :: _ ->
+          Alcotest.(check string) "moments shares lint's MRM060 line"
+            ("mrm2 moments: " ^ diagnostic ^ "\n")
+            moments
+      | [] -> Alcotest.fail "lint printed nothing")
+    [ "nan"; "1e308" ]
+
+(* A model file that passes Model.make but whose reward scaling d
+   overflows: transitions at rate 1e-300 and a reward of 1e300. *)
+let with_infinite_scaling_file f =
+  let path = Filename.temp_file "mrm2_dinf" ".mrm" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "states 2\ntransition 0 1 1e-300\ntransition 1 0 1e-300\n\
+         reward 0 1e300 0\ninitial 0 1\n");
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* The three front ends refuse the same solve requests with the same
+   code: mrm2 moments exits 2 with "error CODE:" on stderr, mrm2 batch
+   refuses the line with "CODE:", and serve's parse plus its validation
+   of a cache miss answers SRV001 with "CODE:" or SRV005 listing CODE. A
+   model file that does not build gets the same "PATH: message" text
+   from all three. *)
+let test_front_ends_agree () =
+  let module Protocol = Mrm_server.Protocol in
+  let broken = "fixtures/broken_rate.mrm" in
+  let broken_message =
+    match Mrm_core.Model_io.load_result broken with
+    | Ok _ -> Alcotest.failf "%s parsed" broken
+    | Error e ->
+        Printf.sprintf "%s: %s" broken (Mrm_core.Model_io.error_message e)
   in
-  Alcotest.(check int) "lint --time nan exit" 1 lint_status;
-  let _, moments = run_mrm2 "moments --time nan" in
-  match String.split_on_char '\n' lint with
-  | diagnostic :: _ ->
-      Alcotest.(check string) "moments shares lint's MRM060 line"
-        ("mrm2 moments: " ^ diagnostic ^ "\n")
-        moments
-  | [] -> Alcotest.fail "lint printed nothing"
+  with_infinite_scaling_file @@ fun dinf ->
+  let rows =
+    [
+      (* wire spec, moments flags (None: no CLI form), refusal *)
+      ({|"size":8,"t":1e999|}, Some "--size 8 --time inf", "MRM060");
+      ({|"size":8,"t":1e308|}, Some "--size 8 --time 1e308", "MRM060");
+      ({|"size":8,"times":[0.1,1e999]|}, None, "MRM060");
+      ({|"size":8,"t":1,"eps":1e999|}, Some "--size 8 --eps inf", "MRM060");
+      ({|"size":8,"t":1,"eps":0|}, Some "--size 8 --eps 0", "MRM060");
+      ({|"size":8,"t":1,"order":-1|}, Some "--size 8 --order=-1", "MRM060");
+    ]
+    |> List.map (fun (spec, flags, code) ->
+           ({|{"model":"onoff",|} ^ spec ^ "}", flags, code ^ ":"))
+  in
+  let rows =
+    rows
+    @ [
+        ( Printf.sprintf {|{"file":%S,"t":1}|} dinf,
+          Some ("--file " ^ dinf),
+          "MRM044:" );
+        ( Printf.sprintf {|{"file":%S,"t":1}|} broken,
+          Some ("--file " ^ broken),
+          broken_message );
+      ]
+  in
+  List.iter
+    (fun (line, flags, refusal) ->
+      (* a code row names "CODE:", the broken-file row its whole text *)
+      let code = String.ends_with ~suffix:":" refusal in
+      let lines text = String.split_on_char '\n' text in
+      Option.iter
+        (fun flags ->
+          let args = "moments " ^ flags in
+          let status, text = run_mrm2 args in
+          Alcotest.(check int) (args ^ " exit") 2 status;
+          let expected =
+            if code then "mrm2 moments: error " ^ refusal else refusal
+          in
+          if
+            not
+              (List.exists (String.starts_with ~prefix:expected) (lines text))
+          then Alcotest.failf "%s: no %S line in:\n%s" args expected text)
+        flags;
+      let path = Filename.temp_file "mrm2_agree" ".jsonl" in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (line ^ "\n"));
+      let status, text = run_mrm2 ("batch --jobs 1 " ^ path) in
+      Sys.remove path;
+      Alcotest.(check int) (line ^ " batch exit") 1 status;
+      let expected = "mrm2 batch: line 1 (job-1): " ^ refusal in
+      if not (List.exists (String.starts_with ~prefix:expected) (lines text))
+      then
+        Alcotest.failf "%s: batch gave no %S line in:\n%s" line expected text;
+      match Protocol.parse_request ~now:0. ~default_id:"d" line with
+      | Error message ->
+          if not (String.starts_with ~prefix:refusal message) then
+            Alcotest.failf "%s: SRV001 %S does not start with %S" line message
+              refusal
+      | Ok request ->
+          let codes =
+            Mrm_check.Diagnostics.codes (Protocol.validate request.Protocol.job)
+          in
+          if not (code && List.mem (String.sub refusal 0 6) codes) then
+            Alcotest.failf "%s: SRV005 [%s] does not carry %s" line
+              (String.concat ", " codes) refusal)
+    rows
 
 (* What the product binary links: the randomization solver, and neither
    the source analyzer nor the solvers kept as test oracles (the eq.-6
@@ -908,6 +1027,8 @@ let () =
             test_cli_builtin_out_of_domain;
           Alcotest.test_case "out-of-domain flags exit 2" `Quick
             test_cli_flags_out_of_domain;
+          Alcotest.test_case "front ends refuse alike" `Quick
+            test_front_ends_agree;
         ] );
       ( "binary",
         [

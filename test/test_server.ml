@@ -462,6 +462,35 @@ let test_server_out_of_domain_builtin () =
     ]
     (List.rev !responses)
 
+(* An SRV001 reply to a line that parses as JSON carries the line's own
+   string id; a line without one keeps the connection's line number. *)
+let test_server_srv001_keeps_id () =
+  let config = Server.default_config (`Tcp ("127.0.0.1", 0)) in
+  with_server config @@ fun handle ->
+  let responses = ref [] in
+  let _summary =
+    with_input_lines
+      [
+        {|{"id":"g","file":"fixtures/broken_rate.mrm","t":1}|};
+        {|{"id":"e","model":"onoff","size":8,"t":1,"eps":1e999}|};
+        {|{"id":7,"model":"onoff","size":0,"t":1}|};
+      ]
+      (fun ic ->
+        Client.call (tcp_endpoint handle) ~input:ic ~on_response:(fun l ->
+            responses := Json.parse_exn l :: !responses))
+  in
+  Alcotest.(check (list (pair (option string) (option string))))
+    "ids and codes"
+    [
+      (Some "g", Some "SRV001"); (Some "e", Some "SRV001");
+      (Some "req-3", Some "SRV001");
+    ]
+    (List.rev_map
+       (fun r ->
+         ( Option.bind (Json.member "id" r) Json.to_str,
+           Option.bind (Json.member "code" r) Json.to_str ))
+       !responses)
+
 let test_server_unix_socket_lifecycle () =
   let path = Filename.temp_file "mrm2_serve" ".sock" in
   Sys.remove path;
@@ -1085,6 +1114,8 @@ let () =
             test_live_socket_refused;
           Alcotest.test_case "non-socket path refused" `Quick
             test_non_socket_path_refused;
+          Alcotest.test_case "SRV001 keeps the request id" `Quick
+            test_server_srv001_keeps_id;
         ] );
       ( "client",
         [
