@@ -144,11 +144,13 @@ let seed_arg =
     value & opt int64 1L
     & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed for simulation commands.")
 
-(* Solver parallelism. [mrm2 moments] stays sequential unless asked
-   ([MRM2_JOBS] or --jobs); [mrm2 batch] defaults to every core. *)
+(* Solver parallelism, from --jobs or else [MRM2_JOBS] (cmdliner reads
+   both). [mrm2 moments] and [mrm2 lint] stay sequential unless asked;
+   [mrm2 batch] and [mrm2 serve] default to every core. *)
 let jobs_doc =
-  "Worker domains for the parallel engine ($(b,1) = sequential). \
-   Defaults to the $(b,MRM2_JOBS) environment variable when set."
+  "Worker domains for the parallel engine ($(b,1) = sequential; at \
+   least 1). Defaults to the $(b,MRM2_JOBS) environment variable when \
+   set."
 
 let jobs_arg ~default =
   Arg.(
@@ -157,8 +159,7 @@ let jobs_arg ~default =
     & info [ "jobs"; "j" ] ~docv:"J" ~doc:jobs_doc ~env:(Cmd.Env.info "MRM2_JOBS"))
   |> Term.app (Term.const (fun jobs -> Option.value jobs ~default:(default ())))
 
-let sequential_default () =
-  Option.value (Mrm_engine.Pool.env_jobs ()) ~default:1
+let jobs_rule jobs = rule (jobs >= 1) "--jobs %d must be >= 1" jobs
 
 (* Run [f] with [Some pool] when more than one domain was requested —
    the solvers treat [None] and a 1-job pool identically, but [None]
@@ -219,7 +220,11 @@ let moments_cmd =
   let run source t order eps jobs obs =
     obs @@ fun () ->
     with_model ~cmd:"moments" ~impulses:true ~horizon:t source
-      ~rules:[ diagnosed (Check.config_errors ~times:[| t |] ~order ~eps ()) ]
+      ~rules:
+        [
+          diagnosed (Check.config_errors ~times:[| t |] ~order ~eps ());
+          jobs_rule jobs;
+        ]
     @@ fun { Mrm_core.Model_io.model; impulses } ->
     let r =
       with_optional_pool ~jobs (fun pool ->
@@ -239,7 +244,7 @@ let moments_cmd =
   let term =
     Term.(
       const run $ source_arg $ t_arg $ order $ eps_arg
-      $ jobs_arg ~default:sequential_default $ obs_term)
+      $ jobs_arg ~default:(Fun.const 1) $ obs_term)
   in
   Cmd.v
     (Cmd.info "moments" ~doc:"Moments of the accumulated reward at time t")
@@ -589,6 +594,7 @@ let lint_cmd =
     else 0
   in
   let run path t order eps format strict stationary jobs =
+    with_rules ~cmd:"lint" [ jobs_rule jobs ] @@ fun () ->
     match Model_io.load_raw path with
     | Error e ->
         let context =
@@ -629,7 +635,7 @@ let lint_cmd =
   let term =
     Term.(
       const run $ file $ t_arg $ order $ eps_arg $ lint_format_arg $ strict
-      $ stationary $ jobs_arg ~default:sequential_default)
+      $ stationary $ jobs_arg ~default:(Fun.const 1))
   in
   Cmd.v
     (Cmd.info "lint"
@@ -879,6 +885,7 @@ let batch_cmd =
   in
   let run input eps jobs obs =
     obs @@ fun () ->
+    with_rules ~cmd:"batch" [ jobs_rule jobs ] @@ fun () ->
     (* Stream the input: each line is parsed and validated as it is
        read, so a huge job file never sits in memory as raw text, and
        ids/diagnostics are numbered by the *original* input line (blank
@@ -892,15 +899,17 @@ let batch_cmd =
            let trimmed = String.trim line in
            if trimmed <> "" then begin
              let default_id = Printf.sprintf "job-%d" !lineno in
-             match
-               Result.bind (Json.parse trimmed)
-                 (Batch.job_of_json ~default_id ~default_eps:eps)
-             with
-             | Error e ->
-                 bad_rev :=
-                   Printf.sprintf "line %d (%s): %s" !lineno default_id e
-                   :: !bad_rev
-             | Ok job -> jobs_rev := job :: !jobs_rev
+             let refuse id e =
+               bad_rev :=
+                 Printf.sprintf "line %d (%s): %s" !lineno id e :: !bad_rev
+             in
+             match Json.parse trimmed with
+             | Error e -> refuse default_id e
+             | Ok json -> (
+                 match Batch.job_of_json ~default_id ~default_eps:eps json with
+                 | Error e ->
+                     refuse (Mrm_server.Protocol.id_of_json ~default_id json) e
+                 | Ok job -> jobs_rev := job :: !jobs_rev)
            end
          done
        with End_of_file -> ());
@@ -948,7 +957,7 @@ let batch_cmd =
   let term =
     Term.(
       const run $ input $ eps_arg
-      $ jobs_arg ~default:Mrm_engine.Pool.default_jobs $ obs_term)
+      $ jobs_arg ~default:Mrm_engine.Pool.recommended_jobs $ obs_term)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -1038,6 +1047,7 @@ let serve_cmd =
   in
   let run socket listen queue cache_entries cache_mb eps jobs obs =
     obs @@ fun () ->
+    with_rules ~cmd:"serve" [ jobs_rule jobs ] @@ fun () ->
     match endpoint_of ~tcp_flag:"listen" socket listen with
     | Error msg ->
         Printf.eprintf "mrm2 serve: %s\n" msg;
@@ -1081,7 +1091,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ listen $ queue $ cache_entries $ cache_mb
       $ eps_arg
-      $ jobs_arg ~default:Mrm_engine.Pool.default_jobs
+      $ jobs_arg ~default:Mrm_engine.Pool.recommended_jobs
       $ obs_term)
   in
   Cmd.v

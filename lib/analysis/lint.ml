@@ -194,8 +194,7 @@ let rule_docs =
        range. A row-interleaved array of s entries per row may be \
        written at s*i + j (0 <= j < s) inside [s*lo, s*hi), as long as \
        every store to that array keeps the one stride s; proven bodies \
-       are counted in the --strict summary and exempt the dynamic race \
-       checker.",
+       are counted in the --strict summary.",
       "for i = lo to hi do acc.(i) <- 0. done" );
     ( "SRC021",
       "The divisor (or the argument of log/sqrt/**) carries an \

@@ -25,7 +25,7 @@ let is_space c = c = ' ' || c = '\t'
 
 (* The code list runs from the marker to the first dash (any of "-",
    en/em dash in UTF-8) or the end of the comment; the reason is what
-   follows the dash. Codes are SRC/RACE-style tokens: uppercase letters
+   follows the dash. Codes are tokens such as SRC020: uppercase letters
    followed by digits. *)
 let parse_tail tail =
   let tail =

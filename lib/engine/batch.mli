@@ -119,7 +119,7 @@ val job_of_json :
     - a file declaring impulse rewards (route those through
       [mrm2 moments]);
     - for a moments job, a failed solver-constant rule of the built model
-      ({!Mrm_core.Model.constant_errors} at the largest horizon: a
+      ({!Mrm_check.Check.constant_errors} at the largest horizon: a
       non-finite [q t] or reward scaling), as [CODE: message]. *)
 
 val outcome_to_json : outcome -> Mrm_util.Json.t

@@ -37,9 +37,6 @@ let round structure rewards ~cur ~next ~weights ~accs ~lo ~hi =
 let sweep pool partition ~rounds body =
   if rounds > 0 then begin
     let ranges = Partition.ranges partition in
-    if Racecheck.enabled () then
-      Racecheck.check_ranges ~what:"Kernel.sweep"
-        ~rows:(Partition.rows partition) ranges;
     let run_range ~round k =
       let lo, hi = ranges.(k) in
       if hi > lo then body ~round ~lo ~hi

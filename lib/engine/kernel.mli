@@ -2,16 +2,12 @@
 
     One randomization round ({!round}) runs row slices of a
     {!Partition} across a {!Pool}, through {!sweep}. Results are
-    deterministic: ranges write disjoint row slices and each row keeps
-    its operation order regardless of the execution schedule — so a
-    parallel randomization sweep reproduces the sequential one bit for
-    bit.
-
-    Under [MRM2_RACECHECK=1] every kernel call first validates its
-    write ranges (disjointness and full coverage) with
-    {!Racecheck.check_ranges} and aborts with {!Racecheck.Race} on
-    violation; the check is observational — it never changes what the
-    kernels compute. *)
+    deterministic: every partition tiles its rows by construction, so
+    ranges write disjoint row slices, and each row keeps its operation
+    order regardless of the execution schedule — so a parallel
+    randomization sweep reproduces the sequential one bit for bit. That
+    each round body writes only its own [[lo, hi)] is proven statically
+    by the source analyzer's [SRC020] rule. *)
 
 type structure
 (** A matrix together with its detected storage structure: the
@@ -58,6 +54,4 @@ val sweep :
     protocol is unavailable ([None], 1 job, busy pool, sequential
     backend) the same bodies run in the caller, in range order, which
     is bit-for-bit identical because bodies write disjoint row slices.
-    Empty ranges are skipped (their parties still meet every barrier).
-    Under [MRM2_RACECHECK=1] the ranges are validated once per sweep
-    with {!Racecheck.check_ranges}. *)
+    Empty ranges are skipped (their parties still meet every barrier). *)

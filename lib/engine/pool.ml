@@ -5,19 +5,14 @@ let m_jobs = Mrm_obs.Metrics.counter "pool.jobs"
 
 let parallelism_available = Pool_backend.parallelism_available
 
-let env_jobs () =
-  match Sys.getenv_opt "MRM2_JOBS" with
-  | None -> None
-  | Some raw -> begin
-      match int_of_string_opt (String.trim raw) with
-      | Some j when j >= 1 -> Some j
-      | _ -> None
-    end
-
 let default_jobs () =
-  match env_jobs () with
-  | Some j -> j
-  | None -> Pool_backend.recommended_jobs ()
+  let env =
+    Option.bind (Sys.getenv_opt "MRM2_JOBS") (fun raw ->
+        int_of_string_opt (String.trim raw))
+  in
+  match env with
+  | Some j when j >= 1 -> j
+  | _ -> Pool_backend.recommended_jobs ()
 
 let create ?jobs () =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in

@@ -19,13 +19,10 @@ val parallelism_available : bool
 (** False when the backend cannot run domains in parallel (OCaml
     4.14); pools still work, sequentially. *)
 
-val env_jobs : unit -> int option
-(** The [MRM2_JOBS] override: [Some j] when the variable holds an
-    integer >= 1, [None] otherwise (unset or malformed). *)
-
 val default_jobs : unit -> int
-(** [MRM2_JOBS] when set, else [Domain.recommended_domain_count ()]
-    (1 on the sequential backend). *)
+(** [MRM2_JOBS] when it holds an integer >= 1, else
+    [Domain.recommended_domain_count ()] (1 on the sequential
+    backend). *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] on OCaml 5, [1] on the

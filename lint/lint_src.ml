@@ -45,7 +45,7 @@ let paths =
     & info [] ~docv:"PATHS"
         ~doc:
           "Files or directories to analyze (default: $(b,lib bin bench lint \
-           test), relative to the current directory).")
+           test examples), relative to the current directory).")
 
 let baseline_arg =
   Arg.(
@@ -269,7 +269,7 @@ let run paths baseline_path update strict format jobs blocking fuel list_rules
     | None -> (
         let paths =
           match paths with
-          | [] -> [ "lib"; "bin"; "bench"; "lint"; "test" ]
+          | [] -> [ "lib"; "bin"; "bench"; "lint"; "test"; "examples" ]
           | ps -> ps
         in
         match List.filter (fun p -> not (Sys.file_exists p)) paths with

@@ -11,8 +11,7 @@
      single-core box or the OCaml-4 sequential backend the timing
      assertion is skipped, loudly.
 
-   Exit 0 on success, 1 on any violated assertion. Runs under both
-   plain and MRM2_RACECHECK=1 via the dune alias. *)
+   Exit 0 on success, 1 on any violated assertion. *)
 
 module Pool = Mrm_engine.Pool
 module Randomization = Mrm_core.Randomization

@@ -1,7 +1,8 @@
 (* End-to-end smoke driver behind the @serve-smoke dune alias (not an
    alcotest binary): spawns a real `mrm2 serve` process on a temporary
    Unix-domain socket and checks the service contract from outside —
-   an invalid --queue refused with exit 2 before anything is bound, a
+   an invalid --queue or --jobs refused with exit 2 before anything is
+   bound, a
    scripted `mrm2 call` session whose duplicate job is served from
    the cache, two concurrent clients each receiving complete
    well-formed JSONL, SIGTERM during an in-flight solve still
@@ -52,6 +53,25 @@ let wait_exit pid =
   | _, Unix.WSIGNALED s -> fail "process killed by signal %d" s
   | _, Unix.WSTOPPED s -> fail "process stopped by signal %d" s
 
+(* [Some code] when [pid] exits within [seconds]; otherwise the process
+   is killed and the result is [None]. *)
+let wait_exit_within seconds pid =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec poll () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.05;
+        poll ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        None
+    | _, Unix.WEXITED code -> Some code
+    | _, Unix.WSIGNALED s -> fail "process killed by signal %d" s
+    | _, Unix.WSTOPPED s -> fail "process stopped by signal %d" s
+  in
+  poll ()
+
 let job ~id ~size ~t =
   Printf.sprintf
     "{\"id\":\"%s\",\"model\":\"onoff\",\"sigma2\":1,\"size\":%d,\"t\":%g,\"order\":3}"
@@ -66,22 +86,31 @@ let () =
   let serve_out = tmp ".serve.out" and serve_err = tmp ".serve.err" in
 
   (* -------------------------------------------------------------- *)
-  (* an invalid --queue is a usage error: exit 2 with the reason, and
-     nothing bound *)
-  let refused =
-    spawn mrm2
-      [| mrm2; "serve"; "--socket"; socket; "--queue"; "0" |]
-      ~stdout:serve_out ~stderr:serve_err
+  (* an invalid --queue or --jobs is a usage error: exit 2 with the
+     reason, and nothing bound. A server that starts anyway is killed
+     after 10 s. *)
+  let expect_refused flag value reason =
+    let what = Printf.sprintf "serve %s %s" flag value in
+    let refused =
+      spawn mrm2
+        [| mrm2; "serve"; "--socket"; socket; flag; value |]
+        ~stdout:serve_out ~stderr:serve_err
+    in
+    (match wait_exit_within 10. refused with
+    | Some 2 -> ()
+    | Some code ->
+        fail "%s exited %d; stderr:\n%s" what code (read_file serve_err)
+    | None ->
+        (try Sys.remove socket with Sys_error _ -> ());
+        fail "%s still running after 10 s; stderr:\n%s" what
+          (read_file serve_err));
+    (match read_file serve_err with
+    | err when contains ~sub:reason err -> ()
+    | err -> fail "%s gave no reason; stderr:\n%s" what err);
+    if Sys.file_exists socket then fail "%s left a socket behind" what
   in
-  (match wait_exit refused with
-  | 2 -> ()
-  | code ->
-      fail "serve --queue 0 exited %d; stderr:\n%s" code (read_file serve_err));
-  (match read_file serve_err with
-  | err when contains ~sub:"mrm2 serve: Server.start: queue_capacity 0" err ->
-      ()
-  | err -> fail "serve --queue 0 gave no reason; stderr:\n%s" err);
-  if Sys.file_exists socket then fail "serve --queue 0 left a socket behind";
+  expect_refused "--queue" "0" "mrm2 serve: Server.start: queue_capacity 0";
+  expect_refused "--jobs" "0" "mrm2 serve: --jobs 0 must be >= 1";
 
   (* -------------------------------------------------------------- *)
   (* start the service and wait for readiness *)

@@ -2,8 +2,8 @@
    Numdom): domain unit tests, the SRC020-SRC024 fixture pairs under
    synthetic paths, the write-range proof over the repository's own
    kernels, Callgraph resolution, the rule-registry/README agreement,
-   and the QCheck2 cross-check of statically proven kernel shapes
-   against the dynamic race checker. *)
+   and a QCheck2 property running the statically proven kernel shapes
+   over random partitions. *)
 
 module Lint = Mrm_analysis.Lint
 module Absint = Mrm_analysis.Absint
@@ -14,7 +14,6 @@ module Diagnostics = Mrm_check.Diagnostics
 module Pool = Mrm_engine.Pool
 module Partition = Mrm_engine.Partition
 module Kernel = Mrm_engine.Kernel
-module Racecheck = Mrm_engine.Racecheck
 
 let read_file path =
   let ic = open_in_bin path in
@@ -485,55 +484,35 @@ let test_repo_kernels_proven () =
             >= 40))
 
 (* ------------------------------------------------------------------ *)
-(* Cross-check: proven kernel shapes vs the dynamic race checker        *)
+(* Proven kernel shapes over random partitions                          *)
 
 (* The kernel bodies the pass proves all write [lo, hi) slices of a
-   partition; under MRM2_RACECHECK=1 the same convention is validated
-   dynamically. Run the proven runner shapes over randomized
-   partitions with the checker armed: no Race may fire and the results
-   must be complete. *)
-let prop_proven_shapes_race_clean =
+   partition. Run the proven runner shapes over random [uniform]
+   partitions on a 2-domain pool: every row must be written exactly
+   once per round. *)
+let prop_proven_shapes_write_each_row_once =
   QCheck2.Test.make ~count:30
-    ~name:"proven kernel shapes run clean under the race checker"
+    ~name:"proven shapes write each row once"
     ~print:(fun (rows, parts) -> Printf.sprintf "rows=%d parts=%d" rows parts)
     QCheck2.Gen.(
       let* rows = int_range 0 300 in
       let* parts = int_range 1 8 in
       return (rows, parts))
     (fun (rows, parts) ->
-      Racecheck.set_enabled (Some true);
-      Fun.protect
-        ~finally:(fun () -> Racecheck.set_enabled None)
-        (fun () ->
-          Pool.with_pool ~jobs:2 (fun pool ->
-              let part = Partition.uniform ~parts ~rows in
-              let filled = Array.make rows (-1.) in
-              Kernel.sweep (Some pool) part ~rounds:1 (fun ~round:_ ~lo ~hi ->
-                  for i = lo to hi - 1 do
-                    filled.(i) <- float_of_int i
-                  done);
-              let acc = Array.make rows 0. in
-              Kernel.sweep (Some pool) part ~rounds:2
-                (fun ~round:_ ~lo ~hi ->
-                  for i = lo to hi - 1 do
-                    acc.(i) <- acc.(i) +. 1.
-                  done);
-              Array.for_all (fun v -> v >= 0.) filled
-              && Array.for_all (fun v -> v > 1.5 && v < 2.5) acc)))
-
-let test_racecheck_trips_on_overlap () =
-  Racecheck.set_enabled (Some true);
-  Fun.protect
-    ~finally:(fun () -> Racecheck.set_enabled None)
-    (fun () ->
-      let part = Partition.of_ranges ~rows:10 [| (0, 6); (4, 10) |] in
       Pool.with_pool ~jobs:2 (fun pool ->
-          match
-            Kernel.sweep (Some pool) part ~rounds:1 (fun ~round:_ ~lo:_ ~hi:_ ->
-                ())
-          with
-          | () -> Alcotest.fail "overlapping partition not detected"
-          | exception Racecheck.Race _ -> ()))
+          let part = Partition.uniform ~parts ~rows in
+          let filled = Array.make rows (-1.) in
+          Kernel.sweep (Some pool) part ~rounds:1 (fun ~round:_ ~lo ~hi ->
+              for i = lo to hi - 1 do
+                filled.(i) <- float_of_int i
+              done);
+          let acc = Array.make rows 0. in
+          Kernel.sweep (Some pool) part ~rounds:2 (fun ~round:_ ~lo ~hi ->
+              for i = lo to hi - 1 do
+                acc.(i) <- acc.(i) +. 1.
+              done);
+          Array.for_all (fun v -> v >= 0.) filled
+          && Array.for_all (fun v -> v > 1.5 && v < 2.5) acc))
 
 let () =
   Alcotest.run "absint"
@@ -585,8 +564,6 @@ let () =
         [
           Alcotest.test_case "repository kernels proven" `Quick
             test_repo_kernels_proven;
-          QCheck_alcotest.to_alcotest prop_proven_shapes_race_clean;
-          Alcotest.test_case "checker trips on overlap" `Quick
-            test_racecheck_trips_on_overlap;
+          QCheck_alcotest.to_alcotest prop_proven_shapes_write_each_row_once;
         ] );
     ]

@@ -100,6 +100,10 @@ let test_map_array () =
 (* ------------------------------------------------------------------ *)
 (* Partitions                                                           *)
 
+let diagonal_matrix rows =
+  Sparse.of_triplets ~rows ~cols:rows
+    (List.init rows (fun i -> (i, i, 1. +. float_of_int i)))
+
 let check_partition_covers name partition ~rows =
   let ranges = Partition.ranges partition in
   let expected = ref 0 in
@@ -118,7 +122,14 @@ let test_partition_uniform () =
   check_partition_covers "3/10 (more parts than rows)"
     (Partition.uniform ~parts:10 ~rows:3)
     ~rows:3;
-  check_partition_covers "0 rows" (Partition.uniform ~parts:4 ~rows:0) ~rows:0
+  check_partition_covers "0 rows" (Partition.uniform ~parts:4 ~rows:0) ~rows:0;
+  (* [ranges] hands out a copy: editing it leaves the partition tiled *)
+  let partition = Partition.uniform ~parts:2 ~rows:10 in
+  (Partition.ranges partition).(0) <- (0, 8);
+  Alcotest.(check (array (pair int int)))
+    "ranges unchanged"
+    [| (0, 5); (5, 10) |]
+    (Partition.ranges partition)
 
 let test_partition_by_nnz () =
   (* Skewed matrix: row 0 holds almost all entries; nnz balancing must
@@ -148,25 +159,60 @@ let test_partition_by_nnz () =
     true
     (heaviest <= (Sparse.nnz m / 4) + n)
 
+(* Every constructor tiles [0, rows): [parts] contiguous ranges from 0
+   to [rows], also when there are more parts (or pinned jobs) than
+   rows. *)
 let prop_partition_covers_random =
   QCheck2.Test.make ~count:100 ~name:"partitions cover any matrix"
+    ~print:(fun (rows, parts, extra) ->
+      Printf.sprintf "rows=%d parts=%d extra=%d" rows parts extra)
     QCheck2.Gen.(
-      tup3 (int_range 1 30) (int_range 1 8) (int_range 0 40))
+      tup3 (int_range 1 30) (int_range 1 40) (int_range 0 40))
     (fun (rows, parts, extra) ->
       let triplets =
         List.init extra (fun k -> (k mod rows, (k * 7) mod rows, 1.))
       in
       let m = Sparse.of_triplets ~rows ~cols:rows triplets in
-      let partition = Partition.by_nnz ~parts m in
-      let ranges = Partition.ranges partition in
-      let covered = ref 0 in
-      Array.for_all
-        (fun (lo, hi) ->
-          let ok = lo = !covered && hi >= lo in
-          covered := hi;
-          ok)
-        ranges
-      && !covered = rows)
+      let tiles partition =
+        let ranges = Partition.ranges partition in
+        let covered = ref 0 in
+        Array.length ranges = parts
+        && Array.for_all
+             (fun (lo, hi) ->
+               let ok = lo = !covered && hi >= lo in
+               covered := hi;
+               ok)
+             ranges
+        && !covered = rows
+      in
+      tiles (Partition.by_nnz ~parts m)
+      && tiles (Partition.uniform ~parts ~rows)
+      && tiles (Partition.pinned ~jobs:parts m))
+
+(* [pinned] records its split's load ratio, parts * max part nnz /
+   total nnz, as a running maximum in the partition.imbalance gauge. *)
+let test_partition_imbalance_gauge () =
+  let module Metrics = Mrm_obs.Metrics in
+  let gauge = Metrics.gauge "partition.imbalance" in
+  Metrics.reset ();
+  (* row 0 holds 5 entries and rows 1-7 one each: 12 in all, split at
+     3, 6 and 9 into 5 + 1 + 3 + 3 *)
+  let skewed =
+    Sparse.of_triplets ~rows:8 ~cols:8
+      (List.init 5 (fun j -> (0, j, 1.))
+      @ List.init 7 (fun i -> (i + 1, i + 1, 1.)))
+  in
+  let partition = Partition.pinned ~jobs:4 skewed in
+  Alcotest.(check (array (pair int int)))
+    "nnz split"
+    [| (0, 1); (1, 2); (2, 5); (5, 8) |]
+    (Partition.ranges partition);
+  Alcotest.(check (float 0.)) "4 * 5 / 12" (float_of_int (4 * 5) /. 12.)
+    (Metrics.gauge_value gauge);
+  (* a perfectly balanced split (1.0) keeps the worst one seen *)
+  ignore (Partition.pinned ~jobs:4 (diagonal_matrix 8));
+  Alcotest.(check (float 0.)) "running maximum" (float_of_int (4 * 5) /. 12.)
+    (Metrics.gauge_value gauge)
 
 (* ------------------------------------------------------------------ *)
 (* Kernels vs their sequential counterparts                             *)
@@ -729,11 +775,17 @@ let test_batch_blank_line_ids () =
   Alcotest.(check (list string))
     "ids numbered by original line" [ "job-1"; "job-3"; "named" ] ids
 
+(* A refused line is named by its line number and its own string
+   "id", as serve's SRV001 reply names it; a line that is not JSON, or
+   has no string id, by its default id job-N. *)
 let test_batch_blank_line_error_lineno () =
   let err = Filename.temp_file "mrm2_blank" ".err" in
   let command =
     Printf.sprintf
-      "printf '{\"model\":\"onoff\",\"sigma2\":1,\"size\":4,\"t\":1}\\n\\n\\nnot json\\n' \
+      "printf '{\"model\":\"onoff\",\"sigma2\":1,\"size\":4,\"t\":1}\\n\\n\\nnot json\\n\
+       {\"id\":\"tinf\",\"model\":\"onoff\",\"size\":8,\"t\":1e999}\\n\
+       {\"model\":\"onoff\",\"size\":8,\"t\":1e999}\\n\
+       {\"id\":7,\"model\":\"onoff\",\"size\":8,\"t\":1}\\n' \
        | %s batch --jobs 1 - > /dev/null 2> %s"
       mrm2 err
   in
@@ -753,10 +805,16 @@ let test_batch_blank_line_error_lineno () =
     in
     at 0
   in
-  if not (contains "line 4 (job-4)" err_text) then
-    Alcotest.failf
-      "bad line after blanks must be reported as line 4 (job-4), got: %s"
-      err_text
+  List.iter
+    (fun expected ->
+      if not (contains expected err_text) then
+        Alcotest.failf "no %S in: %s" expected err_text)
+    [
+      "line 4 (job-4): ";
+      "line 5 (tinf): MRM060: ";
+      "line 6 (job-6): MRM060: ";
+      "line 7 (job-7): field \"id\"";
+    ]
 
 (* The structural digest must survive a Model_io save -> parse round
    trip: the writer prints floats with %.17g, so a job rebuilt from the
@@ -831,124 +889,6 @@ let test_batch_digests_pinned () =
     pinned
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic race checker                                                 *)
-
-module Racecheck = Mrm_engine.Racecheck
-
-(* run [f] with the checker forced on/off, restoring the environment
-   setting afterwards *)
-let with_racecheck flag f =
-  Racecheck.set_enabled (Some flag);
-  Fun.protect ~finally:(fun () -> Racecheck.set_enabled None) f
-
-let race_code = function
-  | Racecheck.Race d -> d.Mrm_check.Diagnostics.code
-  | e -> raise e
-
-let expect_race name expected_code f =
-  match f () with
-  | () -> Alcotest.failf "%s: expected %s, nothing raised" name expected_code
-  | exception e ->
-      Alcotest.(check string) (name ^ ": code") expected_code (race_code e)
-
-(* A partitioned copy: each range blits its own slice. *)
-let copy_ranges pool partition x y =
-  Kernel.sweep (Some pool) partition ~rounds:1 (fun ~round:_ ~lo ~hi ->
-      Array.blit x lo y lo (hi - lo))
-
-let test_racecheck_overlap_rejected () =
-  with_racecheck true (fun () ->
-      Pool.with_pool ~jobs:2 (fun pool ->
-          let n = 8 in
-          let x = Array.init n float_of_int in
-          let y = Array.make n 0. in
-          (* jobs 0 and 1 both write row 2 *)
-          let overlapping =
-            Partition.of_ranges ~rows:n [| (0, 3); (2, 5); (5, n) |]
-          in
-          expect_race "overlap" "RACE001" (fun () ->
-              copy_ranges pool overlapping x y);
-          (* the diagnostic names both offending jobs *)
-          (match
-             try
-               copy_ranges pool overlapping x y;
-               None
-             with Racecheck.Race d -> Some d
-           with
-          | Some d ->
-              let ctx = d.Mrm_check.Diagnostics.context in
-              Alcotest.(check (option string))
-                "job_a" (Some "0") (List.assoc_opt "job_a" ctx);
-              Alcotest.(check (option string))
-                "job_b" (Some "1") (List.assoc_opt "job_b" ctx)
-          | None -> Alcotest.fail "overlap not detected");
-          expect_race "gap" "RACE002" (fun () ->
-              copy_ranges pool
-                (Partition.of_ranges ~rows:n [| (0, 3); (5, n) |])
-                x y);
-          expect_race "out of bounds" "RACE003" (fun () ->
-              copy_ranges pool
-                (Partition.of_ranges ~rows:n [| (0, 3); (3, n + 1) |])
-                x y);
-          (* empty ranges are legal; a valid tiling passes and computes *)
-          copy_ranges pool
-            (Partition.of_ranges ~rows:n [| (0, 3); (3, 3); (3, n) |])
-            x y;
-          Alcotest.(check bool) "copy happened" true (x = y)))
-
-let test_racecheck_disabled_is_silent () =
-  with_racecheck false (fun () ->
-      Pool.with_pool ~jobs:1 (fun pool ->
-          (* jobs = 1: the overlapping ranges run sequentially, so the
-             unchecked sweep is still well-defined — it must not raise *)
-          let n = 6 in
-          let x = Array.init n float_of_int in
-          let y = Array.make n 0. in
-          copy_ranges pool
-            (Partition.of_ranges ~rows:n [| (0, 4); (2, n) |])
-            x y;
-          Alcotest.(check bool) "unchecked sweep ran" true (x = y)))
-
-let test_racecheck_fused_sweep_checked () =
-  with_racecheck true (fun () ->
-      Pool.with_pool ~jobs:2 (fun pool ->
-          (* fine-grained hand-built ranges must pass the checker and
-             the fused product over them must match the plain one *)
-          let n = 31 in
-          let m =
-            Sparse.of_triplets ~rows:n ~cols:n
-              (List.init (2 * n) (fun k ->
-                   (k mod n, (k * 7 + 3) mod n, float_of_int (k + 1) /. 9.)))
-          in
-          let partition =
-            Partition.of_ranges ~rows:n
-              (Array.init 8 (fun c -> (c * 4, min n ((c + 1) * 4))))
-          in
-          let structure = Kernel.detect m in
-          let x = Array.init n (fun i -> float_of_int i /. 3.) in
-          let y = Array.make n Float.nan in
-          Kernel.sweep (Some pool) partition ~rounds:1 (fun ~round:_ ~lo ~hi ->
-              Kernel.mv_fused structure [| x |] [| y |] ~lo ~hi);
-          Alcotest.(check bool) "fused sweep = Sparse.mv" true
-            (y = Sparse.mv m x)))
-
-let test_racecheck_solve_bit_for_bit () =
-  (* Section 7 ON-OFF example: an instrumented parallel solve is
-     bit-for-bit identical to the unchecked one *)
-  let model = Onoff.model (Onoff.table1 ~sigma2:10.) in
-  let unchecked =
-    with_racecheck false (fun () ->
-        Pool.with_pool ~jobs:4 (fun pool ->
-            Randomization.moments ~pool model ~t:2. ~order:3))
-  in
-  let checked =
-    with_racecheck true (fun () ->
-        Pool.with_pool ~jobs:4 (fun pool ->
-            Randomization.moments ~pool model ~t:2. ~order:3))
-  in
-  check_results_identical "racecheck on vs off" unchecked checked
-
-(* ------------------------------------------------------------------ *)
 (* Persistent pinned chunks: Pool.run_pinned and Kernel.sweep           *)
 
 let test_run_pinned_semantics () =
@@ -993,10 +933,6 @@ let test_run_pinned_single_job () =
       Alcotest.(check bool)
         "1-job pool declines pinned mode" false
         (Pool.run_pinned pool ~parties:1 ~rounds:2 (fun ~round:_ _ -> ())))
-
-let diagonal_matrix rows =
-  Sparse.of_triplets ~rows ~cols:rows
-    (List.init rows (fun i -> (i, i, 1. +. float_of_int i)))
 
 let check_sweep_coverage name pool partition ~rows ~rounds =
   let hits = Array.make_matrix rounds rows 0 in
@@ -1062,16 +998,6 @@ let test_sweep_exception_propagates () =
       Kernel.sweep (Some pool) partition ~rounds:2
         (fun ~round:_ ~lo:_ ~hi:_ -> ignore (Atomic.fetch_and_add count 1));
       Alcotest.(check int) "pool survives sweep" 4 (Atomic.get count))
-
-let test_sweep_racecheck () =
-  with_racecheck true (fun () ->
-      Pool.with_pool ~jobs:2 (fun pool ->
-          let n = 6 in
-          expect_race "sweep overlap" "RACE001" (fun () ->
-              Kernel.sweep (Some pool)
-                (Partition.of_ranges ~rows:n [| (0, 4); (2, n) |])
-                ~rounds:2
-                (fun ~round:_ ~lo:_ ~hi:_ -> ()))))
 
 (* The tentpole parity property: the fused multi-vector product behind
    the sweep — structure detection included — is bit-for-bit equal to
@@ -1256,6 +1182,8 @@ let () =
           Alcotest.test_case "uniform" `Quick test_partition_uniform;
           Alcotest.test_case "nnz balancing" `Quick test_partition_by_nnz;
           to_alcotest prop_partition_covers_random;
+          Alcotest.test_case "imbalance gauge" `Quick
+            test_partition_imbalance_gauge;
         ] );
       ("kernel", [ to_alcotest prop_kernel_matches_sequential ]);
       ( "sweep",
@@ -1268,20 +1196,8 @@ let () =
             test_sweep_coverage;
           Alcotest.test_case "exception propagation" `Quick
             test_sweep_exception_propagates;
-          Alcotest.test_case "racecheck coverage" `Quick test_sweep_racecheck;
           to_alcotest prop_mv_fused_matches_mv_into_range;
           to_alcotest prop_round_matches_multipass;
-        ] );
-      ( "racecheck",
-        [
-          Alcotest.test_case "overlap/gap/bounds rejected" `Quick
-            test_racecheck_overlap_rejected;
-          Alcotest.test_case "disabled is silent" `Quick
-            test_racecheck_disabled_is_silent;
-          Alcotest.test_case "fused sweep passes the checker" `Quick
-            test_racecheck_fused_sweep_checked;
-          Alcotest.test_case "checked solve is bit-for-bit" `Quick
-            test_racecheck_solve_bit_for_bit;
         ] );
       ( "solver",
         [

@@ -370,10 +370,12 @@ let contains text sub =
   in
   from 0
 
-let run_mrm2 ?(stderr = "2>&1") args =
+(* [env] is a shell assignment prefixed to the command, such as
+   ["MRM2_JOBS=0"]. *)
+let run_mrm2 ?(stderr = "2>&1") ?(env = "") args =
   let out = Filename.temp_file "mrm2_impulse" ".out" in
   let status =
-    Sys.command (Printf.sprintf "%s %s > %s %s" mrm2 args out stderr)
+    Sys.command (Printf.sprintf "%s %s %s > %s %s" env mrm2 args out stderr)
   in
   let ic = open_in out in
   let text =
@@ -506,21 +508,23 @@ let test_cli_builtin_out_of_domain () =
    2 and one stderr line, "mrm2 CMD: ...", that names the value. For
    --time, --order, --eps, --drain and --regularize, and for a q t that
    overflows, the line carries the MRM060 diagnostic that mrm2 lint
-   prints for the same value. *)
+   prints for the same value. A --jobs below 1 is refused alike, also
+   when it comes from MRM2_JOBS. *)
 let test_cli_flags_out_of_domain () =
-  List.iter
-    (fun (args, names) ->
-      let status, text = run_mrm2 args in
-      Alcotest.(check int) (args ^ " exit") 2 status;
-      let cmd = List.hd (String.split_on_char ' ' args) in
-      match String.split_on_char '\n' text with
-      | [ line; "" ] ->
-          if
-            not
-              (String.starts_with ~prefix:("mrm2 " ^ cmd ^ ": ") line
-              && contains line names)
-          then Alcotest.failf "%s: %S does not name %S" args line names
-      | _ -> Alcotest.failf "%s: expected one stderr line, got:\n%s" args text)
+  let refused ?env (args, names) =
+    let status, text = run_mrm2 ?env args in
+    Alcotest.(check int) (args ^ " exit") 2 status;
+    let cmd = List.hd (String.split_on_char ' ' args) in
+    match String.split_on_char '\n' text with
+    | [ line; "" ] ->
+        if
+          not
+            (String.starts_with ~prefix:("mrm2 " ^ cmd ^ ": ") line
+            && contains line names)
+        then Alcotest.failf "%s: %S does not name %S" args line names
+    | _ -> Alcotest.failf "%s: expected one stderr line, got:\n%s" args text
+  in
+  List.iter refused
     [
       ("moments --order=-1", "moment order -1");
       ("moments --eps 0", "eps = 0");
@@ -564,7 +568,12 @@ let test_cli_flags_out_of_domain () =
       ("stationary --max-iter 0", "--max-iter 0");
       ("stationary --max-iter=-5", "--max-iter -5");
       ("stationary --points nan", "point nan");
+      ("moments --jobs 0", "--jobs 0");
+      ("moments --jobs=-3", "--jobs -3");
+      ("lint --jobs 0 fixtures/valid_onoff.mrm", "--jobs 0");
+      ("batch --jobs 0 fixtures/batch_jobs.jsonl", "--jobs 0");
     ];
+  refused ~env:"MRM2_JOBS=0" ("moments", "--jobs 0");
   List.iter
     (fun time ->
       let lint_status, lint =

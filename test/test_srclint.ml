@@ -378,7 +378,8 @@ let test_repo_self_check () =
         (fun () ->
           Sys.chdir root;
           let findings =
-            Lint.lint_paths [ "lib"; "bin"; "bench"; "lint"; "test" ]
+            Lint.lint_paths
+              [ "lib"; "bin"; "bench"; "lint"; "test"; "examples" ]
           in
           match Baseline.load "lint/src_baseline.txt" with
           | Error e -> Alcotest.failf "baseline unreadable: %s" e
