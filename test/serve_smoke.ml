@@ -2,9 +2,8 @@
    alcotest binary): spawns a real `mrm2 serve` process on a temporary
    Unix-domain socket and checks the service contract from outside —
    an invalid --queue or --jobs refused with exit 2 before anything is
-   bound, a
-   scripted `mrm2 call` session whose duplicate job is served from
-   the cache, two concurrent clients each receiving complete
+   bound, a scripted `mrm2 call` session whose duplicate job is served
+   from the cache, two concurrent clients each receiving complete
    well-formed JSONL, SIGTERM during an in-flight solve still
    completing that solve before a clean exit 0, and the exit metrics
    report carrying the server.* counters.
