@@ -1602,22 +1602,26 @@ and record_unchecked g file loc proven =
 (* The stride a shared kernel write provably keeps to: 1 when the index
    lies in the party's rows [lo, hi-1]; at a range site, s >= 2 when it
    lies in [s lo, s hi - 1], the rows of a row-interleaved array of s
-   entries per row (s read off the index's lower bound). None when
-   neither is provable. *)
+   entries per row. s is read off the index's lower bound: the
+   coefficient of lo, or of hi when lo is absent (a row placed from the
+   range's end, such as a peeled last row s (hi - 1)). None when neither
+   is provable. *)
 and write_stride ctx kc idxi =
   let within lo hi = N.iv_subset ~assume:ctx.assume idxi ~lo ~hi in
   if within kc.ob_lo kc.ob_hi then Some 1
   else
     match (kc.k_sym, kc.ob_lo, kc.ob_hi, idxi.N.ilo) with
     | None, N.Lin lo, N.Lin hi, N.Lin ilo -> (
-        match (lo.N.terms, lo.N.c) with
-        | [ (sym, 1) ], 0 -> (
-            match List.assoc_opt sym ilo.N.terms with
-            | Some s when s >= 2 ->
-                let lo_s = N.lin_scale s lo
-                and hi_s = N.lin_add_const (s - 1) (N.lin_scale s hi) in
-                if within (N.Lin lo_s) (N.Lin hi_s) then Some s else None
-            | _ -> None)
+        let coefficient (l : N.lin) =
+          match l.N.terms with
+          | [ (sym, 1) ] -> List.assoc_opt sym ilo.N.terms
+          | _ -> None
+        in
+        match (lo.N.c, coefficient lo, coefficient hi) with
+        | 0, Some s, _ | 0, None, Some s when s >= 2 ->
+            let lo_s = N.lin_scale s lo
+            and hi_s = N.lin_add_const (s - 1) (N.lin_scale s hi) in
+            if within (N.Lin lo_s) (N.Lin hi_s) then Some s else None
         | _ -> None)
     | _ -> None
 

@@ -287,6 +287,7 @@ type tridiag = {
   t_lower : float array;  (* t_lower.(i) = entry (i, i-1); 0. = absent *)
   t_diag : float array;  (* t_diag.(i) = entry (i, i) *)
   t_upper : float array;  (* t_upper.(i) = entry (i, i+1) *)
+  t_full : bool;  (* every interior row 1 .. n-2 stores all three *)
 }
 
 let tridiag_dim td = td.t_dim
@@ -298,8 +299,12 @@ let as_tridiagonal m =
     let t_lower = Array.make n 0.
     and t_diag = Array.make n 0.
     and t_upper = Array.make n 0. in
+    let full = ref true in
     let scan () =
       for i = 0 to n - 1 do
+        (* columns rise within a row: three band entries are all three *)
+        if i > 0 && i < n - 1 && m.row_start.(i + 1) - m.row_start.(i) < 3
+        then full := false;
         for k = m.row_start.(i) to m.row_start.(i + 1) - 1 do
           let j = m.col_index.(k) and v = m.values.(k) in
           (* A stored exact zero would read as "absent" in the band
@@ -314,7 +319,7 @@ let as_tridiagonal m =
       done
     in
     match scan () with
-    | () -> Some { t_dim = n; t_lower; t_diag; t_upper }
+    | () -> Some { t_dim = n; t_lower; t_diag; t_upper; t_full = !full }
     | exception Exit -> None
   end
 
@@ -552,16 +557,30 @@ let orders_vectors accs =
    so does [finish_order] (see there). *)
 let shape = Invalid_argument "Sparse: round kernel shape"
 
-(* The rest of an order-3 row once its matrix row has been walked:
-   [a1 .. a3] are the row dots, [c1], [c2] are U^(1), U^(2) of the row
-   itself and [ri], [hs] its R' and S'/2. Adds the R', S' and impulse
-   terms, writes U(k+1) and folds it into each accumulator. Inlined, so
-   the floats stay unboxed. *)
-let[@inline] finish_row3 rw u next ~weights ~accs ~i ~ri ~hs a1 a2 a3 c1 c2 =
+(* The end of an order-3 row: writes [n1 .. n3], the row of U(k+1),
+   and folds it into each accumulator. Inlined, so the floats stay
+   unboxed. *)
+let[@inline] store_row3 next ~weights ~accs ~i n1 n2 n3 =
   let b = 3 * i in
   if b < 0 || Array.length next < b + 3
      || Array.length accs < Array.length weights
   then raise shape;
+  Array.unsafe_set next b n1;
+  Array.unsafe_set next (b + 1) n2;
+  Array.unsafe_set next (b + 2) n3;
+  for t = 0 to Array.length weights - 1 do
+    let w = Array.unsafe_get weights t and acc = Array.unsafe_get accs t in
+    if Array.length acc < b + 3 then raise shape;
+    Array.unsafe_set acc b (Array.unsafe_get acc b +. (w *. n1));
+    Array.unsafe_set acc (b + 1) (Array.unsafe_get acc (b + 1) +. (w *. n2));
+    Array.unsafe_set acc (b + 2) (Array.unsafe_get acc (b + 2) +. (w *. n3))
+  done
+
+(* The rest of an order-3 row once its matrix row has been walked:
+   [a1 .. a3] are the row dots, [c1], [c2] are U^(1), U^(2) of the row
+   itself and [ri], [hs] its R' and S'/2. Adds the R', S' and impulse
+   terms, then stores the row. *)
+let[@inline] finish_row3 rw u next ~weights ~accs ~i ~ri ~hs a1 a2 a3 c1 c2 =
   let n3 = ref (a3 +. (ri *. c2) +. (hs *. c1))
   and n2 = ref (a2 +. (ri *. c1) +. hs)
   and n1 = ref (a1 +. ri) in
@@ -570,16 +589,7 @@ let[@inline] finish_row3 rw u next ~weights ~accs ~i ~ri ~hs a1 a2 a3 c1 c2 =
     n2 := coupled rw.coupling u ~i ~j:2 !n2;
     n1 := coupled rw.coupling u ~i ~j:1 !n1
   end;
-  Array.unsafe_set next b !n1;
-  Array.unsafe_set next (b + 1) !n2;
-  Array.unsafe_set next (b + 2) !n3;
-  for t = 0 to Array.length weights - 1 do
-    let w = Array.unsafe_get weights t and acc = Array.unsafe_get accs t in
-    if Array.length acc < b + 3 then raise shape;
-    Array.unsafe_set acc b (Array.unsafe_get acc b +. (w *. !n1));
-    Array.unsafe_set acc (b + 1) (Array.unsafe_get acc (b + 1) +. (w *. !n2));
-    Array.unsafe_set acc (b + 2) (Array.unsafe_get acc (b + 2) +. (w *. !n3))
-  done
+  store_row3 next ~weights ~accs ~i !n1 !n2 !n3
 
 (* Order 3, row-interleaved, on the tridiagonal band. A window over rows
    i-1 (p), i (x) and i+1 (y) of U(k) loads each row once. *)
@@ -652,6 +662,43 @@ let tridiag_round3 td rw cur next ~weights ~accs ~lo ~hi =
     x1 := !y1;
     x2 := !y2;
     x3 := !y3
+  done
+
+(* [tridiag_round3] on rows whose three band entries are all stored, in
+   a model without impulse coupling: the same operations in the same
+   order, without its per-row tests. Rows [lo-1] and [hi] are read, so
+   the range lies inside [1, n-1). The leading [0. +.] keeps a -0
+   product as [tridiag_round3]'s [ref 0.] start does. *)
+let tridiag_lean3 td rw cur next ~weights ~accs ~lo ~hi =
+  let n = td.t_dim in
+  let l = td.t_lower and d = td.t_diag and ud = td.t_upper in
+  let r' = rw.r' and s' = rw.s' in
+  if lo < 1 || hi < lo || n - 1 < hi
+     || Array.length l < n || Array.length d < n || Array.length ud < n
+     || Array.length r' < n || Array.length s' < n
+     || Array.length cur < 3 * n
+  then raise shape;
+  for i = lo to hi - 1 do
+    let c = 3 * i in
+    let li = Array.unsafe_get l i
+    and di = Array.unsafe_get d i
+    and ui = Array.unsafe_get ud i in
+    let x1 = Array.unsafe_get cur c and x2 = Array.unsafe_get cur (c + 1) in
+    let a1 =
+      0. +. (li *. Array.unsafe_get cur (c - 3)) +. (di *. x1)
+      +. (ui *. Array.unsafe_get cur (c + 3))
+    and a2 =
+      0. +. (li *. Array.unsafe_get cur (c - 2)) +. (di *. x2)
+      +. (ui *. Array.unsafe_get cur (c + 4))
+    and a3 =
+      0. +. (li *. Array.unsafe_get cur (c - 1))
+      +. (di *. Array.unsafe_get cur (c + 2))
+      +. (ui *. Array.unsafe_get cur (c + 5))
+    in
+    let ri = Array.unsafe_get r' i and hs = 0.5 *. Array.unsafe_get s' i in
+    store_row3 next ~weights ~accs ~i (a1 +. ri)
+      (a2 +. (ri *. x1) +. hs)
+      (a3 +. (ri *. x2) +. (hs *. x1))
   done
 
 (* Order 3, row-interleaved, on CSR: one row walk feeds all three
@@ -788,8 +835,19 @@ let tridiag_round_into_range td rw ~cur ~next ~weights ~accs ~lo ~hi =
   check_round_args ~name ~dim:td.t_dim rw ~cur ~next ~weights ~accs ~lo ~hi;
   match (cur, next) with
   | Stride3 cur, Stride3 next ->
-      tridiag_round3 td rw cur next ~weights ~accs:(stride3_vectors accs) ~lo
-        ~hi
+      let accs = stride3_vectors accs in
+      (* A range of at least 3 rows of an interior-full band, in a model
+         without impulse coupling, runs its inner rows lean and its two
+         end rows as any other; rows are independent, so the split
+         changes no bit. It sits here, not in a kernel, because the
+         source analyzer follows calls five deep from the sweep's body:
+         one level lower, [store_row3]'s writes would go unchecked. *)
+      if hi - lo >= 3 && td.t_full && Array.length rw.coupling = 0 then begin
+        tridiag_round3 td rw cur next ~weights ~accs ~lo ~hi:(lo + 1);
+        tridiag_lean3 td rw cur next ~weights ~accs ~lo:(lo + 1) ~hi:(hi - 1);
+        tridiag_round3 td rw cur next ~weights ~accs ~lo:(hi - 1) ~hi
+      end
+      else tridiag_round3 td rw cur next ~weights ~accs ~lo ~hi
   | Orders cur, Orders next ->
       tridiag_round td rw cur next ~order:(Array.length cur - 1) ~weights
         ~accs:(orders_vectors accs) ~lo ~hi

@@ -79,7 +79,9 @@ val tridiag_dim : tridiag -> int
 val as_tridiagonal : t -> tridiag option
 (** [Some] iff the matrix is square, every entry satisfies
     [|i - j| <= 1], and no stored value is exactly [0.] (a stored zero
-    would be indistinguishable from an absent entry). O(nnz). *)
+    would be indistinguishable from an absent entry). The same O(nnz)
+    scan records whether every interior row ([1 .. n-2]) stores all
+    three entries, which {!tridiag_round_into_range} reads. *)
 
 val tridiag_mv_multi_into_range :
   tridiag -> Vec.t array -> Vec.t array -> lo:int -> hi:int -> unit
@@ -155,9 +157,13 @@ val tridiag_round_into_range :
   tridiag -> rewards -> cur:block -> next:block -> weights:float array ->
   accs:block array -> lo:int -> hi:int -> unit
 (** {!round_into_range} on the band form: three streaming reads per row
-    and order. Bit-for-bit equal to {!round_into_range} on the
-    originating matrix. @raise Invalid_argument as {!round_into_range},
-    its checks being the same safety boundary. *)
+    and order. At order 3, on a band whose interior rows all store three
+    entries and with [rw.coupling] empty, a range of at least 3 rows
+    runs its inner rows with no per-row test for absent entries or
+    impulse terms; its two end rows, shorter ranges and every other
+    band keep those tests. Bit-for-bit equal to {!round_into_range} on
+    the originating matrix either way. @raise Invalid_argument as
+    {!round_into_range}, its checks being the same safety boundary. *)
 
 val vm : Vec.t -> t -> Vec.t
 (** [vm x a] is [x^T A]. *)

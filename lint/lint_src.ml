@@ -6,9 +6,9 @@
      dune exec lint/lint_src.exe -- --strict --baseline lint/src_baseline.txt
 
    Exit codes: 0 clean (or only baselined findings), 1 fresh errors
-   (also fresh warnings with --strict), 2 a bad path, baseline or rule
-   code or --update-baseline without --baseline, 124 a command-line
-   error. *)
+   (also fresh warnings with --strict), 2 a --jobs below 1, a bad path,
+   baseline or rule code or --update-baseline without --baseline, 124 a
+   command-line error. *)
 
 open Cmdliner
 module Lint = Mrm_analysis.Lint
@@ -35,8 +35,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"J"
         ~doc:
-          "Worker domains for the per-file rules ($(b,1) = sequential). \
-           Defaults to the $(b,MRM2_JOBS) environment variable when set."
+          "Worker domains for the per-file rules ($(b,1) = sequential; at \
+           least 1). Defaults to the $(b,MRM2_JOBS) environment variable \
+           when set."
         ~env:(Cmd.Env.info "MRM2_JOBS"))
 
 let paths =
@@ -262,7 +263,11 @@ let analyze paths baseline_path update strict format jobs blocking fuel =
 
 let run paths baseline_path update strict format jobs blocking fuel list_rules
     explain_code =
-  if list_rules then print_rules ()
+  if jobs < 1 then begin
+    Printf.eprintf "lint-src: --jobs %d must be >= 1\n" jobs;
+    2
+  end
+  else if list_rules then print_rules ()
   else
     match explain_code with
     | Some code -> explain code

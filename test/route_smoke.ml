@@ -89,10 +89,24 @@ let await_ready ~what ~pid ~err_file =
   in
   poll ()
 
+(* Every temporary file this program names, removed when it exits:
+   [fail]'s exit and an uncaught exception included. *)
+let temp_files = ref []
+
+let tmp suffix =
+  let path = Filename.temp_file "mrm2_route" suffix in
+  temp_files := path :: !temp_files;
+  path
+
+let () =
+  at_exit (fun () ->
+      List.iter
+        (fun path -> try Sys.remove path with Sys_error _ -> ())
+        !temp_files)
+
 let () =
   if Array.length Sys.argv < 2 then fail "usage: route_smoke MRM2_EXE";
   let mrm2 = Sys.argv.(1) in
-  let tmp suffix = Filename.temp_file "mrm2_route" suffix in
   let sock name =
     let path = tmp ("." ^ name ^ ".sock") in
     Sys.remove path;

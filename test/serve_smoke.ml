@@ -76,10 +76,24 @@ let job ~id ~size ~t =
     "{\"id\":\"%s\",\"model\":\"onoff\",\"sigma2\":1,\"size\":%d,\"t\":%g,\"order\":3}"
     id size t
 
+(* Every temporary file this program names, removed when it exits:
+   [fail]'s exit and an uncaught exception included. *)
+let temp_files = ref []
+
+let tmp suffix =
+  let path = Filename.temp_file "mrm2_smoke" suffix in
+  temp_files := path :: !temp_files;
+  path
+
+let () =
+  at_exit (fun () ->
+      List.iter
+        (fun path -> try Sys.remove path with Sys_error _ -> ())
+        !temp_files)
+
 let () =
   if Array.length Sys.argv < 2 then fail "usage: serve_smoke MRM2_EXE";
   let mrm2 = Sys.argv.(1) in
-  let tmp suffix = Filename.temp_file "mrm2_smoke" suffix in
   let socket = tmp ".sock" in
   Sys.remove socket;
   let serve_out = tmp ".serve.out" and serve_err = tmp ".serve.err" in

@@ -194,6 +194,13 @@ let test_src020_strided_write () =
   check_pair ~path:"lib/util/fake.ml" ~code:"SRC020" ~lines:[ 7 ]
     "src_absint_stride.ml" "src_absint_stride_ok.ml"
 
+(* A row placed from the range's end, such as a peeled last row
+   s (hi - 1) + j, takes its stride from hi and is proven inside
+   [s lo, s hi - 1]; the same kernel writing row hi is not. *)
+let test_src020_peeled_row () =
+  check_pair ~path:"lib/util/fake.ml" ~code:"SRC020" ~lines:[ 9 ]
+    "src_absint_peel.ml" "src_absint_peel_ok.ml"
+
 let test_src021_division () =
   check_pair ~path:"lib/util/fake.ml" ~code:"SRC021" ~lines:[ 5 ]
     "src_absint_div.ml" "src_absint_div_ok.ml"
@@ -538,6 +545,8 @@ let () =
             test_src020_range_write;
           Alcotest.test_case "SRC020 strided write" `Quick
             test_src020_strided_write;
+          Alcotest.test_case "SRC020 peeled last row" `Quick
+            test_src020_peeled_row;
           Alcotest.test_case "SRC021 division" `Quick test_src021_division;
           Alcotest.test_case "SRC022 bounds" `Quick test_src022_bounds;
           Alcotest.test_case "SRC022 unchecked access guards" `Quick

@@ -1044,31 +1044,93 @@ let prop_mv_fused_matches_mv_into_range =
         (Partition.ranges partition);
       got = expected)
 
-(* The one-pass round kernels against the multi-pass round they
-   replaced ([Oracles.multipass_round]), bitwise: random band and CSR
-   matrices, orders 1-8 and 23, 0-5 accumulator blocks, with and without
-   impulse coupling, over a random partition into row ranges. U(k) and
-   the accumulators start from random values with exact zeros of both
-   signs mixed in, so the +0/-0 cases of every addition are exercised.
-   Both the detected structure ([Kernel.round]) and the CSR kernel on
-   the same matrix are checked. *)
+(* One round of [m] over [ranges], by [Kernel.round] on the detected
+   structure and by the CSR kernel on [m] itself, against the multi-pass
+   round they replaced ([Oracles.multipass_round]), bitwise, in U(k+1)
+   and in every accumulator. [u0.(0)] is U^(0) = 1; [acc0.(b).(0)] is
+   unused. *)
+let round_matches_multipass m ~r' ~s' ~coupling ~order ~u0 ~acc0 ~weights
+    ~ranges =
+  let n = Sparse.rows m in
+  let structure = Kernel.detect m in
+  let next_o =
+    Array.init (order + 1) (fun j -> if j = 0 then u0.(0) else Vec.zeros n)
+  in
+  let acc_o = Array.map (Array.map Array.copy) acc0 in
+  let terms =
+    List.init (Array.length acc0) (fun b -> (weights.(b), acc_o.(b)))
+  in
+  Array.iter
+    (fun (lo, hi) ->
+      Oracles.multipass_round structure ~r' ~s' ~coupling ~order ~cur:u0
+        ~next:next_o ~terms ~lo ~hi)
+    ranges;
+  let rewards = { Sparse.r'; s'; coupling } in
+  let run round =
+    let cur = Sparse.block_of_vectors (Array.sub u0 1 order) in
+    let next = Sparse.block ~order ~dim:n in
+    let accs =
+      Array.map (fun a -> Sparse.block_of_vectors (Array.sub a 1 order)) acc0
+    in
+    Array.iter
+      (fun (lo, hi) -> round rewards ~cur ~next ~weights ~accs ~lo ~hi)
+      ranges;
+    (next, accs)
+  in
+  let same b expected =
+    let ok = ref true in
+    for j = 1 to order do
+      for i = 0 to n - 1 do
+        if
+          Int64.bits_of_float (Sparse.block_get b j i)
+          <> Int64.bits_of_float expected.(j).(i)
+        then ok := false
+      done
+    done;
+    !ok
+  in
+  List.for_all
+    (fun (next, accs) ->
+      same next next_o && Array.for_all2 (fun a e -> same a e) accs acc_o)
+    [ run (Kernel.round structure); run (Sparse.round_into_range m) ]
+
+(* [round_matches_multipass] over random matrices: CSR; a band of random
+   entries; a band that stores every interior entry (random non-zero
+   values, end rows thinned at random); and such a band with exactly one
+   interior entry absent. Orders 1-8 and 23 (3 on the full bands, the
+   only order their lean rows serve), 0-5 accumulator blocks, with and
+   without impulse coupling, over a random partition into row ranges.
+   U(k) and the accumulators start from random values with exact zeros
+   of both signs mixed in, so the +0/-0 cases of every addition are
+   exercised. *)
 let prop_round_matches_multipass =
-  QCheck2.Test.make ~count:200
+  let shape_name = function
+    | `Csr -> "csr"
+    | `Band -> "band"
+    | `Full -> "interior-full band"
+    | `Gap -> "band with one interior gap"
+  in
+  QCheck2.Test.make ~count:300
     ~name:"Kernel.round over any partition = multi-pass round (bitwise)"
-    ~print:(fun (n, banded, order, blocks, impulses, _, cuts) ->
-      Printf.sprintf "n=%d banded=%b order=%d blocks=%d impulses=%b cuts=[%s]"
-        n banded order blocks impulses
+    ~print:(fun (n, shape, order, blocks, impulses, _, cuts) ->
+      Printf.sprintf "n=%d shape=%s order=%d blocks=%d impulses=%b cuts=[%s]"
+        n (shape_name shape) order blocks impulses
         (String.concat ";" (List.map string_of_int cuts)))
     QCheck2.Gen.(
-      let* n = int_range 1 30 in
-      let* banded = bool in
-      let* order = oneof [ int_range 1 8; return 23 ] in
+      let* shape =
+        frequencyl [ (2, `Csr); (2, `Band); (2, `Full); (1, `Gap) ]
+      in
+      let full = match shape with `Full | `Gap -> true | _ -> false in
+      let* n = int_range (if full then 3 else 1) 30 in
+      let* order =
+        if full then return 3 else oneof [ int_range 1 8; return 23 ]
+      in
       let* blocks = int_range 0 5 in
       let* impulses = frequencyl [ (2, false); (1, true) ] in
       let* seed = int_bound 1_000_000 in
       let* cuts = list_size (int_range 0 5) (int_range 0 n) in
-      return (n, banded, order, blocks, impulses, seed, cuts))
-    (fun (n, banded, order, blocks, impulses, seed, cuts) ->
+      return (n, shape, order, blocks, impulses, seed, cuts))
+    (fun (n, shape, order, blocks, impulses, seed, cuts) ->
       let rng = Random.State.make [| seed |] in
       let value () =
         match Random.State.int rng 8 with
@@ -1088,7 +1150,42 @@ let prop_round_matches_multipass =
                in
                (i, j, Random.State.float rng 2. -. 1.)))
       in
-      let m = matrix ~band:banded in
+      (* the one absent interior entry (row, column - row) of a gap band *)
+      let absent =
+        if shape = `Gap then
+          Some (1 + Random.State.int rng (n - 2), Random.State.int rng 3 - 1)
+        else None
+      in
+      let full_band () =
+        let nonzero () =
+          (if Random.State.bool rng then 1. else -1.)
+          *. (0.1 +. Random.State.float rng 0.9)
+        in
+        Sparse.of_triplets ~rows:n ~cols:n
+          (List.concat_map
+             (fun i ->
+               List.filter_map
+                 (fun k ->
+                   let j = i + k in
+                   let end_row = i = 0 || i = n - 1 in
+                   if
+                     j < 0 || j >= n
+                     || absent = Some (i, k)
+                     || (end_row && Random.State.int rng 4 = 0)
+                   then None
+                   else Some (i, j, nonzero ()))
+                 [ -1; 0; 1 ])
+             (List.init n Fun.id))
+      in
+      let m =
+        match shape with
+        | `Csr -> matrix ~band:false
+        | `Band -> matrix ~band:true
+        | `Full | `Gap -> full_band ()
+      in
+      (if shape <> `Csr
+          && Kernel.structure_kind (Kernel.detect m) <> "tridiagonal"
+       then Alcotest.fail "band matrix not detected as tridiagonal");
       let r' = vector () in
       let s' = Array.map Float.abs (vector ()) in
       let coupling =
@@ -1103,6 +1200,12 @@ let prop_round_matches_multipass =
       let u0 =
         Array.init (order + 1) (fun j -> if j = 0 then ones else vector ())
       in
+      (* An infinity under the absent entry: a kernel that multiplied
+         the absent entry as a zero would get a NaN there. *)
+      Option.iter
+        (fun (i, k) ->
+          u0.(1 + Random.State.int rng order).(i + k) <- Float.infinity)
+        absent;
       let acc0 =
         Array.init blocks (fun _ ->
             Array.init (order + 1) (fun j -> if j = 0 then [||] else vector ()))
@@ -1116,48 +1219,66 @@ let prop_round_matches_multipass =
         in
         Array.of_list (pairs bounds)
       in
-      let structure = Kernel.detect m in
-      let next_o =
-        Array.init (order + 1) (fun j -> if j = 0 then ones else Vec.zeros n)
-      in
-      let acc_o = Array.map (Array.map Array.copy) acc0 in
-      let terms = List.init blocks (fun b -> (weights.(b), acc_o.(b))) in
-      Array.iter
-        (fun (lo, hi) ->
-          Oracles.multipass_round structure ~r' ~s' ~coupling ~order ~cur:u0
-            ~next:next_o ~terms ~lo ~hi)
-        ranges;
-      let rewards = { Sparse.r'; s'; coupling } in
-      let run round =
-        let cur = Sparse.block_of_vectors (Array.sub u0 1 order) in
-        let next = Sparse.block ~order ~dim:n in
-        let accs =
-          Array.map
-            (fun a -> Sparse.block_of_vectors (Array.sub a 1 order))
-            acc0
-        in
-        Array.iter
-          (fun (lo, hi) -> round rewards ~cur ~next ~weights ~accs ~lo ~hi)
-          ranges;
-        (next, accs)
-      in
-      let same b expected =
-        let ok = ref true in
-        for j = 1 to order do
-          for i = 0 to n - 1 do
-            if
-              Int64.bits_of_float (Sparse.block_get b j i)
-              <> Int64.bits_of_float expected.(j).(i)
-            then ok := false
-          done
-        done;
-        !ok
-      in
-      List.for_all
-        (fun (next, accs) ->
-          same next next_o
-          && Array.for_all2 (fun a e -> same a e) accs acc_o)
-        [ run (Kernel.round structure); run (Sparse.round_into_range m) ])
+      round_matches_multipass m ~r' ~s' ~coupling ~order ~u0 ~acc0 ~weights
+        ~ranges)
+
+(* The models that decide the order-3 band round's path. Ramp's ON-OFF
+   band (6,001 states) stores every interior entry, so its rounds run
+   the lean interior rows. Repair at 301 states loses row 2's diagonal,
+   whose exit rate equals q, and an ON-OFF band with alpha = beta = 3
+   loses every diagonal the same way; both keep the per-row tests. Each
+   is still a band, and one round of each equals the multi-pass oracle
+   bit for bit, sequentially and over a 3-party partition. *)
+let test_band_models_round () =
+  let rng = Random.State.make [| 29 |] in
+  let case name model ~full =
+    let g = model.Model.generator in
+    let m = Generator.uniformized g ~rate:(Generator.uniformization_rate g) in
+    let n = Sparse.rows m in
+    let stored i =
+      let count = ref 0 in
+      Sparse.iter_row m i (fun _ _ -> incr count);
+      !count
+    in
+    Alcotest.(check bool)
+      (name ^ ": every interior row stores three entries")
+      full
+      (List.for_all (fun i -> stored i = 3) (List.init (n - 2) succ));
+    Alcotest.(check string) (name ^ ": detected") "tridiagonal"
+      (Kernel.structure_kind (Kernel.detect m));
+    let vector () =
+      Array.init n (fun _ ->
+          match Random.State.int rng 8 with
+          | 0 -> 0.
+          | 1 -> -0.
+          | _ -> Random.State.float rng 2.)
+    in
+    let r' = vector () and s' = Array.map Float.abs (vector ()) in
+    let u0 = Array.init 4 (fun j -> if j = 0 then Vec.ones n else vector ()) in
+    let acc0 =
+      Array.init 3 (fun _ ->
+          Array.init 4 (fun j -> if j = 0 then [||] else vector ()))
+    in
+    let weights = Array.init 3 (fun _ -> Random.State.float rng 1.) in
+    List.iter
+      (fun partition ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: round over %d range(s) = multi-pass round" name
+             (Array.length (Partition.ranges partition)))
+          true
+          (round_matches_multipass m ~r' ~s' ~coupling:[||] ~order:3 ~u0 ~acc0
+             ~weights ~ranges:(Partition.ranges partition)))
+      [ Partition.uniform ~parts:1 ~rows:n; Partition.pinned ~jobs:3 m ]
+  in
+  case "ramp" (Onoff.model (Onoff.scaled_table2 ~sources:6_000)) ~full:true;
+  case "repair"
+    (Mrm_models.Machine_repair.model
+       { Mrm_models.Machine_repair.default with machines = 300 })
+    ~full:false;
+  case "onoff alpha = beta = 3"
+    (Onoff.model
+       { (Onoff.table1 ~sigma2:1.) with on_to_off = 3.; off_to_on = 3. })
+    ~full:false
 
 (* ------------------------------------------------------------------ *)
 
@@ -1198,6 +1319,8 @@ let () =
             test_sweep_exception_propagates;
           to_alcotest prop_mv_fused_matches_mv_into_range;
           to_alcotest prop_round_matches_multipass;
+          Alcotest.test_case "band round on ramp, repair, alpha = beta" `Quick
+            test_band_models_round;
         ] );
       ( "solver",
         [

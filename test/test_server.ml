@@ -561,6 +561,27 @@ let test_server_concurrent_clients () =
             responses)
     results
 
+(* The solve that holds the slot while the slot tests queue work behind
+   it, and about how many seconds it takes: an onoff job whose horizon
+   is scaled from an in-process solve at t = 1 so that it takes a second
+   or more however fast the solver is. The test's own steps take well
+   under that. Solve time grows about linearly with the horizon, a
+   little less (G = qt + O(sqrt qt)). Measured once, on first use. *)
+let slow_job =
+  lazy
+    (let line t =
+       Printf.sprintf
+         "{\"id\":\"slow\",\"model\":\"onoff\",\"sigma2\":1,\"size\":3000,\
+          \"t\":%g,\"order\":3}"
+         t
+     in
+     match Protocol.parse_request ~now:0. ~default_id:"slow" (line 1.) with
+     | Error msg -> Alcotest.fail msg
+     | Ok request ->
+         let once = (Batch.run [| request.Protocol.job |]).(0).Batch.elapsed in
+         let scale = Float.max 1. (Float.ceil (1. /. once)) in
+         (line scale, scale *. once))
+
 let test_server_hit_bypasses_queue () =
   (* A slow solve holds the solve slot and the one waiting place is
      taken by a second solve: a warm key is still answered from the
@@ -596,9 +617,9 @@ let test_server_hit_bypasses_queue () =
       Thread.delay 0.001
     done
   in
+  let slow_line, _ = Lazy.force slow_job in
   let warm = exchange c (job_line ~id:"warm" ()) in
-  Wire.write_line slow
-    "{\"id\":\"slow\",\"model\":\"onoff\",\"sigma2\":1,\"size\":3000,\"t\":1,\"order\":3}";
+  Wire.write_line slow slow_line;
   (* A miss is counted as its solve starts. *)
   wait_until "the slow solve to start" (fun () ->
       Metrics.count misses >= misses0 + 2);
@@ -624,10 +645,13 @@ let test_server_hit_bypasses_queue () =
 
 let test_server_slot_order_and_backpressure () =
   (* A slow solve holds the slot and three misses wait behind it, sent
-     one at a time: A and B share a digest, C has a 0.2 s deadline. A
-     fourth miss D is refused at once. Then A solves, B is answered
-     from A's bytes (so A ran first), and C's deadline has passed by
-     its turn. *)
+     one at a time: C with a deadline, then A and B, which share a
+     digest. A fourth miss D is refused at once. Then C's deadline has
+     passed by its turn, A solves, and B is answered from A's bytes (so
+     A ran first). C's deadline is a quarter of the time the slow solve
+     still has to run when C is sent, so it passes while the slot is
+     held however fast the solver is. *)
+  let slow_line, hold = Lazy.force slow_job in
   let config =
     { (Server.default_config (`Tcp ("127.0.0.1", 0))) with
       Server.queue_capacity = 3 }
@@ -658,19 +682,24 @@ let test_server_slot_order_and_backpressure () =
       Thread.delay 0.001
     done
   in
-  Wire.write_line slow
-    "{\"id\":\"slow\",\"model\":\"onoff\",\"sigma2\":1,\"size\":3000,\"t\":1,\"order\":3}";
+  let started = Unix.gettimeofday () in
+  Wire.write_line slow slow_line;
   wait_until "the slow solve to start" (fun () ->
       Metrics.count misses >= misses0 + 1);
   Metrics.set queue_peak 0.;
+  let left = hold -. (Unix.gettimeofday () -. started) in
+  if left <= 0. then
+    Alcotest.failf "the slow solve (%.3f s in process) ended before C was sent"
+      hold;
+  let deadline = Printf.sprintf "\"deadline_s\":%.17g" (left /. 4.) in
   List.iteri
     (fun k (name, conn, line) ->
       Wire.write_line conn line;
       wait_until (name ^ " to wait for the slot") (fun () ->
           Metrics.gauge_value queue_peak >= float_of_int (k + 1)))
-    [ ("A", a, job_line ~id:"A" ());
-      ("B", b, job_line ~id:"B" ());
-      ("C", c, job_line ~id:"C" ~t:2. ~extra:"\"deadline_s\":0.2" ()) ];
+    [ ("C", c, job_line ~id:"C" ~t:2. ~extra:deadline ());
+      ("A", a, job_line ~id:"A" ());
+      ("B", b, job_line ~id:"B" ()) ];
   Wire.write_line d (job_line ~id:"D" ~t:3. ());
   let refused = Wire.read_line d in
   let slow_replied, _, _ = Unix.select [ Wire.fd slow ] [] [] 0. in
@@ -683,16 +712,16 @@ let test_server_slot_order_and_backpressure () =
   Alcotest.(check int) "one rejection" 1 (Metrics.count rejected - rejected0);
   Alcotest.(check (option string)) "slow solved" (Some "ok")
     (Protocol.response_status (Json.parse_exn (Wire.read_line slow)));
+  Alcotest.(check string) "C expired while waiting"
+    (Protocol.error_response ~id:"C" ~code:"SRV003"
+       "deadline exceeded before the solve started")
+    (Wire.read_line c);
   let fresh = Wire.read_line a in
   Alcotest.(check (option string)) "A solved" (Some "ok")
     (Protocol.response_status (Json.parse_exn fresh));
   Alcotest.(check string) "B answered from A's bytes"
     (as_hit ~fresh_id:"A" ~id:"B" fresh)
     (Wire.read_line b);
-  Alcotest.(check string) "C expired while waiting"
-    (Protocol.error_response ~id:"C" ~code:"SRV003"
-       "deadline exceeded before the solve started")
-    (Wire.read_line c);
   Alcotest.(check int) "one timeout" 1 (Metrics.count timeouts - timeouts0)
 
 (* ------------------------------------------------------------------ *)

@@ -423,10 +423,11 @@ let test_concurrency_self_check () =
 
 let lint_src = Filename.concat (Filename.concat ".." "lint") "lint_src.exe"
 
-let run_lint_src args =
+let run_lint_src ?(env = "") ?(stderr = "2>/dev/null") args =
   let out = Filename.temp_file "lint_src" ".out" in
   let status =
-    Sys.command (Printf.sprintf "%s %s > %s 2>/dev/null" lint_src args out)
+    Sys.command
+      (Printf.sprintf "%s %s %s > %s %s" env lint_src args out stderr)
   in
   let text = In_channel.with_open_text out In_channel.input_all in
   Sys.remove out;
@@ -468,6 +469,21 @@ let test_driver_cli () =
           (Option.value (Json.to_list json) ~default:[])
       in
       Alcotest.(check bool) "holds SRC001" true (List.mem "SRC001" codes)
+
+(* A worker count below 1, from the flag or from MRM2_JOBS, is refused
+   with exit 2 before any path is looked at: the missing path below
+   would otherwise be the message. *)
+let test_jobs_below_one_refused () =
+  List.iter
+    (fun (env, args, message) ->
+      let status, text = run_lint_src ~env ~stderr:"2>&1" args in
+      Alcotest.(check int) (env ^ args ^ " exit") 2 status;
+      Alcotest.(check string) (env ^ args ^ " message") (message ^ "\n") text)
+    [
+      ("", "--jobs 0 no_such_path", "lint-src: --jobs 0 must be >= 1");
+      ("", "--jobs=-2 no_such_path", "lint-src: --jobs -2 must be >= 1");
+      ("MRM2_JOBS=0", "no_such_path", "lint-src: --jobs 0 must be >= 1");
+    ]
 
 let () =
   Alcotest.run "srclint"
@@ -521,7 +537,9 @@ let () =
       ( "output",
         [ Alcotest.test_case "github commands" `Quick test_github_rendering ] );
       ( "driver",
-        [ Alcotest.test_case "flags and exit codes" `Quick test_driver_cli ] );
+        [ Alcotest.test_case "flags and exit codes" `Quick test_driver_cli;
+          Alcotest.test_case "--jobs below 1 refused" `Quick
+            test_jobs_below_one_refused ] );
       ( "self-check",
         [
           Alcotest.test_case "repo modulo baseline" `Quick test_repo_self_check;
